@@ -26,6 +26,14 @@ staircase at the end of sigma1, the positions of min(mu) and max(sigma2),
 and the longest increasing terminal run of sigma1 between them recover where
 a and c sat and what value filled the seam; the concatenation below rebuilds
 pi up to two placeholder slots which are then overwritten with a and c.
+
+Validation contract: each public entry point checks its inputs once and
+raises ``ValueError`` naming the offending role; the private cores it calls
+(``_decompose``, ``_inverse_params``, ``_recompose``) trust their inputs and
+keep only cheap ``RuntimeError`` guards.  ``phi`` and ``phi_inverse`` feed
+each core's output straight into the next core, which is sound because
+every step stays in its class: ``avoiders.verify`` checks exactly that
+(decomposition typing, both round trips) exhaustively at small lengths.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from dataclasses import dataclass
 
 from .perms import (
     AVOIDED_PAIR,
-    PATTERN_123,
     contains,
     contains_123,
     format_perm,
@@ -87,16 +94,23 @@ class InverseParams:
     s: int  # longest increasing terminal run of sigma1[i_pos+1 .. p]
 
 
-def _require(perm: Perm, role: str) -> None:
+def _require_avoider(perm: Perm, role: str) -> None:
     if not is_permutation(perm):
         raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
-
-
-def _require_avoider(perm: Perm, role: str) -> None:
-    _require(perm, role)
     for q in AVOIDED_PAIR:
         if contains(perm, q):
             raise ValueError(f"{role} contains the forbidden pattern {format_perm(q)}")
+    if not is_start_small(perm):
+        raise ValueError(f"{role} is not start-small: it begins with its largest entry")
+
+
+def _require_element(perm: Perm, role: str) -> None:
+    if not is_permutation(perm):
+        raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
+    if contains_123(perm):
+        raise ValueError(f"{role} is not a 123-avoider")
+    if not is_start_small(perm):
+        raise ValueError(f"{role} is not start-small: it begins with its largest entry")
 
 
 def decompose(perm: Perm, check: bool = False) -> DecompositionStep:
@@ -108,12 +122,17 @@ def decompose(perm: Perm, check: bool = False) -> DecompositionStep:
     count of both components) are verified before returning.
     """
     _require_avoider(perm, "input")
-    if not is_start_small(perm):
-        raise ValueError("input is not start-small: it begins with its largest entry")
     mids = mid123_entries(perm)
     if not mids:
         raise ValueError("input is 123-avoiding: no mid-123 entry to split at")
-    n = len(perm)
+    step = _decompose(perm, mids)
+    if check:
+        _check_step(perm, step)
+    return step
+
+
+def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
+    # perm is a start-small avoider and mids its nonempty mid-123 positions.
     j = mids[-1]
     b = perm[j - 1]
     tau1 = perm[: j - 1]
@@ -140,7 +159,7 @@ def decompose(perm: Perm, check: bool = False) -> DecompositionStep:
             raise RuntimeError("non-key case must drop at least one entry")
         shifted = tuple(x + r for x in tau1[:t] + (c,))
         sigma1 = standardize(shifted + tuple(range(r, 0, -1)))
-    step = DecompositionStep(
+    return DecompositionStep(
         sigma1=sigma1,
         sigma2=sigma2,
         b_value=b,
@@ -150,9 +169,6 @@ def decompose(perm: Perm, check: bool = False) -> DecompositionStep:
         key_case=key_case,
         r=r,
     )
-    if check:
-        _check_step(perm, step)
-    return step
 
 
 def _check_step(perm: Perm, step: DecompositionStep) -> None:
@@ -183,22 +199,15 @@ def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
     """
     Derive the reconstruction parameters for a valid (sigma1, sigma2) pair.
 
-    sigma1 must be a start-small {1243, 2134}-avoider of length >= 2 and
-    sigma2 a start-small 123-avoider of length >= 2.
+    sigma1 must be a start-small {1243, 2134}-avoider and sigma2 a
+    start-small 123-avoider; being start-small, both have length >= 2.
     """
     _require_avoider(sigma1, "sigma1")
-    if len(sigma1) < 2:
-        raise ValueError("sigma1 must have length >= 2")
-    if not is_start_small(sigma1):
-        raise ValueError("sigma1 is not start-small")
-    _require(sigma2, "sigma2")
-    if len(sigma2) < 2:
-        raise ValueError("sigma2 must have length >= 2")
-    if contains_123(sigma2):
-        raise ValueError("sigma2 is not a 123-avoider")
-    if not is_start_small(sigma2):
-        raise ValueError("sigma2 is not start-small")
+    _require_element(sigma2, "sigma2")
+    return _inverse_params(sigma1, sigma2)
 
+
+def _inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
     j = len(sigma1)
     n = j + len(sigma2) - 1
     r = 0  # maximal staircase r, r-1, ..., 1 at the end of sigma1
@@ -227,7 +236,10 @@ def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
     Rebuild the unique start-small {1243, 2134}-avoider that ``decompose``
     would split into (sigma1, sigma2).
     """
-    pr = inverse_params(sigma1, sigma2)
+    return _recompose(sigma1, sigma2, inverse_params(sigma1, sigma2))
+
+
+def _recompose(sigma1: Perm, sigma2: Perm, pr: InverseParams) -> Perm:
     p, q, s, j, n, r = pr.p, pr.q, pr.s, pr.j, pr.n, pr.r
     word = (
         [x + q for x in sigma1[: p - s]]
@@ -264,12 +276,10 @@ def phi(perm: Perm) -> tuple[Perm, ...]:
     ((3, 4, 1, 2),)
     """
     _require_avoider(perm, "input")
-    if not is_start_small(perm):
-        raise ValueError("input is not start-small: it begins with its largest entry")
     extracted = []
     current = perm
-    while mid123_entries(current):
-        step = decompose(current)
+    while mids := mid123_entries(current):
+        step = _decompose(current, mids)
         extracted.append(step.sigma2)
         current = step.sigma1
     return (current,) + tuple(reversed(extracted))
@@ -292,21 +302,12 @@ def phi_inverse(elements: tuple[Perm, ...]) -> Perm:
     """
     if not elements:
         raise ValueError("list must be nonempty")
-    for idx, element in enumerate(elements, start=1):
-        if not is_permutation(element):
-            raise ValueError(f"element {idx} is not a permutation: {element!r}")
-        if len(element) < 2:
-            raise ValueError(f"element {idx} has length < 2")
-        if not is_start_small(element):
-            raise ValueError(f"element {idx} is not start-small")
-        if idx == 1:
-            if any(contains(element, q) for q in AVOIDED_PAIR):
-                raise ValueError("element 1 contains a forbidden pattern")
-        elif contains_123(element):
-            raise ValueError(f"element {idx} is not a 123-avoider")
+    _require_avoider(elements[0], "element 1")
+    for idx, element in enumerate(elements[1:], start=2):
+        _require_element(element, f"element {idx}")
     acc = elements[0]
     for element in elements[1:]:
-        acc = recompose(acc, element)
+        acc = _recompose(acc, element, _inverse_params(acc, element))
     return acc
 
 

@@ -4,7 +4,8 @@ Subcommands: ``count``, ``enumerate``, ``phi``, ``series``, ``verify``.
 Every command accepts ``--json`` for machine-readable output, with counts and
 series coefficients rendered as decimal strings since they outgrow 64-bit
 integers quickly.  Exit codes: 0 on success, 1 when a verify check fails,
-2 on usage or domain errors.
+2 on usage or domain errors, 3 when an internal contract guard fails (a bug,
+reported as one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 0
 

@@ -23,8 +23,6 @@ from .enumeration import (
 from .perms import (
     AVOIDED_PAIR,
     PATTERN_123,
-    contains,
-    contains_123,
     format_perm,
     is_start_small,
     key_mid123_entries,
@@ -215,31 +213,16 @@ def check_pair_roundtrip(max_total_len: int) -> CheckResult:
 def check_decomposition_typing(max_n: int) -> CheckResult:
     """Each decomposition lands where it should: sigma1 start-small avoider of
     length j with one fewer key mid-123 entry, sigma2 start-small 123-avoider
-    of length n + 1 - j."""
+    of length n + 1 - j (the postconditions of ``decompose(check=True)``)."""
     failure = None
     for n in range(1, max_n + 1):
         for perm in _start_small_avoiders(n):
-            k = len(key_mid123_entries(perm))
-            if k == 0:
+            if not key_mid123_entries(perm):
                 continue
-            step = decompose(perm)
-            problems = []
-            if len(step.sigma1) != step.j:
-                problems.append("sigma1 length")
-            if len(step.sigma2) != n + 1 - step.j:
-                problems.append("sigma2 length")
-            if not is_start_small(step.sigma1) or not is_start_small(step.sigma2):
-                problems.append("start-small")
-            if any(contains(step.sigma1, fp) for fp in AVOIDED_PAIR):
-                problems.append("sigma1 avoidance")
-            if contains_123(step.sigma2):
-                problems.append("sigma2 123-avoidance")
-            if len(key_mid123_entries(step.sigma1)) != k - 1:
-                problems.append("sigma1 key count")
-            if key_mid123_entries(step.sigma2):
-                problems.append("sigma2 key count")
-            if problems:
-                failure = f"{format_perm(perm)}: " + ", ".join(problems)
+            try:
+                decompose(perm, check=True)
+            except RuntimeError as exc:
+                failure = str(exc)
                 break
         if failure:
             break

@@ -1,6 +1,8 @@
 """The decomposition, its inverse, and the iterated map, against the two
 fixed worked examples and exhaustive round trips."""
 
+import random
+
 import pytest
 
 from avoiders.bijection import (
@@ -17,6 +19,8 @@ from avoiders.enumeration import enumerate_avoiders
 from avoiders.perms import (
     AVOIDED_PAIR,
     PATTERN_123,
+    avoids,
+    contains_123,
     is_start_small,
     key_mid123_entries,
     mid123_entries,
@@ -99,6 +103,10 @@ def test_decompose_rejects_bad_inputs():
         decompose((4, 1, 2, 3))
     with pytest.raises(ValueError, match="123-avoiding"):
         decompose((3, 4, 1, 2))
+    with pytest.raises(ValueError, match="input is not start-small"):
+        phi((4, 1, 2, 3))
+    with pytest.raises(ValueError, match="input contains the forbidden pattern 2 1 3 4"):
+        phi((2, 1, 3, 4))
 
 
 def test_recompose_rejects_bad_inputs():
@@ -110,6 +118,8 @@ def test_recompose_rejects_bad_inputs():
         recompose((2, 1), (1, 2))
     with pytest.raises(ValueError, match="forbidden pattern"):
         recompose((1, 2, 4, 3), (1, 2))
+    with pytest.raises(ValueError, match="sigma2 is not start-small"):
+        recompose((1, 2), (3, 1, 2))
 
 
 def test_step_consistency_guard():
@@ -143,6 +153,10 @@ def test_phi_inverse_names_offending_index():
         phi_inverse(((2, 1), (1, 2)))
     with pytest.raises(ValueError, match="nonempty"):
         phi_inverse(())
+    with pytest.raises(ValueError, match="element 1 contains the forbidden pattern 1 2 4 3"):
+        phi_inverse(((1, 2, 4, 3), (1, 2)))
+    with pytest.raises(ValueError, match="element 1 is not start-small"):
+        phi_inverse(((1,), (1, 2)))
 
 
 def test_phi_output_shape():
@@ -179,6 +193,26 @@ def test_pair_roundtrip(total):
                 assert is_start_small(rebuilt)
                 step = decompose(rebuilt)
                 assert step.pair == (sigma1, sigma2), (sigma1, sigma2, rebuilt)
+
+
+def _random_element(rng):
+    # A start-small 123-avoider of uniform length 2-7, by rejection sampling.
+    m = rng.randint(2, 7)
+    while True:
+        perm = tuple(rng.sample(range(1, m + 1), m))
+        if is_start_small(perm) and not contains_123(perm):
+            return perm
+
+
+def test_seeded_roundtrip_beyond_exhaustive_bounds():
+    # Lists of 1-6 elements reach n = 37, far past the exhaustive sweeps
+    # above, and exercise the unchecked steps inside phi and phi_inverse.
+    rng = random.Random(20130315)
+    for _ in range(300):
+        elements = tuple(_random_element(rng) for _ in range(rng.randint(1, 6)))
+        perm = phi_inverse(elements)
+        assert avoids(perm, AVOIDED_PAIR) and is_start_small(perm), elements
+        assert phi(perm) == elements
 
 
 @pytest.mark.parametrize("n", range(2, 9))

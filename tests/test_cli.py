@@ -132,6 +132,19 @@ def test_phi_domain_error_exits_2(capsys):
     assert "start-small" in err
 
 
+def test_phi_internal_error_exits_3(capsys, monkeypatch):
+    import avoiders.cli as cli_module
+
+    def broken(perm):
+        raise RuntimeError("decompose(1 2 3) broke its contract: sigma1 length != j")
+
+    monkeypatch.setattr(cli_module, "phi", broken)
+    code, out, err = run_cli(capsys, "phi", "--forward", "1 2 3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: decompose(1 2 3) broke its contract: sigma1 length != j\n"
+
+
 # ---------------------------------------------------------------------------
 # series
 

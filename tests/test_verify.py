@@ -1,5 +1,7 @@
 """The verification harness itself: reporting, failure surfacing, fixture."""
 
+import dataclasses
+
 from avoiders.series import gf_full, integer_coefficients
 from avoiders.verify import (
     CheckResult,
@@ -66,3 +68,22 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
     assert not result.passed
     assert "n=5" in result.detail
     assert "87" in result.detail and "88" in result.detail
+
+
+def test_broken_decomposition_fails_typing_check(monkeypatch):
+    # Doctor the unchecked core behind decompose and watch the typing check
+    # name the permutation whose step broke its contract.
+    import avoiders.bijection as bijection_module
+    import avoiders.verify as verify_module
+
+    real = bijection_module._decompose
+
+    def doctored(perm, mids):
+        step = real(perm, mids)
+        return dataclasses.replace(step, sigma2=step.sigma2[::-1])
+
+    monkeypatch.setattr(bijection_module, "_decompose", doctored)
+    result = verify_module.check_decomposition_typing(5)
+    assert not result.passed
+    assert "decompose(1 2 3)" in result.detail
+    assert "sigma2 not start-small" in result.detail
