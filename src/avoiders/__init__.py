@@ -3,7 +3,7 @@
 The package has four layers: entry-level permutation predicates (``perms``),
 exhaustive class enumeration with prefix pruning (``enumeration``), the
 length-reducing bijection onto lists of start-small 123-avoiders
-(``bijection``), and exact rational power-series arithmetic for the
+(``bijection``), and exact integer power-series arithmetic for the
 generating functions involved (``series``).  ``verify`` cross-checks all of
 them against each other, and ``cli`` exposes everything as a command line.
 """

@@ -145,7 +145,9 @@ def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
         )
     c = above[0]
     sigma2 = standardize((a,) + tau2)
-    key_case = j in key_mid123_entries(perm)
+    # Key iff the predecessor of b is smaller or a right-to-left maximum;
+    # tau2 holds c > b, so max(tau2) is the largest entry after it.
+    key_case = perm[j - 2] < b or perm[j - 2] > max(tau2)
     if key_case:
         r = 0
         sigma1 = standardize(tau1 + (c,))

@@ -119,11 +119,20 @@ def cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError("order must be >= 0")
     series: PowerSeries = SERIES_BUILDERS[args.which](args.order)
-    if args.json:
-        print(json.dumps({"coefficients": [str(c) for c in series.coeffs]}))
-    else:
-        for n, c in enumerate(series.coeffs):
-            print(f"{n}: {c}")
+    # Coefficients outgrow Python's int-to-str digit cap (Catalan near order
+    # 7,150), so lift it while printing; 0 means no cap, as before Python 3.10.7.
+    old_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if old_cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps({"coefficients": [str(c) for c in series.coeffs]}))
+        else:
+            for n, c in enumerate(series.coeffs):
+                print(f"{n}: {c}")
+    finally:
+        if old_cap:
+            sys.set_int_max_str_digits(old_cap)
     return 0
 
 

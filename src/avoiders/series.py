@@ -1,9 +1,9 @@
-"""Truncated formal power series over the rationals, and the generating
-functions this package is about.
+"""Truncated formal power series with integer coefficients, and the
+generating functions this package is about.
 
-Every series is a fixed-order truncation with exact ``fractions.Fraction``
-coefficients; there is no floating point anywhere in this module.  The
-specific series of interest:
+Every series is a fixed-order truncation with plain ``int`` coefficients,
+and every division in this module is exact or raises.  So ``reciprocal``
+requires a constant term of +1 or -1.  The specific series of interest:
 
 - ``catalan_series``: C with C = 1 + x*C^2, counting 123-avoiders;
 - ``invert_transform``: B with 1 + B = 1/(1 - A), counting lists
@@ -22,17 +22,14 @@ routes, so their coefficient-by-coefficient agreement is a real check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
-
-Rational = int | Fraction
+from operator import mul
 
 
 @dataclass(frozen=True)
 class PowerSeries:
     """A series truncated at x^order; ``coeffs[k]`` is the coefficient of x^k."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -42,67 +39,51 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
-
-    def _common(self, other: "PowerSeries") -> int:
-        # Binary operations truncate to the smaller order.
-        return min(self.order, other.order)
+    # Binary operations truncate to the smaller order.
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._common(other)
-        return PowerSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._common(other)
-        return PowerSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
+        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._common(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for k in range(i, n + 1):
-                out[k] += a * other.coeffs[k - i]
-        return PowerSeries(tuple(out))
+        n = min(self.order, other.order)
+        a = self.coeffs[: n + 1]
+        b_reversed = other.coeffs[n::-1]
+        # [x^k] = sum a[i] * b[k - i]; b[k - i] is b_reversed[n - k + i].
+        return PowerSeries(
+            tuple(sum(map(mul, a[: k + 1], b_reversed[n - k :])) for k in range(n + 1))
+        )
 
     def reciprocal(self) -> "PowerSeries":
-        """The series R with self * R = 1 up to the truncation order."""
+        """The series R with self * R = 1 up to the truncation order; the
+        constant term must be +1 or -1 for R to have integer coefficients."""
         a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = Fraction(1) / a0
-        out = [inv0]
+        if a0 not in (1, -1):
+            raise ValueError(f"series with constant term {a0} has no integer reciprocal")
+        out = [a0]  # 1/a0 == a0 for a unit
         for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
+            out.append(-a0 * sum(map(mul, self.coeffs[1 : k + 1], reversed(out))))
         return PowerSeries(tuple(out))
 
 
-def poly(order: int, *coeffs: Rational) -> PowerSeries:
+def poly(order: int, *coeffs: int) -> PowerSeries:
     """
-    The polynomial with the given low-order coefficients, as a series of the
-    given truncation order.
+    The polynomial with the given low-order integer coefficients, as a series
+    of the given truncation order.
 
     >>> poly(3, 1, -1).coeffs
-    (Fraction(1, 1), Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1))
+    (1, -1, 0, 0)
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if len(coeffs) > order + 1:
         raise ValueError("more coefficients than the truncation order allows")
-    padded = tuple(Fraction(c) for c in coeffs) + (Fraction(0),) * (
-        order + 1 - len(coeffs)
-    )
-    return PowerSeries(padded)
+    for c in coeffs:
+        if not isinstance(c, int):
+            raise ValueError(f"coefficient {c!r} is not an integer")
+    return PowerSeries(coeffs + (0,) * (order + 1 - len(coeffs)))
 
 
 def sqrt_one_minus_4x(order: int) -> PowerSeries:
@@ -110,27 +91,33 @@ def sqrt_one_minus_4x(order: int) -> PowerSeries:
     The series S with S^2 = 1 - 4x and constant term +1.
 
     Coefficients follow the generalized binomial recurrence
-    c_0 = 1, c_k = c_{k-1} * (4k - 6) / k.  The defining identity is checked
-    by ``verify.check_series_identities`` and the test suite, not per call.
+    c_0 = 1, c_k = c_{k-1} * (4k - 6) / k, each division exact.  The defining
+    identity is checked by ``verify.check_series_identities`` and the test
+    suite, not per call.
     """
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * Fraction(4 * k - 6, k))
+        c, remainder = divmod(coeffs[-1] * (4 * k - 6), k)
+        if remainder:
+            raise RuntimeError(f"sqrt(1-4x): coefficient of x^{k} is not an integer")
+        coeffs.append(c)
     return PowerSeries(tuple(coeffs))
 
 
 def catalan_series(order: int) -> PowerSeries:
     """
-    The Catalan generating function, built from the convolution recurrence
-    implied by C = 1 + x*C^2.
+    The Catalan generating function, from C_0 = 1 and
+    C_k = C_{k-1} * 2(2k - 1) / (k + 1), each division exact.  The
+    functional equation C = 1 + x*C^2 is checked by
+    ``verify.check_series_identities``, not used to build C.
 
-    >>> [int(c) for c in catalan_series(6).coeffs]
-    [1, 1, 2, 5, 14, 42, 132]
+    >>> catalan_series(6).coeffs
+    (1, 1, 2, 5, 14, 42, 132)
     """
     cat = [1]
     for k in range(1, order + 1):
-        cat.append(sum(cat[i] * cat[k - 1 - i] for i in range(k)))
-    return PowerSeries(tuple(Fraction(c) for c in cat))
+        cat.append(cat[-1] * 2 * (2 * k - 1) // (k + 1))
+    return PowerSeries(tuple(cat))
 
 
 def invert_transform(a: PowerSeries) -> PowerSeries:
@@ -175,26 +162,30 @@ def kotesovec_series(order: int) -> PowerSeries:
     """
     Exact expansion of the closed form attached to A164651:
     (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1)).
+
+    The numerator is halved coefficient by coefficient, then multiplied by
+    the reciprocal of (x-1)(x^2+4x-1), whose constant term is +1.
     """
     s = sqrt_one_minus_4x(order)
     x = poly(order, 0, 1)
     one = poly(order, 1)
     numerator = poly(order, 2, -9, 3) + x * (one - x) * s
-    denominator = poly(order, 2) * (x - one) * poly(order, -1, 4, 1)
-    return numerator * denominator.reciprocal()
+    odd = [k for k, c in enumerate(numerator.coeffs) if c % 2]
+    if odd:
+        raise RuntimeError(f"closed form: numerator coefficient of x^{odd[0]} is odd")
+    halved = PowerSeries(tuple(c // 2 for c in numerator.coeffs))
+    return halved * ((x - one) * poly(order, -1, 4, 1)).reciprocal()
 
 
 def integer_coefficients(series: PowerSeries) -> list[int]:
     """
-    The coefficients as plain ints; raises if any coefficient fails to reduce
-    to an integer (counting sequences must).
+    The coefficients as a list of ints; raises if any coefficient is not an
+    ``int`` (counting sequences must be integral).
     """
-    out = []
     for k, c in enumerate(series.coeffs):
-        if c.denominator != 1:
+        if not isinstance(c, int):
             raise ValueError(f"coefficient of x^{k} is not an integer: {c}")
-        out.append(c.numerator)
-    return out
+    return list(series.coeffs)
 
 
 @dataclass(frozen=True)

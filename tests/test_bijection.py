@@ -173,6 +173,16 @@ def test_phi_output_shape():
                 assert not mid123_entries(e)  # each element is 123-avoiding
 
 
+def test_key_case_agrees_with_key_mid123_entries():
+    # decompose classifies the last mid-123 entry locally; the full
+    # key_mid123_entries scan is the oracle.
+    for n in range(3, 9):
+        for perm in start_small_avoiders(n):
+            if mid123_entries(perm):
+                step = decompose(perm)
+                assert step.key_case == (step.j in key_mid123_entries(perm)), perm
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_phi_roundtrip(n):
     for perm in start_small_avoiders(n):

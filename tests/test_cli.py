@@ -1,6 +1,8 @@
 """The command line is a thin wrapper: exact output, exit codes, JSON mode."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -177,6 +179,46 @@ def test_series_closed_form_json(capsys):
     assert json.loads(out) == {
         "coefficients": ["1", "1", "2", "6", "22", "87", "354"]
     }
+
+
+# sha256 of the stdout of `series --which W --order 200`, recorded from the
+# Fraction-based series layer this integer one replaced.
+SERIES_ORDER_200_SHA256 = {
+    ("catalan", False): "7a49cc69a30e03459670102504b1d0653a350964dfed1b2300d8a8cb6f8b2e78",
+    ("catalan", True): "225d8b9a2dc155ce161e7aa012a996fe8ae6ea153b41014149dfbc62decb01cd",
+    ("G", False): "6ba40dad6635c6ead88bceabc300bbe0a090dd31d8ee30279a70d2a577a54332",
+    ("G", True): "08cff06da8a580a4979a267a9c65606d854af3c6b5a1e5746701a8c8992a831b",
+    ("F", False): "0dd67d51435ee8e37fabfbfdfc9b18dd1684635b32d5f62835a61d2aaf62aa8f",
+    ("F", True): "d2eb82d657dd91446d074d5a688ebd4f35d412a274a87d1afd05e55ba99049f4",
+    ("kotesovec", False): "0dd67d51435ee8e37fabfbfdfc9b18dd1684635b32d5f62835a61d2aaf62aa8f",
+    ("kotesovec", True): "d2eb82d657dd91446d074d5a688ebd4f35d412a274a87d1afd05e55ba99049f4",
+}
+
+
+@pytest.mark.parametrize(("which", "as_json"), sorted(SERIES_ORDER_200_SHA256))
+def test_series_order_200_golden_digest(capsys, which, as_json):
+    argv = ["series", "--which", which, "--order", "200"] + (["--json"] if as_json else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SERIES_ORDER_200_SHA256[which, as_json]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+def test_series_prints_past_int_str_digit_cap(capsys):
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "series", "--which", "catalan", "--order", "1100")
+        assert sys.get_int_max_str_digits() == 640  # restored after the command
+    finally:
+        sys.set_int_max_str_digits(old_cap)
+    assert code == 0, err
+    index, value = out.splitlines()[-1].split(": ")
+    assert index == "1100"
+    assert len(value) > 640
 
 
 def test_series_negative_order_exits_2(capsys):

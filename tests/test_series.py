@@ -1,11 +1,13 @@
 """Exact series arithmetic and the generating-function identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import avoiders.series
 from avoiders.enumeration import (
     ClassDescriptor,
     count_avoiders,
@@ -71,9 +73,12 @@ def test_reciprocal_requires_nonzero_constant():
 
 
 def test_reciprocal_of_nonunit_constant():
-    half = poly(5, 2).reciprocal()
-    assert half.coeffs[0] == Fraction(1, 2)
-    assert poly(5, 2) * half == poly(5, 1)
+    # Only +1 and -1 have integer reciprocals.
+    with pytest.raises(ValueError, match="no integer reciprocal"):
+        poly(5, 2).reciprocal()
+    minus = poly(5, -1, 1).reciprocal()
+    assert minus == poly(5, -1, -1, -1, -1, -1, -1)
+    assert poly(5, -1, 1) * minus == poly(5, 1)
 
 
 @given(unit_series)
@@ -102,8 +107,16 @@ def test_sqrt_encodes_catalan():
     s = sqrt_one_minus_4x(12)
     numer = poly(12, 1) - s
     assert numer.coeffs[0] == 0
-    shifted = [c / 2 for c in numer.coeffs[1:]]
+    assert all(c % 2 == 0 for c in numer.coeffs)
+    shifted = [c // 2 for c in numer.coeffs[1:]]
     assert shifted == list(catalan_series(11).coeffs)
+
+
+def test_catalan_matches_binomial_formula():
+    c = catalan_series(500).coeffs
+    assert len(c) == 501
+    for k, ck in enumerate(c):
+        assert ck == math.comb(2 * k, k) // (k + 1)
 
 
 def test_catalan_examples():
@@ -185,8 +198,23 @@ def test_closed_form_first_terms():
     assert integer_coefficients(kotesovec_series(6)) == [1, 1, 2, 6, 22, 87, 354]
 
 
-def test_closed_form_equals_transform_route_order_100():
-    assert kotesovec_series(100) == gf_full(100)
+def test_closed_form_equals_transform_route_order_300():
+    assert kotesovec_series(300) == gf_full(300)
+
+
+def test_closed_form_rejects_odd_numerator(monkeypatch):
+    # The closed form halves its numerator exactly; an odd coefficient there
+    # is an internal error, never a silent rounding.
+    exact = avoiders.series.sqrt_one_minus_4x
+
+    def corrupted(order):
+        coeffs = list(exact(order).coeffs)
+        coeffs[5] += 1
+        return PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(avoiders.series, "sqrt_one_minus_4x", corrupted)
+    with pytest.raises(RuntimeError, match="x\\^6 is odd"):
+        kotesovec_series(10)
 
 
 def test_closed_form_coefficients_are_integers():
@@ -202,7 +230,9 @@ def test_counting_sequences():
 
 def test_integer_coefficients_rejects_fractions():
     with pytest.raises(ValueError, match="not an integer"):
-        integer_coefficients(poly(2, Fraction(1, 2)))
+        poly(2, Fraction(1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        integer_coefficients(PowerSeries((Fraction(1, 2),)))
 
 
 def test_poly_validation():
