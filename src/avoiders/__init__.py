@@ -47,9 +47,7 @@ from .perms import (
 )
 from .series import (
     PowerSeries,
-    SequencePair,
     catalan_series,
-    counting_sequences,
     gf_full,
     gf_start_small,
     integer_coefficients,
@@ -68,7 +66,6 @@ __all__ = [
     "DecompositionStep",
     "InverseParams",
     "PowerSeries",
-    "SequencePair",
     "avoids",
     "catalan_series",
     "contains",
@@ -76,7 +73,6 @@ __all__ = [
     "count_avoiders",
     "count_class",
     "count_start_small_123_avoiders",
-    "counting_sequences",
     "decompose",
     "enumerate_avoiders",
     "enumerate_class",

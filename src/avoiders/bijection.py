@@ -34,6 +34,8 @@ keep only cheap ``RuntimeError`` guards.  ``phi`` and ``phi_inverse`` feed
 each core's output straight into the next core, which is sound because
 every step stays in its class: ``avoiders.verify`` checks exactly that
 (decomposition typing, both round trips) exhaustively at small lengths.
+The postconditions of ``decompose`` are stated only there, in
+``verify.check_decomposition_typing``; this module does not re-check them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .perms import (
     format_perm,
     is_permutation,
     is_start_small,
-    key_mid123_entries,
     mid123_entries,
     parse_perm,
     standardize,
@@ -113,22 +114,16 @@ def _require_element(perm: Perm, role: str) -> None:
         raise ValueError(f"{role} is not start-small: it begins with its largest entry")
 
 
-def decompose(perm: Perm, check: bool = False) -> DecompositionStep:
+def decompose(perm: Perm) -> DecompositionStep:
     """
     Split a start-small {1243, 2134}-avoider with at least one key mid-123
     entry into the pair (sigma1, sigma2) described in the module docstring.
-
-    With ``check=True`` the step's postconditions (class membership and key
-    count of both components) are verified before returning.
     """
     _require_avoider(perm, "input")
     mids = mid123_entries(perm)
     if not mids:
         raise ValueError("input is 123-avoiding: no mid-123 entry to split at")
-    step = _decompose(perm, mids)
-    if check:
-        _check_step(perm, step)
-    return step
+    return _decompose(perm, mids)
 
 
 def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
@@ -171,30 +166,6 @@ def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
         key_case=key_case,
         r=r,
     )
-
-
-def _check_step(perm: Perm, step: DecompositionStep) -> None:
-    n = len(perm)
-    k = len(key_mid123_entries(perm))
-    problems = []
-    if len(step.sigma1) != step.j:
-        problems.append("sigma1 length != j")
-    if len(step.sigma2) != n + 1 - step.j:
-        problems.append("sigma2 length != n + 1 - j")
-    if not is_start_small(step.sigma1):
-        problems.append("sigma1 not start-small")
-    if not is_start_small(step.sigma2):
-        problems.append("sigma2 not start-small")
-    if any(contains(step.sigma1, q) for q in AVOIDED_PAIR):
-        problems.append("sigma1 not an avoider")
-    if contains_123(step.sigma2):
-        problems.append("sigma2 contains 123")
-    if len(key_mid123_entries(step.sigma1)) != k - 1:
-        problems.append("sigma1 key count != k - 1")
-    if problems:
-        raise RuntimeError(
-            f"decompose({format_perm(perm)}) broke its contract: " + "; ".join(problems)
-        )
 
 
 def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:

@@ -11,6 +11,7 @@ reported as one ``internal error:`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -137,18 +138,13 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--max-n", args.max_n), ("--order", args.order)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0")
     results = run_checks(max_n=args.max_n, order=args.order, deep=args.deep)
     if args.json:
         payload = {
-            "checks": [
-                {
-                    "name": r.name,
-                    "scope": r.scope,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [dataclasses.asdict(r) for r in results],
             "passed": all(r.passed for r in results),
         }
         print(json.dumps(payload, indent=2))

@@ -71,18 +71,18 @@ class PowerSeries:
 def poly(order: int, *coeffs: int) -> PowerSeries:
     """
     The polynomial with the given low-order integer coefficients, as a series
-    of the given truncation order.
+    of the given truncation order; terms above x^order are dropped, as the
+    binary operations drop them.
 
     >>> poly(3, 1, -1).coeffs
     (1, -1, 0, 0)
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if len(coeffs) > order + 1:
-        raise ValueError("more coefficients than the truncation order allows")
     for c in coeffs:
         if not isinstance(c, int):
             raise ValueError(f"coefficient {c!r} is not an integer")
+    coeffs = coeffs[: order + 1]
     return PowerSeries(coeffs + (0,) * (order + 1 - len(coeffs)))
 
 
@@ -186,26 +186,3 @@ def integer_coefficients(series: PowerSeries) -> list[int]:
         if not isinstance(c, int):
             raise ValueError(f"coefficient of x^{k} is not an integer: {c}")
     return list(series.coeffs)
-
-
-@dataclass(frozen=True)
-class SequencePair:
-    """The two counting sequences: u (all avoiders), v (start-small ones)."""
-
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-
-
-def counting_sequences(order: int) -> SequencePair:
-    """
-    The first ``order + 1`` terms of both avoider-counting sequences, with
-    the defining relations u_0 = v_0 = 1 and v_n = u_n - u_{n-1} checked.
-    """
-    u = integer_coefficients(gf_full(order))
-    v = integer_coefficients(gf_start_small(order))
-    if u[0] != 1 or v[0] != 1:
-        raise RuntimeError("counting sequences must start at 1")
-    for n in range(1, order + 1):
-        if v[n] != u[n] - u[n - 1]:
-            raise RuntimeError(f"difference relation fails at n={n}")
-    return SequencePair(u=tuple(u), v=tuple(v))

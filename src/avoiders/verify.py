@@ -7,22 +7,31 @@ bijection checks sweep complete avoidance classes; the series checks compare
 the two independent generating-function routes and the enumeration oracle.
 ``run_checks`` bundles everything for the ``verify`` CLI command; the test
 suite calls the individual functions with the bounds it wants.
+
+This module is the one place each theorem is checked: in particular the
+postconditions of ``bijection.decompose`` are written only in
+``check_decomposition_typing``, and the library does not re-check them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .bijection import decompose, inverse_params, phi, phi_inverse, recompose
+from .bijection import Perm, decompose, inverse_params, phi, phi_inverse, recompose
 from .enumeration import (
+    ClassDescriptor,
+    count_avoiders,
     count_start_small_123_avoiders,
     enumerate_avoiders,
+    enumerate_class,
 )
 from .perms import (
     AVOIDED_PAIR,
     PATTERN_123,
+    contains,
+    contains_123,
     format_perm,
     is_start_small,
     key_mid123_entries,
@@ -44,20 +53,29 @@ from .series import (
 #: the package data; regenerated by scripts in demos/ if ever needed.
 REFERENCE_SEQUENCE_FILE = "a164651.txt"
 
-# The two fixed worked decompositions used as golden examples.
-GOLDEN_KEY_INPUT = parse_perm("11 2 12 9 7 8 4 5 6 1 10 3")
-GOLDEN_KEY_SIGMA1 = parse_perm("8 1 9 6 4 5 2 3 7")
-GOLDEN_KEY_SIGMA2 = parse_perm("2 1 4 3")
-GOLDEN_KEY_WITNESSES = {"b_value": 6, "a_value": 2, "c_value": 10, "j": 9, "r": 0}
-
-GOLDEN_DROP_INPUT = parse_perm("13 16 12 3 15 8 9 10 11 7 6 5 2 1 14 4")
-GOLDEN_DROP_SIGMA1 = parse_perm("9 12 8 4 11 5 6 7 10 3 2 1")
-GOLDEN_DROP_SIGMA2 = parse_perm("3 2 1 5 4")
-GOLDEN_DROP_WITNESSES = {"b_value": 5, "a_value": 3, "c_value": 14, "j": 12, "r": 3}
-GOLDEN_DROP_PARAMS = {
-    "n": 16, "j": 12, "r": 3, "p": 9, "q": 4,
-    "i_pos": 4, "k_pos": 15, "a_value": 3, "c_value": 14, "s": 4,
-}
+# The two fixed worked decompositions used as golden examples, one row each:
+# the case name that failure details start with, the input, its image pair,
+# whether it is the key case, the step's witnesses, and the parameters
+# ``inverse_params`` must read off the pair (pinned for the drop case only).
+GOLDEN_EXAMPLES = (
+    (
+        "key-case",
+        parse_perm("11 2 12 9 7 8 4 5 6 1 10 3"),
+        (parse_perm("8 1 9 6 4 5 2 3 7"), parse_perm("2 1 4 3")),
+        True,
+        {"b_value": 6, "a_value": 2, "c_value": 10, "j": 9, "r": 0},
+        {},
+    ),
+    (
+        "drop-case",
+        parse_perm("13 16 12 3 15 8 9 10 11 7 6 5 2 1 14 4"),
+        (parse_perm("9 12 8 4 11 5 6 7 10 3 2 1"), parse_perm("3 2 1 5 4")),
+        False,
+        {"b_value": 5, "a_value": 3, "c_value": 14, "j": 12, "r": 3},
+        {"n": 16, "j": 12, "r": 3, "p": 9, "q": 4,
+         "i_pos": 4, "k_pos": 15, "a_value": 3, "c_value": 14, "s": 4},
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -73,8 +91,19 @@ def _result(name: str, scope: str, failure: str | None) -> CheckResult:
                        detail=failure or "")
 
 
-def _start_small_avoiders(n: int) -> Iterator[tuple[int, ...]]:
-    return (p for p in enumerate_avoiders(n, AVOIDED_PAIR) if is_start_small(p))
+def _start_small(n: int, patterns: tuple[Perm, ...]) -> Iterator[Perm]:
+    return enumerate_class(ClassDescriptor(n, patterns, start_small_only=True))
+
+
+def _first_mismatch(
+    left: Iterable[int], right: Iterable[int], message: str, start: int = 0
+) -> str | None:
+    # ``message`` filled in with the first index n where the equal-length
+    # sides differ and their values a, b there; None if they never differ.
+    for n, (a, b) in enumerate(zip(left, right, strict=True), start):
+        if a != b:
+            return message.format(n=n, a=a, b=b)
+    return None
 
 
 def load_reference_sequence() -> list[int]:
@@ -97,26 +126,20 @@ def check_reference_counts(order: int = 100) -> CheckResult:
     reference = load_reference_sequence()
     top = min(order, len(reference) - 1)
     coeffs = integer_coefficients(gf_full(top))
-    failure = None
-    for n in range(top + 1):
-        if coeffs[n] != reference[n]:
-            failure = f"n={n}: series gives {coeffs[n]}, reference says {reference[n]}"
-            break
+    failure = _first_mismatch(
+        coeffs, reference[: top + 1], "n={n}: series gives {a}, reference says {b}"
+    )
     return _result("reference_counts", f"n<={top}", failure)
 
 
 def check_enumeration_matches_series(max_n: int) -> CheckResult:
-    """Brute-force avoider counts equal the gf_full coefficients."""
+    """Brute-force avoider counts equal the gf_full coefficients for n >= 1
+    (the n = 0 term is compared with A164651 by ``check_reference_counts``)."""
     coeffs = integer_coefficients(gf_full(max_n))
-    failure = None
-    if coeffs[0] != 1:
-        failure = f"n=0: series gives {coeffs[0]}, the empty permutation counts 1"
-    else:
-        for n in range(1, max_n + 1):
-            counted = sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))
-            if counted != coeffs[n]:
-                failure = f"n={n}: enumeration counts {counted}, series gives {coeffs[n]}"
-                break
+    counts = (count_avoiders(n, AVOIDED_PAIR) for n in range(1, max_n + 1))
+    failure = _first_mismatch(
+        counts, coeffs[1:], "n={n}: enumeration counts {a}, series gives {b}", start=1
+    )
     return _result("enumeration_matches_series", f"n<={max_n}", failure)
 
 
@@ -159,7 +182,7 @@ def check_phi_roundtrip(max_n: int) -> CheckResult:
     """phi_inverse(phi(p)) = p over all start-small avoiders."""
     failure = None
     for n in range(1, max_n + 1):
-        for perm in _start_small_avoiders(n):
+        for perm in _start_small(n, AVOIDED_PAIR):
             if phi_inverse(phi(perm)) != perm:
                 failure = f"round trip moved {format_perm(perm)}"
                 break
@@ -168,22 +191,11 @@ def check_phi_roundtrip(max_n: int) -> CheckResult:
     return _result("phi_roundtrip", f"start-small avoiders, n<={max_n}", failure)
 
 
-def _valid_pairs(
-    max_total_len: int,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _valid_pairs(max_total_len: int) -> Iterator[tuple[Perm, Perm]]:
     # sigma1 ranges over start-small {1243, 2134}-avoiders, sigma2 over
     # start-small 123-avoiders, both of length >= 2.
-    lefts = {
-        m: list(_start_small_avoiders(m)) for m in range(2, max_total_len - 1)
-    }
-    rights = {
-        m: [
-            p
-            for p in enumerate_avoiders(m, [PATTERN_123])
-            if is_start_small(p)
-        ]
-        for m in range(2, max_total_len - 1)
-    }
+    lefts = {m: list(_start_small(m, AVOIDED_PAIR)) for m in range(2, max_total_len - 1)}
+    rights = {m: list(_start_small(m, (PATTERN_123,))) for m in range(2, max_total_len - 1)}
     for len1 in range(2, max_total_len - 1):
         for len2 in range(2, max_total_len - len1 + 1):
             for sigma1 in lefts[len1]:
@@ -213,16 +225,35 @@ def check_pair_roundtrip(max_total_len: int) -> CheckResult:
 def check_decomposition_typing(max_n: int) -> CheckResult:
     """Each decomposition lands where it should: sigma1 start-small avoider of
     length j with one fewer key mid-123 entry, sigma2 start-small 123-avoider
-    of length n + 1 - j (the postconditions of ``decompose(check=True)``)."""
+    of length n + 1 - j.  These are the postconditions of ``decompose``,
+    stated nowhere else; a guard tripped inside it is reported as well."""
     failure = None
     for n in range(1, max_n + 1):
-        for perm in _start_small_avoiders(n):
-            if not key_mid123_entries(perm):
+        for perm in _start_small(n, AVOIDED_PAIR):
+            k = len(key_mid123_entries(perm))
+            if not k:
                 continue
             try:
-                decompose(perm, check=True)
+                step = decompose(perm)
             except RuntimeError as exc:
                 failure = str(exc)
+                break
+            sigma1, sigma2 = step.pair
+            postconditions = (
+                ("sigma1 length != j", len(sigma1) == step.j),
+                ("sigma2 length != n + 1 - j", len(sigma2) == n + 1 - step.j),
+                ("sigma1 not start-small", is_start_small(sigma1)),
+                ("sigma2 not start-small", is_start_small(sigma2)),
+                ("sigma1 not an avoider", not any(contains(sigma1, q) for q in AVOIDED_PAIR)),
+                ("sigma2 contains 123", not contains_123(sigma2)),
+                ("sigma1 key count != k - 1", len(key_mid123_entries(sigma1)) == k - 1),
+            )
+            problems = [text for text, holds in postconditions if not holds]
+            if problems:
+                failure = (
+                    f"decompose({format_perm(perm)}) broke its contract: "
+                    + "; ".join(problems)
+                )
                 break
         if failure:
             break
@@ -232,7 +263,7 @@ def check_decomposition_typing(max_n: int) -> CheckResult:
 def _class_sizes(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     by_k: dict[int, int] = {}
     by_kj: dict[tuple[int, int], int] = {}
-    for perm in _start_small_avoiders(n):
+    for perm in _start_small(n, AVOIDED_PAIR):
         k = len(key_mid123_entries(perm))
         by_k[k] = by_k.get(k, 0) + 1
         if k >= 1:
@@ -245,6 +276,8 @@ def check_class_product_identity(max_n: int) -> CheckResult:
     """|{start-small avoiders of [n], k keys, last mid-123 at j}| equals
     |{same of [j], k-1 keys}| * |{start-small 123-avoiders of [n+1-j]}|."""
     sizes = {n: _class_sizes(n) for n in range(1, max_n + 1)}
+    # The right factor's length n + 1 - j runs over 2 .. max_n - 1.
+    right_factors = {m: count_start_small_123_avoiders(m) for m in range(2, max_n)}
     failure = None
     for n in range(1, max_n + 1):
         by_kj = sizes[n][1]
@@ -252,7 +285,7 @@ def check_class_product_identity(max_n: int) -> CheckResult:
             for j in range(k + 1, n):
                 lhs = by_kj.get((k, j), 0)
                 left_factor = sizes[j][0].get(k - 1, 0)
-                right_factor = count_start_small_123_avoiders(n + 1 - j)
+                right_factor = right_factors[n + 1 - j]
                 if lhs != left_factor * right_factor:
                     failure = (
                         f"n={n}, k={k}, j={j}: class size {lhs} != "
@@ -266,41 +299,30 @@ def check_class_product_identity(max_n: int) -> CheckResult:
     return _result("class_product_identity", f"n<={max_n}", failure)
 
 
+def _golden_failures() -> Iterator[str]:
+    # Every discrepancy with the golden table, in checking order; the check
+    # takes the first, so nothing after it is computed.
+    for case, perm, pair, key_case, witnesses, params in GOLDEN_EXAMPLES:
+        step = decompose(perm)
+        if step.pair != pair or step.key_case != key_case:
+            yield f"{case} split gave {step.pair}"
+        for field, expected in witnesses.items():
+            actual = getattr(step, field)
+            if actual != expected:
+                yield f"{case} {field}: expected {expected}, got {actual}"
+        derived = inverse_params(*pair)
+        for field, expected in params.items():
+            actual = getattr(derived, field)
+            if actual != expected:
+                yield f"{case} inverse {field}: expected {expected}, got {actual}"
+        if recompose(*pair) != perm:
+            yield f"{case} recompose missed the input"
+
+
 def check_golden_examples() -> CheckResult:
     """The two fixed worked decompositions reproduce exactly, both ways,
     including every intermediate witness."""
-    failure = None
-    step = decompose(GOLDEN_KEY_INPUT)
-    if step.pair != (GOLDEN_KEY_SIGMA1, GOLDEN_KEY_SIGMA2) or not step.key_case:
-        failure = f"key-case split gave {step.pair}"
-    for field, expected in GOLDEN_KEY_WITNESSES.items():
-        if failure:
-            break
-        actual = getattr(step, field)
-        if actual != expected:
-            failure = f"key-case {field}: expected {expected}, got {actual}"
-    if not failure and recompose(GOLDEN_KEY_SIGMA1, GOLDEN_KEY_SIGMA2) != GOLDEN_KEY_INPUT:
-        failure = "key-case recompose missed the input"
-
-    if not failure:
-        step = decompose(GOLDEN_DROP_INPUT)
-        if step.pair != (GOLDEN_DROP_SIGMA1, GOLDEN_DROP_SIGMA2) or step.key_case:
-            failure = f"drop-case split gave {step.pair}"
-        for field, expected in GOLDEN_DROP_WITNESSES.items():
-            if failure:
-                break
-            actual = getattr(step, field)
-            if actual != expected:
-                failure = f"drop-case {field}: expected {expected}, got {actual}"
-    if not failure:
-        params = inverse_params(GOLDEN_DROP_SIGMA1, GOLDEN_DROP_SIGMA2)
-        for field, expected in GOLDEN_DROP_PARAMS.items():
-            actual = getattr(params, field)
-            if actual != expected:
-                failure = f"drop-case inverse {field}: expected {expected}, got {actual}"
-                break
-        if not failure and recompose(GOLDEN_DROP_SIGMA1, GOLDEN_DROP_SIGMA2) != GOLDEN_DROP_INPUT:
-            failure = "drop-case recompose missed the input"
+    failure = next(_golden_failures(), None)
     return _result("golden_examples", "2 fixed decompositions", failure)
 
 
@@ -326,18 +348,10 @@ def check_series_identities(order: int, list_oracle_max_n: int = 8) -> CheckResu
     if not failure:
         # [x^n] C^3 counts start-small 123-avoiders of [n+2].
         c3 = integer_coefficients(c * c * c)
-        for n in range(1, list_oracle_max_n + 1):
+        for n in range(1, min(list_oracle_max_n, order) + 1):
             counted = count_start_small_123_avoiders(n + 2)
             if c3[n] != counted:
                 failure = f"[x^{n}]C^3 = {c3[n]} but [n+2] has {counted} start-small 123-avoiders"
-                break
-    if not failure:
-        # v_n = u_n - u_{n-1} across the whole truncation.
-        u = integer_coefficients(gf_full(order))
-        v = integer_coefficients(gf_start_small(order))
-        for n in range(1, order + 1):
-            if v[n] != u[n] - u[n - 1]:
-                failure = f"v_{n} != u_{n} - u_{n-1}"
                 break
     return _result("series_identities", f"order {order}", failure)
 
@@ -345,16 +359,11 @@ def check_series_identities(order: int, list_oracle_max_n: int = 8) -> CheckResu
 def check_closed_form_match(order: int) -> CheckResult:
     """The composition-transform route and the closed form agree coefficient
     by coefficient."""
-    via_transform = gf_full(order)
-    via_closed_form = kotesovec_series(order)
-    failure = None
-    for n in range(order + 1):
-        if via_transform.coeffs[n] != via_closed_form.coeffs[n]:
-            failure = (
-                f"n={n}: transform route {via_transform.coeffs[n]}, "
-                f"closed form {via_closed_form.coeffs[n]}"
-            )
-            break
+    failure = _first_mismatch(
+        gf_full(order).coeffs,
+        kotesovec_series(order).coeffs,
+        "n={n}: transform route {a}, closed form {b}",
+    )
     return _result("closed_form_match", f"order {order}", failure)
 
 

@@ -45,7 +45,7 @@ def start_small_avoiders(n):
 
 
 def test_key_case_forward():
-    step = decompose(KEY_INPUT, check=True)
+    step = decompose(KEY_INPUT)
     assert step.sigma1 == KEY_SIGMA1
     assert step.sigma2 == KEY_SIGMA2
     assert (step.b_value, step.a_value, step.c_value) == (6, 2, 10)
@@ -54,7 +54,7 @@ def test_key_case_forward():
 
 
 def test_drop_case_forward():
-    step = decompose(DROP_INPUT, check=True)
+    step = decompose(DROP_INPUT)
     assert step.sigma1 == DROP_SIGMA1
     assert step.sigma2 == DROP_SIGMA2
     assert (step.b_value, step.a_value, step.c_value) == (5, 3, 14)

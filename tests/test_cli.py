@@ -254,6 +254,48 @@ def test_verify_json(capsys):
     }
 
 
+# sha256 of verify's stdout, recorded before the decomposition's
+# postconditions moved from the bijection module into the verify battery.
+VERIFY_SHA256 = {
+    ("--max-n", "5", "--order", "30"):
+        "33c01187c2a5a79b142ea1e0891da1b94c7b80f18289c6fd407eb7c91c65dad6",
+    ("--max-n", "5", "--order", "30", "--json"):
+        "c224b1688176f30aae8bfb06f81e17237ddf75d09ce97e44da256df1e9777c26",
+    (): "df1c9df1e1dafad17e9aa086e092051bd59ad24006e4ac7e6da9c409c27d78bd",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_SHA256))
+def test_verify_golden_digest(capsys, flags):
+    code, out, _ = run_cli(capsys, "verify", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[flags]
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("which", ["catalan", "G", "F", "kotesovec"])
+def test_series_low_orders(capsys, which, order):
+    code, out, err = run_cli(capsys, "series", "--which", which, "--order", str(order))
+    assert (code, err) == (0, "")
+    indices = [line.split(": ")[0] for line in out.splitlines()]
+    assert indices == [str(n) for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_verify_low_orders(capsys, order):
+    code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--order", str(order))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "overall: pass"
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--order"])
+def test_verify_negative_bound_exits_2(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["series", "--which", "nope", "--order", "3"])

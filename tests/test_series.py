@@ -18,7 +18,6 @@ from avoiders.perms import AVOIDED_PAIR
 from avoiders.series import (
     PowerSeries,
     catalan_series,
-    counting_sequences,
     gf_full,
     gf_start_small,
     integer_coefficients,
@@ -221,11 +220,12 @@ def test_closed_form_coefficients_are_integers():
     integer_coefficients(kotesovec_series(60))  # raises on any non-integer
 
 
-def test_counting_sequences():
-    pair = counting_sequences(12)
-    assert pair.u[:7] == (1, 1, 2, 6, 22, 87, 354)
-    assert pair.v[:5] == (1, 0, 1, 4, 16)
-    assert len(pair.u) == len(pair.v) == 13
+def test_low_orders():
+    assert gf_full(0).coeffs == (1,)
+    assert gf_start_small(0).coeffs == (1,)
+    for order in range(4):
+        assert kotesovec_series(order).coeffs == (1, 1, 2, 6)[: order + 1]
+        assert kotesovec_series(order) == gf_full(order)
 
 
 def test_integer_coefficients_rejects_fractions():
@@ -238,7 +238,7 @@ def test_integer_coefficients_rejects_fractions():
 def test_poly_validation():
     with pytest.raises(ValueError, match="order"):
         poly(-1, 1)
-    with pytest.raises(ValueError, match="more coefficients"):
-        poly(1, 1, 2, 3)
+    # Terms above the truncation order are dropped, as binary operations do.
+    assert poly(1, 1, 2, 3).coeffs == (1, 2)
     with pytest.raises(ValueError, match="constant term"):
         PowerSeries(())

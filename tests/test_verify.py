@@ -2,10 +2,11 @@
 
 import dataclasses
 
-from avoiders.series import gf_full, integer_coefficients
+from avoiders.series import PowerSeries, gf_full, integer_coefficients, kotesovec_series
 from avoiders.verify import (
     CheckResult,
     check_closed_form_match,
+    check_enumeration_matches_series,
     check_golden_examples,
     check_reference_counts,
     load_reference_sequence,
@@ -68,6 +69,37 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
     assert not result.passed
     assert "n=5" in result.detail
     assert "87" in result.detail and "88" in result.detail
+
+
+def test_series_mismatches_name_first_index(monkeypatch):
+    # The first coefficient where two routes part is named, with both values.
+    import avoiders.verify as verify_module
+
+    def bumped(build):
+        def doctored(order):
+            coeffs = list(build(order).coeffs)
+            coeffs[4] += 1
+            return PowerSeries(tuple(coeffs))
+        return doctored
+
+    monkeypatch.setattr(verify_module, "kotesovec_series", bumped(kotesovec_series))
+    assert check_closed_form_match(10).detail == "n=4: transform route 22, closed form 23"
+    monkeypatch.setattr(verify_module, "gf_full", bumped(gf_full))
+    assert (
+        check_enumeration_matches_series(6).detail
+        == "n=4: enumeration counts 22, series gives 23"
+    )
+
+
+def test_golden_failure_names_case_and_field(monkeypatch):
+    import avoiders.verify as verify_module
+
+    case, perm, pair, key_case, witnesses, params = verify_module.GOLDEN_EXAMPLES[1]
+    doctored = (case, perm, pair, key_case, witnesses, {**params, "s": 5})
+    monkeypatch.setattr(
+        verify_module, "GOLDEN_EXAMPLES", (verify_module.GOLDEN_EXAMPLES[0], doctored)
+    )
+    assert check_golden_examples().detail == "drop-case inverse s: expected 5, got 4"
 
 
 def test_broken_decomposition_fails_typing_check(monkeypatch):
