@@ -117,8 +117,6 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise ValueError("order must be >= 0")
     series: PowerSeries = SERIES_BUILDERS[args.which](args.order)
     # Coefficients outgrow Python's int-to-str digit cap (Catalan near order
     # 7,150), so lift it while printing; 0 means no cap, as before Python 3.10.7.

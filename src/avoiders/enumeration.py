@@ -10,14 +10,15 @@ Dedicated prefix tests make the two hot pattern sets cheap: for {123} and for
 the {1243, 2134} pair, appending a value can only complete an occurrence
 whose final letter is the new value, and for these patterns that condition
 reduces to O(1) threshold checks against scan statistics of the prefix.  Any
-other pattern set goes through a generic anchored matcher.  The naive
-filter over all n! permutations is kept as an independent debug oracle.
+other pattern set goes through ``perms._ends_at``, the backtracking matcher
+that ``contains`` is built on, pinned to the new final position.  The naive
+filter over all n! permutations with ``contains`` is kept as an independent
+debug oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +26,8 @@ from .perms import (
     PATTERN_123,
     PATTERN_1243,
     PATTERN_2134,
-    contains,
+    _ends_at,
+    avoids,
     is_permutation,
     is_start_small,
     key_mid123_entries,
@@ -72,7 +74,7 @@ def naive_avoiders(
         raise ValueError("length n must be >= 1")
     pats = _normalize_patterns(patterns)
     for perm in itertools.permutations(range(1, n + 1)):
-        if not any(contains(perm, q) for q in pats):
+        if avoids(perm, pats):
             yield perm
 
 
@@ -161,43 +163,6 @@ def _avoiders_123(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, inf, inf)
 
 
-def _completes_pattern(
-    prefix: Sequence[int], v: int, pattern: Sequence[int]
-) -> bool:
-    # Would appending v to a clean prefix create an occurrence of pattern?
-    # Any new occurrence must end at the new final position, so v is pinned
-    # to the pattern's last letter and the remaining letters are matched
-    # left to right inside the prefix with the usual value-window pruning.
-    m = len(pattern)
-    if m == 1:
-        return True
-    if m - 1 > len(prefix):
-        return False
-    last = pattern[-1]
-    placed = [0] * (m - 1)
-
-    def extend(slot: int, start: int) -> bool:
-        lo, hi = -math.inf, math.inf
-        for s in range(slot):
-            if pattern[s] < pattern[slot]:
-                lo = max(lo, placed[s])
-            else:
-                hi = min(hi, placed[s])
-        if pattern[slot] < last:
-            hi = min(hi, v)
-        else:
-            lo = max(lo, v)
-        for pos in range(start, len(prefix) - (m - 2 - slot)):
-            y = prefix[pos]
-            if lo < y < hi:
-                placed[slot] = y
-                if slot == m - 2 or extend(slot + 1, pos + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
-
-
 def _avoiders_generic(
     n: int, patterns: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
@@ -211,13 +176,13 @@ def _avoiders_generic(
         for v in range(1, n + 1):
             if used[v]:
                 continue
-            if any(_completes_pattern(prefix, v, q) for q in patterns):
-                continue
-            used[v] = True
+            # Any new occurrence must end at the new final position.
             prefix.append(v)
-            yield from rec(depth + 1)
+            if not any(_ends_at(prefix, depth, q) for q in patterns):
+                used[v] = True
+                yield from rec(depth + 1)
+                used[v] = False
             prefix.pop()
-            used[v] = False
 
     yield from rec(0)
 

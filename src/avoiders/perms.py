@@ -7,6 +7,11 @@ position 1.  Functions that only care about relative order (``standardize``,
 ``contains``) also accept words: sequences of distinct ints that need not
 fill an interval, such as ``(16, 19, 15, 6)``.
 
+Containment has one backtracking matcher, ``_ends_at``, which decides
+whether an occurrence of a pattern ends at a given (0-based) index of a
+word.  ``contains`` tries it at every index, and the generic enumerator in
+``enumeration`` asks it whether an appended entry completes a pattern.
+
 Terminology used throughout the package:
 
 - a *pattern* q is contained in p when some subsequence of p is
@@ -89,14 +94,51 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in word)
 
 
+def _ends_at(word: Sequence[int], end: int, pattern: Sequence[int]) -> bool:
+    """
+    Does ``word[:end + 1]`` hold an occurrence of ``pattern`` whose last letter
+    is ``word[end]``?  ``end`` is a 0-based index into ``word``, and
+    ``pattern`` is non-empty.
+
+    The pattern's last letter is pinned to ``word[end]``, so every other slot
+    starts with a bound from it.  The remaining slots are then filled left to
+    right: each candidate entry must fall strictly between the already-placed
+    entries that the pattern orders below and above it, which prunes hopeless
+    branches early.  This is the package's one pattern backtracker.
+
+    >>> _ends_at((1, 2, 4, 3), 3, (1, 2, 4, 3))
+    True
+    >>> _ends_at((1, 2, 4, 3, 5), 4, (1, 2, 4, 3))
+    False
+    """
+    m = len(pattern)
+    top = word[end]
+    last = pattern[-1]
+    placed = [0] * (m - 1)
+
+    def extend(slot: int, start: int) -> bool:
+        lo, hi = (-math.inf, top) if pattern[slot] < last else (top, math.inf)
+        for s in range(slot):
+            if pattern[s] < pattern[slot]:
+                lo = max(lo, placed[s])
+            else:
+                hi = min(hi, placed[s])
+        for pos in range(start, end - (m - 2 - slot)):
+            v = word[pos]
+            if lo < v < hi:
+                placed[slot] = v
+                if slot == m - 2 or extend(slot + 1, pos + 1):
+                    return True
+        return False
+
+    return m == 1 or extend(0, 0)
+
+
 def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """
     Classical pattern containment: does some subsequence of ``word`` have the
-    same relative order as ``pattern``?
-
-    Backtracks over pattern slots left to right; each candidate entry must
-    fall strictly between the already-placed entries that the pattern orders
-    below and above it, which prunes hopeless branches early.
+    same relative order as ``pattern``?  Tries every position as the end of an
+    occurrence with ``_ends_at``; none before ``len(pattern) - 1`` can be one.
 
     >>> contains((1, 2, 4, 3), (1, 2, 4, 3))
     True
@@ -104,30 +146,7 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     False
     """
     m = len(pattern)
-    if m == 0:
-        return True
-    if m > len(word):
-        return False
-    placed = [0] * m
-
-    def extend(slot: int, start: int) -> bool:
-        lo, hi = -math.inf, math.inf
-        for s in range(slot):
-            if pattern[s] < pattern[slot]:
-                lo = max(lo, placed[s])
-            else:
-                hi = min(hi, placed[s])
-        for pos in range(start, len(word) - (m - 1 - slot)):
-            v = word[pos]
-            if lo < v < hi:
-                if slot == m - 1:
-                    return True
-                placed[slot] = v
-                if extend(slot + 1, pos + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+    return m == 0 or any(_ends_at(word, end, pattern) for end in range(m - 1, len(word)))
 
 
 def contains_123(word: Sequence[int]) -> bool:

@@ -68,6 +68,11 @@ class PowerSeries:
         return PowerSeries(tuple(out))
 
 
+def _require_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
 def poly(order: int, *coeffs: int) -> PowerSeries:
     """
     The polynomial with the given low-order integer coefficients, as a series
@@ -77,8 +82,7 @@ def poly(order: int, *coeffs: int) -> PowerSeries:
     >>> poly(3, 1, -1).coeffs
     (1, -1, 0, 0)
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _require_order(order)
     for c in coeffs:
         if not isinstance(c, int):
             raise ValueError(f"coefficient {c!r} is not an integer")
@@ -95,6 +99,7 @@ def sqrt_one_minus_4x(order: int) -> PowerSeries:
     identity is checked by ``verify.check_series_identities`` and the test
     suite, not per call.
     """
+    _require_order(order)
     coeffs = [1]
     for k in range(1, order + 1):
         c, remainder = divmod(coeffs[-1] * (4 * k - 6), k)
@@ -114,6 +119,7 @@ def catalan_series(order: int) -> PowerSeries:
     >>> catalan_series(6).coeffs
     (1, 1, 2, 5, 14, 42, 132)
     """
+    _require_order(order)
     cat = [1]
     for k in range(1, order + 1):
         cat.append(cat[-1] * 2 * (2 * k - 1) // (k + 1))

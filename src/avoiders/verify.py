@@ -30,7 +30,7 @@ from .enumeration import (
 from .perms import (
     AVOIDED_PAIR,
     PATTERN_123,
-    contains,
+    avoids,
     contains_123,
     format_perm,
     is_start_small,
@@ -244,7 +244,7 @@ def check_decomposition_typing(max_n: int) -> CheckResult:
                 ("sigma2 length != n + 1 - j", len(sigma2) == n + 1 - step.j),
                 ("sigma1 not start-small", is_start_small(sigma1)),
                 ("sigma2 not start-small", is_start_small(sigma2)),
-                ("sigma1 not an avoider", not any(contains(sigma1, q) for q in AVOIDED_PAIR)),
+                ("sigma1 not an avoider", avoids(sigma1, AVOIDED_PAIR)),
                 ("sigma2 contains 123", not contains_123(sigma2)),
                 ("sigma1 key count != k - 1", len(key_mid123_entries(sigma1)) == k - 1),
             )

@@ -222,9 +222,9 @@ def test_series_prints_past_int_str_digit_cap(capsys):
 
 
 def test_series_negative_order_exits_2(capsys):
-    code, _, err = run_cli(capsys, "series", "--which", "F", "--order", "-1")
-    assert code == 2
-    assert "order" in err
+    for which in ("catalan", "G", "F", "kotesovec"):
+        code, out, err = run_cli(capsys, "series", "--which", which, "--order", "-1")
+        assert (code, out, err) == (2, "", "error: order must be >= 0\n"), which
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from avoiders.perms import (
     AVOIDED_PAIR,
+    _ends_at,
     PATTERN_123,
     contains,
     contains_123,
@@ -84,6 +85,32 @@ def test_contains_matches_naive_oracle(n):
     for perm in itertools.permutations(range(1, n + 1)):
         for q in patterns:
             assert contains(perm, q) == naive_contains(perm, q), (perm, q)
+
+
+def _shape(seq):
+    """The permutation a sequence of distinct ints is order-isomorphic to."""
+    ranked = sorted(seq)
+    return tuple(ranked.index(v) + 1 for v in seq)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ends_at_matches_brute_force(n):
+    # Brute force without package code: an occurrence ending at word[end] is
+    # m - 1 entries of word[:end] followed by word[end].  Every word of length
+    # n is order-isomorphic to a permutation of 1..n; the shifted list form
+    # checks that the matcher relies on relative order only.
+    lengths = range(1, 5)
+    patterns = [q for m in lengths for q in itertools.permutations(range(1, m + 1))]
+    for perm in itertools.permutations(range(1, n + 1)):
+        for end in range(n):
+            shapes = {
+                _shape(sub + (perm[end],))
+                for m in lengths
+                for sub in itertools.combinations(perm[:end], m - 1)
+            }
+            for word in (perm, [3 * v - 40 for v in perm]):
+                for q in patterns:
+                    assert _ends_at(word, end, q) == (q in shapes), (word, end, q)
 
 
 def test_contains_123_matches_generic():

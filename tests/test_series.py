@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import avoiders.series
+from avoiders.cli import SERIES_BUILDERS
 from avoiders.enumeration import (
     ClassDescriptor,
     count_avoiders,
@@ -242,3 +243,13 @@ def test_poly_validation():
     assert poly(1, 1, 2, 3).coeffs == (1, 2)
     with pytest.raises(ValueError, match="constant term"):
         PowerSeries(())
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [*SERIES_BUILDERS.values(), sqrt_one_minus_4x],
+    ids=lambda f: f.__name__,
+)
+def test_negative_order_rejected(builder):
+    with pytest.raises(ValueError, match=r"^order must be >= 0$"):
+        builder(-1)
