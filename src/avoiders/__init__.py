@@ -1,11 +1,12 @@
 """Exact enumeration of {1243, 2134}-avoiding permutations.
 
 The package has four layers: entry-level permutation predicates (``perms``),
-exhaustive class enumeration with prefix pruning (``enumeration``), the
-length-reducing bijection onto lists of start-small 123-avoiders
-(``bijection``), and exact integer power-series arithmetic for the
-generating functions involved (``series``).  ``verify`` cross-checks all of
-them against each other, and ``cli`` exposes everything as a command line.
+exhaustive class enumeration with prefix pruning, plus a memoized counter
+for the whole {1243, 2134} class (``enumeration``), the length-reducing
+bijection onto lists of start-small 123-avoiders (``bijection``), and exact
+integer power-series arithmetic for the generating functions involved
+(``series``).  ``verify`` cross-checks all of them against each other, and
+``cli`` exposes everything as a command line.
 """
 
 from .bijection import (
@@ -23,6 +24,7 @@ from .enumeration import (
     ClassDescriptor,
     count_avoiders,
     count_class,
+    count_pair_avoiders,
     count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
@@ -72,6 +74,7 @@ __all__ = [
     "contains_123",
     "count_avoiders",
     "count_class",
+    "count_pair_avoiders",
     "count_start_small_123_avoiders",
     "decompose",
     "enumerate_avoiders",

@@ -14,6 +14,14 @@ other pattern set goes through ``perms._ends_at``, the backtracking matcher
 that ``contains`` is built on, pinned to the new final position.  The naive
 filter over all n! permutations with ``contains`` is kept as an independent
 debug oracle.
+
+``count_pair_avoiders`` counts the {1243, 2134} class without listing it: a
+memoized walk over the pair enumerator's prefix statistics, each kept only
+as the gap it falls in between consecutive unused values.  ``count_class``
+uses it for exactly one kind of descriptor, the whole pair class: normalized
+pattern set ``AVOIDED_PAIR`` with no start-small, ``k`` or ``j`` filter.
+Every other count, ``count_avoiders`` included, streams the enumerator, so
+the brute-force route stays an independent check on the counter.
 """
 
 from __future__ import annotations
@@ -23,9 +31,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .perms import (
+    AVOIDED_PAIR,
     PATTERN_123,
-    PATTERN_1243,
-    PATTERN_2134,
     _ends_at,
     avoids,
     is_permutation,
@@ -58,7 +65,7 @@ def enumerate_avoiders(
     if n < 1:
         raise ValueError("length n must be >= 1")
     pats = _normalize_patterns(patterns)
-    if pats == (PATTERN_1243, PATTERN_2134):
+    if pats == AVOIDED_PAIR:
         yield from _avoiders_1243_2134(n)
     elif pats == (PATTERN_123,):
         yield from _avoiders_123(n)
@@ -81,6 +88,65 @@ def naive_avoiders(
 def count_avoiders(n: int, patterns: Iterable[Sequence[int]] = ()) -> int:
     """Number of permutations of [n] avoiding all given patterns."""
     return sum(1 for _ in enumerate_avoiders(n, patterns))
+
+
+def count_pair_avoiders(n: int) -> int:
+    """
+    Number of {1243, 2134}-avoiders of [n], counted without listing them;
+    n = 0 counts the empty permutation.  The memo lives for one call only.
+
+    >>> [count_pair_avoiders(n) for n in range(8)]
+    [1, 1, 2, 6, 22, 87, 354, 1459]
+    """
+    if n < 0:
+        raise ValueError("length n must be >= 0")
+    # The statistics of ``_avoiders_1243_2134``, each recorded as a gap: with
+    # k unused values u_1 < ... < u_k, gap g holds the placed values between
+    # u_g and u_{g+1} (u_0 = 0, u_{k+1} = infinity), and infinity is gap k.
+    # A prefix whose unused values include a forbidden one can never be
+    # completed, so a child is pruned the moment one appears; both ways are
+    # monotone.  Appending v = u_i forbids
+    #   for 1243, every unused u_j with s12 < u_j < v (s12_at[v] = s12),
+    #             which exists iff i >= gap(s12) + 2;
+    #   for 2134, every unused value above v once v becomes bad4 (m21 < v),
+    #             which exists iff i < k.
+    # In a live state every unused value may come next and none lies above
+    # bad4, so bad4 and s12_at carry no information and drop out.  What
+    # remains is k, the gaps of prefix_min, s12 and m21, and ``nonempty``:
+    # bit g is set iff gap g holds a placed value, for the gaps below m21's,
+    # since the new m21 is the first nonempty gap at or above v's.  Removing
+    # u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and v itself
+    # lands in gap i - 1.
+    memo: dict[tuple[int, int, int, int, int], int] = {}
+
+    def count(k: int, low: int, s12: int, m21: int, nonempty: int) -> int:
+        if k <= 1:
+            return 1
+        key = (k, low, s12, m21, nonempty)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = 0
+        for i in range(1, min(k, s12 + 1) + 1):
+            if m21 < i:
+                if i < k:
+                    continue
+                child_m21, child_nonempty = m21, nonempty
+            else:
+                g = i
+                while g < m21 and not nonempty >> g & 1:
+                    g += 1
+                child_m21 = g - 1
+                merged = nonempty & ((1 << (i - 1)) - 1) | 1 << (i - 1)
+                child_nonempty = merged & ((1 << child_m21) - 1)
+            if low >= i:  # v is the new prefix minimum; s12 stays
+                total += count(k - 1, i - 1, s12 - 1, child_m21, child_nonempty)
+            else:  # prefix_min < v <= s12: v is the new s12
+                total += count(k - 1, low, i - 1, child_m21, child_nonempty)
+        memo[key] = total
+        return total
+
+    return count(n, n, n, n, 0)
 
 
 def _avoiders_1243_2134(n: int) -> Iterator[tuple[int, ...]]:
@@ -231,7 +297,21 @@ def enumerate_class(descriptor: ClassDescriptor) -> Iterator[tuple[int, ...]]:
 
 
 def count_class(descriptor: ClassDescriptor) -> int:
-    """Exact cardinality of the described class."""
+    """
+    Exact cardinality of the described class.
+
+    The whole {1243, 2134} class (normalized patterns exactly
+    ``AVOIDED_PAIR``, no start-small, ``k`` or ``j`` filter) is counted by
+    ``count_pair_avoiders``; every other class by streaming
+    ``enumerate_class``.
+    """
+    if (
+        _normalize_patterns(descriptor.patterns) == AVOIDED_PAIR
+        and not descriptor.start_small_only
+        and descriptor.k is None
+        and descriptor.j is None
+    ):
+        return count_pair_avoiders(descriptor.n)
     return sum(1 for _ in enumerate_class(descriptor))
 
 

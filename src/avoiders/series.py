@@ -8,8 +8,9 @@ requires a constant term of +1 or -1.  The specific series of interest:
 - ``catalan_series``: C with C = 1 + x*C^2, counting 123-avoiders;
 - ``invert_transform``: B with 1 + B = 1/(1 - A), counting lists
   (compositions) of A-structures;
-- ``gf_start_small``: G = 1 + x/(1 - x*C^3) - x, counting start-small
-  {1243, 2134}-avoiders by length;
+- ``gf_start_small``: G = 1 + x*B with B the transform of x*C^3, so
+  G = 1 + x/(1 - x*C^3) - x, counting start-small {1243, 2134}-avoiders by
+  length;
 - ``gf_full``: F = G/(1 - x), counting all {1243, 2134}-avoiders (A164651);
 - ``kotesovec_series``: the closed form
   (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1))
@@ -141,16 +142,15 @@ def invert_transform(a: PowerSeries) -> PowerSeries:
 def gf_start_small(order: int) -> PowerSeries:
     """
     Generating function for start-small {1243, 2134}-avoiders by length:
+    G = 1 + x*B with B = ``invert_transform``(x*C^3), that is
     G = 1 + x/(1 - x*C^3) - x.
 
-    >>> [int(c) for c in gf_start_small(4).coeffs]
+    >>> list(gf_start_small(4).coeffs)
     [1, 0, 1, 4, 16]
     """
     c = catalan_series(order)
     x = poly(order, 0, 1)
-    one = poly(order, 1)
-    lists = (one - x * c * c * c).reciprocal()
-    return one + x * lists - x
+    return poly(order, 1) + x * invert_transform(x * c * c * c)
 
 
 def gf_full(order: int) -> PowerSeries:
@@ -158,7 +158,7 @@ def gf_full(order: int) -> PowerSeries:
     Generating function for all {1243, 2134}-avoiders by length (A164651):
     F = G/(1 - x), so the coefficients are the partial sums of G's.
 
-    >>> [int(c) for c in gf_full(6).coeffs]
+    >>> list(gf_full(6).coeffs)
     [1, 1, 2, 6, 22, 87, 354]
     """
     return gf_start_small(order) * poly(order, 1, -1).reciprocal()

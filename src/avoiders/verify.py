@@ -23,6 +23,7 @@ from .bijection import Perm, decompose, inverse_params, phi, phi_inverse, recomp
 from .enumeration import (
     ClassDescriptor,
     count_avoiders,
+    count_pair_avoiders,
     count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
@@ -141,6 +142,18 @@ def check_enumeration_matches_series(max_n: int) -> CheckResult:
         counts, coeffs[1:], "n={n}: enumeration counts {a}, series gives {b}", start=1
     )
     return _result("enumeration_matches_series", f"n<={max_n}", failure)
+
+
+def check_memo_matches_series(max_n: int) -> CheckResult:
+    """The memoized pair counter equals the gf_full coefficients for n <= max_n.
+    ``check_enumeration_matches_series`` holds brute force to the same series,
+    so the two together tie the counter to the enumerator."""
+    coeffs = integer_coefficients(gf_full(max_n))
+    counts = (count_pair_avoiders(n) for n in range(max_n + 1))
+    failure = _first_mismatch(
+        counts, coeffs, "n={n}: memo counter gives {a}, series gives {b}"
+    )
+    return _result("memo_matches_series", f"n<={max_n}", failure)
 
 
 def check_no_key_implies_123_avoiding(max_n: int) -> CheckResult:
@@ -371,7 +384,8 @@ def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[Che
     """
     The full battery.  ``max_n`` bounds the exhaustive sweeps; ``deep`` raises
     it to 10 and pushes the enumeration-vs-series comparison to n = 11
-    (minutes instead of seconds).
+    (minutes instead of seconds).  The memo counter is compared with the
+    series to n = 12, or n = 20 with ``deep``, whatever ``max_n`` is.
     """
     if deep:
         max_n = max(max_n, 10)
@@ -379,6 +393,7 @@ def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[Che
     return [
         check_reference_counts(order),
         check_enumeration_matches_series(oracle_n),
+        check_memo_matches_series(20 if deep else 12),
         check_no_key_implies_123_avoiding(max_n),
         check_unique_entry_above_last_mid123(max_n),
         check_phi_roundtrip(max_n),

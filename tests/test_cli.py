@@ -1,5 +1,6 @@
 """The command line is a thin wrapper: exact output, exit codes, JSON mode."""
 
+import functools
 import hashlib
 import json
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from avoiders.cli import main
+from avoiders.enumeration import enumerate_class
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,39 @@ def test_count_invalid_pattern_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "4", "--patterns", "1244")
     assert code == 2
     assert "pattern" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("--n", "0", "--patterns", "1243,2134"), "class length n must be >= 1"),
+        (("--n", "0", "--patterns", "2134,1243", "--json"), "class length n must be >= 1"),
+        (("--n", "4", "--patterns", "1244"), "pattern '1244' is not a permutation of 1..4"),
+        (("--n", "4", "--patterns", "12a,2134"), "pattern '12a' is not a digit string"),
+    ],
+)
+def test_count_error_messages(capsys, argv, message):
+    assert run_cli(capsys, "count", *argv) == (2, "", f"error: {message}\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_count(descriptor):
+    # The brute-force count: stream the class and count its members.
+    return sum(1 for _ in enumerate_class(descriptor))
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_count_pair_matches_brute_force(capsys, monkeypatch, n):
+    import avoiders.cli as cli_module
+
+    real = cli_module.count_class
+    for flags in ((), ("--json",)):
+        monkeypatch.setattr(cli_module, "count_class", _enumerated_count)
+        expected = run_cli(capsys, "count", "--n", str(n), "--patterns", "1243,2134", *flags)
+        monkeypatch.setattr(cli_module, "count_class", real)
+        for patterns in ("1243,2134", "2134,1243", "2134,1243,2134"):
+            argv = ("count", "--n", str(n), "--patterns", patterns, *flags)
+            assert run_cli(capsys, *argv) == expected, argv
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +290,9 @@ def test_verify_json(capsys):
 
 
 # sha256 of verify's stdout, recorded before the decomposition's
-# postconditions moved from the bijection module into the verify battery.
+# postconditions moved from the bijection module into the verify battery and
+# before the memo_matches_series check existed; the test takes that check's
+# line (or JSON entry) out before hashing and checks it on its own.
 VERIFY_SHA256 = {
     ("--max-n", "5", "--order", "30"):
         "33c01187c2a5a79b142ea1e0891da1b94c7b80f18289c6fd407eb7c91c65dad6",
@@ -265,11 +302,32 @@ VERIFY_SHA256 = {
 }
 
 
+MEMO_CHECK = {"name": "memo_matches_series", "scope": "n<=12", "passed": True, "detail": ""}
+
+
+def _split_memo_check(out, as_json):
+    # verify's output without the memo check, and what it said about it.
+    if as_json:
+        payload = json.loads(out)
+        memo = [c for c in payload["checks"] if c["name"] == MEMO_CHECK["name"]]
+        payload["checks"] = [c for c in payload["checks"] if c not in memo]
+        return json.dumps(payload, indent=2) + "\n", memo
+    lines = out.splitlines(keepends=True)
+    memo = [line for line in lines if line.startswith(MEMO_CHECK["name"] + " ")]
+    return "".join(line for line in lines if line not in memo), memo
+
+
 @pytest.mark.parametrize("flags", sorted(VERIFY_SHA256))
 def test_verify_golden_digest(capsys, flags):
     code, out, _ = run_cli(capsys, "verify", *flags)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[flags]
+    as_json = "--json" in flags
+    rest, memo = _split_memo_check(out, as_json)
+    assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_SHA256[flags]
+    if as_json:
+        assert memo == [MEMO_CHECK]
+    else:
+        assert [line.split() for line in memo] == [["memo_matches_series", "n<=12", "pass"]]
 
 
 @pytest.mark.parametrize("order", range(4))

@@ -8,6 +8,7 @@ from avoiders.enumeration import (
     ClassDescriptor,
     count_avoiders,
     count_class,
+    count_pair_avoiders,
     count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
@@ -20,7 +21,7 @@ from avoiders.perms import (
     key_mid123_entries,
     mid123_entries,
 )
-from avoiders.series import catalan_series, integer_coefficients
+from avoiders.series import catalan_series, gf_full, integer_coefficients
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -99,6 +100,56 @@ def test_invalid_inputs():
         list(enumerate_avoiders(0, AVOIDED_PAIR))
     with pytest.raises(ValueError, match="pattern"):
         list(enumerate_avoiders(3, [(1, 3)]))
+
+
+# ---------------------------------------------------------------------------
+# memoized pair counter
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_counter_matches_enumeration(n):
+    assert count_pair_avoiders(n) == count_avoiders(n, AVOIDED_PAIR)
+
+
+def test_pair_counter_matches_series():
+    coeffs = integer_coefficients(gf_full(24))
+    assert [count_pair_avoiders(n) for n in range(17)] == coeffs[:17]
+    assert count_pair_avoiders(24) == coeffs[24]
+
+
+def test_pair_counter_rejects_negative_length():
+    with pytest.raises(ValueError, match="length n must be >= 0"):
+        count_pair_avoiders(-1)
+
+
+def test_count_class_sends_only_the_whole_pair_class_to_the_counter(monkeypatch):
+    import avoiders.enumeration as enumeration_module
+
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return count_pair_avoiders(n)
+
+    monkeypatch.setattr(enumeration_module, "count_pair_avoiders", spy)
+    # pattern order and repeats do not matter: the normalized set decides
+    for patterns in (AVOIDED_PAIR, AVOIDED_PAIR[::-1], AVOIDED_PAIR[::-1] * 2):
+        assert count_class(ClassDescriptor(6, patterns)) == 354
+    assert calls == [6, 6, 6]
+    calls.clear()
+    enumerated = [
+        (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True), 267),
+        (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True, k=1), 110),
+        (ClassDescriptor(6, AVOIDED_PAIR, k=0), 132),
+        (ClassDescriptor(6, AVOIDED_PAIR, k=1, j=3), 36),
+        (ClassDescriptor(6, AVOIDED_PAIR + ((1, 2),)), 1),
+        (ClassDescriptor(6, (AVOIDED_PAIR[0],)), 513),
+    ]
+    for descriptor, size in enumerated:
+        assert count_class(descriptor) == size == sum(1 for _ in enumerate_class(descriptor))
+    assert calls == []
+    with pytest.raises(ValueError, match=r"pattern \(1, 3\) is not a permutation"):
+        count_class(ClassDescriptor(3, AVOIDED_PAIR + ((1, 3),)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from avoiders.verify import (
     check_closed_form_match,
     check_enumeration_matches_series,
     check_golden_examples,
+    check_memo_matches_series,
     check_reference_counts,
     load_reference_sequence,
     render_report,
@@ -25,6 +26,7 @@ def test_reference_sequence_fixture():
 
 def test_individual_checks_pass():
     assert check_reference_counts().passed
+    assert check_memo_matches_series(20).passed
     assert check_golden_examples().passed
     assert check_closed_form_match(50).passed
 
@@ -88,6 +90,10 @@ def test_series_mismatches_name_first_index(monkeypatch):
     assert (
         check_enumeration_matches_series(6).detail
         == "n=4: enumeration counts 22, series gives 23"
+    )
+    assert (
+        check_memo_matches_series(6).detail
+        == "n=4: memo counter gives 22, series gives 23"
     )
 
 
