@@ -5,7 +5,8 @@
 # prefix that already contains a forbidden pattern, so whole subtrees of the
 # search space disappear at once.  Every count here is exact.  Past the
 # reach of enumeration, the memoized counter walks the same prefix rules
-# without listing anything and meets the generating function F.
+# without listing anything and meets the generating function F; with one
+# more coordinate it also sorts what it counts by number of key entries.
 
 from avoiders import (
     AVOIDED_PAIR,
@@ -13,9 +14,12 @@ from avoiders import (
     count_avoiders,
     count_class,
     count_pair_avoiders,
+    count_pair_avoiders_by_keys,
     count_start_small_123_avoiders,
     enumerate_avoiders,
+    enumerate_class,
     gf_full,
+    key_mid123_entries,
 )
 
 print("permutations of [4] avoiding 1243 and 2134:")
@@ -36,6 +40,18 @@ print("\nthe same, restricted to start-small permutations:")
 for n in range(1, 9):
     descriptor = ClassDescriptor(n, AVOIDED_PAIR, start_small_only=True)
     print(f"  n={n}: {count_class(descriptor)}")
+
+# The number k of key mid-123 entries is what the bijection phi reduces
+# one at a time.  Listing the start-small avoiders of [8] and sorting them
+# by k gives the same table as the memoized walk, which lists nothing.
+print("\nstart-small avoiders of [8] by k, enumerated and walked:")
+enumerated = {}
+for perm in enumerate_class(ClassDescriptor(8, AVOIDED_PAIR, start_small_only=True)):
+    k = len(key_mid123_entries(perm))
+    enumerated[k] = enumerated.get(k, 0) + 1
+walked = count_pair_avoiders_by_keys(8, start_small_only=True)
+for k in range(8):
+    print(f"  k={k}: {enumerated.get(k, 0)}  walk: {walked[k]}")
 
 # Slicing finer: fix the number of key mid-123 entries (k) and the position
 # of the last mid-123 entry (j).  These cells are what the decomposition

@@ -1,12 +1,12 @@
 """Exact enumeration of {1243, 2134}-avoiding permutations.
 
 The package has four layers: entry-level permutation predicates (``perms``),
-exhaustive class enumeration with prefix pruning, plus a memoized counter
-for the whole {1243, 2134} class (``enumeration``), the length-reducing
-bijection onto lists of start-small 123-avoiders (``bijection``), and exact
-integer power-series arithmetic for the generating functions involved
-(``series``).  ``verify`` cross-checks all of them against each other, and
-``cli`` exposes everything as a command line.
+exhaustive class enumeration with prefix pruning, plus memoized counters
+for the {1243, 2134} class by key mid-123 count and for the {123} class
+(``enumeration``), the length-reducing bijection onto lists of start-small
+123-avoiders (``bijection``), and exact integer power-series arithmetic for
+the generating functions involved (``series``).  ``verify`` cross-checks all
+of them against each other, and ``cli`` exposes everything as a command line.
 """
 
 from .bijection import (
@@ -25,6 +25,7 @@ from .enumeration import (
     count_avoiders,
     count_class,
     count_pair_avoiders,
+    count_pair_avoiders_by_keys,
     count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
@@ -75,6 +76,7 @@ __all__ = [
     "count_avoiders",
     "count_class",
     "count_pair_avoiders",
+    "count_pair_avoiders_by_keys",
     "count_start_small_123_avoiders",
     "decompose",
     "enumerate_avoiders",

@@ -15,18 +15,23 @@ that ``contains`` is built on, pinned to the new final position.  The naive
 filter over all n! permutations with ``contains`` is kept as an independent
 debug oracle.
 
-``count_pair_avoiders`` counts the {1243, 2134} class without listing it: a
-memoized walk over the pair enumerator's prefix statistics, each kept only
-as the gap it falls in between consecutive unused values.  ``count_class``
-uses it for exactly one kind of descriptor, the whole pair class: normalized
-pattern set ``AVOIDED_PAIR`` with no start-small, ``k`` or ``j`` filter.
-Every other count, ``count_avoiders`` included, streams the enumerator, so
-the brute-force route stays an independent check on the counter.
+``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
+key mid-123 entries without listing it: a memoized walk over the pair
+enumerator's prefix statistics, each kept only as the gap it falls in
+between consecutive unused values, plus the gap of the previous entry.
+``count_pair_avoiders`` sums it, and a smaller walk counts the {123} class.
+``count_class`` uses them for every descriptor without ``j`` whose
+normalized pattern set is ``AVOIDED_PAIR`` (any start-small or ``k``
+filter) or {123} (any start-small filter, no ``k``).  Every other count,
+``count_avoiders`` and ``count_start_small_123_avoiders`` included, streams
+the enumerator, so the brute-force route stays an independent check on the
+walks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -93,10 +98,28 @@ def count_avoiders(n: int, patterns: Iterable[Sequence[int]] = ()) -> int:
 def count_pair_avoiders(n: int) -> int:
     """
     Number of {1243, 2134}-avoiders of [n], counted without listing them;
-    n = 0 counts the empty permutation.  The memo lives for one call only.
+    n = 0 counts the empty permutation.
 
     >>> [count_pair_avoiders(n) for n in range(8)]
     [1, 1, 2, 6, 22, 87, 354, 1459]
+    """
+    return sum(count_pair_avoiders_by_keys(n))
+
+
+def count_pair_avoiders_by_keys(
+    n: int, start_small_only: bool = False
+) -> tuple[int, ...]:
+    """
+    Numbers of {1243, 2134}-avoiders of [n] by key mid-123 count, counted
+    without listing them: index k holds those with exactly k key mid-123
+    entries, for k = 0..n.  With ``start_small_only`` only the start-small
+    ones count (the empty permutation is one, as in the series G).  The memo
+    lives for one call only.
+
+    >>> count_pair_avoiders_by_keys(5)
+    (42, 34, 10, 1, 0, 0)
+    >>> count_pair_avoiders_by_keys(5, start_small_only=True)
+    (28, 27, 9, 1, 0, 0)
     """
     if n < 0:
         raise ValueError("length n must be >= 0")
@@ -117,12 +140,24 @@ def count_pair_avoiders(n: int) -> int:
     # since the new m21 is the first nonempty gap at or above v's.  Removing
     # u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and v itself
     # lands in gap i - 1.
-    memo: dict[tuple[int, int, int, int, int], int] = {}
+    #
+    # Key mid-123 entries take one more coordinate, ``last``, the gap of the
+    # previously placed value.  v is a mid-123 entry iff low < i < k (a
+    # smaller value placed, a larger one unused), and a key one iff also
+    # last < i, or last == k: a predecessor in gap k exceeds every value
+    # after it, so it is a right-to-left maximum.  Both cases hold for every
+    # mid-123 entry when last <= low, so such a last, and last == k, are
+    # stored as low; what remains is always the gap of s12.  A state's count
+    # is a polynomial in a marker for key entries, packed into one int with
+    # ``width`` bits per coefficient (no coefficient exceeds n!), so that a
+    # key entry shifts its child's count by ``width``.
+    width = math.factorial(n).bit_length()
+    memo: dict[tuple[int, int, int, int, int, int], int] = {}
 
-    def count(k: int, low: int, s12: int, m21: int, nonempty: int) -> int:
+    def count(k: int, low: int, s12: int, m21: int, nonempty: int, last: int) -> int:
         if k <= 1:
             return 1
-        key = (k, low, s12, m21, nonempty)
+        key = (k, low, s12, m21, nonempty, last)
         total = memo.get(key)
         if total is not None:
             return total
@@ -140,13 +175,50 @@ def count_pair_avoiders(n: int) -> int:
                 merged = nonempty & ((1 << (i - 1)) - 1) | 1 << (i - 1)
                 child_nonempty = merged & ((1 << child_m21) - 1)
             if low >= i:  # v is the new prefix minimum; s12 stays
-                total += count(k - 1, i - 1, s12 - 1, child_m21, child_nonempty)
-            else:  # prefix_min < v <= s12: v is the new s12
-                total += count(k - 1, low, i - 1, child_m21, child_nonempty)
+                total += count(k - 1, i - 1, s12 - 1, child_m21, child_nonempty, i - 1)
+            elif i < k:  # a mid-123 entry, and the new s12
+                child = count(k - 1, low, i - 1, child_m21, child_nonempty, i - 1)
+                total += child << width if last < i else child
+            else:  # v is the largest unused value: a right-to-left maximum
+                total += count(k - 1, low, i - 1, child_m21, child_nonempty, low)
         memo[key] = total
         return total
 
-    return count(n, n, n, n, 0)
+    total = count(n, n, n, n, 0, n)
+    if start_small_only and n >= 1:
+        # Those starting with n: the first step's branch i = k, whose child
+        # is the root of this walk for n - 1.
+        total -= count(n - 1, n - 1, n - 1, n - 1, 0, n - 1)
+    mask = (1 << width) - 1
+    return tuple(total >> (width * k) & mask for k in range(n + 1))
+
+
+def _count_123_avoiders(n: int, start_small_only: bool) -> int:
+    # The walk of ``_avoiders_123`` over gaps as in
+    # ``count_pair_avoiders_by_keys``.  In a live prefix no unused value lies
+    # above s12, so appending v = u_i is allowed iff v becomes the new prefix
+    # minimum (i <= low) or is the largest unused value (i = k): any other v
+    # tops a rise with a larger unused value still to come.  The state is
+    # just k and the gap of prefix_min.
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(k: int, low: int) -> int:
+        if k <= 1:
+            return 1
+        key = (k, low)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = sum(count(k - 1, i - 1) for i in range(1, low + 1))
+        if low < k:
+            total += count(k - 1, low)
+        memo[key] = total
+        return total
+
+    total = count(n, n)
+    if start_small_only:
+        total -= count(n - 1, n - 1)  # those starting with n, as above
+    return total
 
 
 def _avoiders_1243_2134(n: int) -> Iterator[tuple[int, ...]]:
@@ -286,7 +358,7 @@ def enumerate_class(descriptor: ClassDescriptor) -> Iterator[tuple[int, ...]]:
     """Stream the members of the described class in lexicographic order."""
     for perm in enumerate_avoiders(descriptor.n, descriptor.patterns):
         if descriptor.start_small_only and not is_start_small(perm):
-            continue
+            break  # in lexicographic order, every later one starts with n too
         if descriptor.k is not None and len(key_mid123_entries(perm)) != descriptor.k:
             continue
         if descriptor.j is not None:
@@ -300,28 +372,31 @@ def count_class(descriptor: ClassDescriptor) -> int:
     """
     Exact cardinality of the described class.
 
-    The whole {1243, 2134} class (normalized patterns exactly
-    ``AVOIDED_PAIR``, no start-small, ``k`` or ``j`` filter) is counted by
-    ``count_pair_avoiders``; every other class by streaming
-    ``enumerate_class``.
+    Without a ``j`` filter, two pattern sets are counted by memoized walks
+    instead of listing their members: the {1243, 2134} pair (normalized
+    patterns exactly ``AVOIDED_PAIR``), with or without start-small and
+    ``k``, by ``count_pair_avoiders_by_keys``, and {123}, with or without
+    start-small but with no ``k``.  Every other class is counted by
+    streaming ``enumerate_class``.
     """
-    if (
-        _normalize_patterns(descriptor.patterns) == AVOIDED_PAIR
-        and not descriptor.start_small_only
-        and descriptor.k is None
-        and descriptor.j is None
-    ):
-        return count_pair_avoiders(descriptor.n)
+    n, k = descriptor.n, descriptor.k
+    patterns = _normalize_patterns(descriptor.patterns)
+    if descriptor.j is None and patterns == AVOIDED_PAIR:
+        by_keys = count_pair_avoiders_by_keys(n, descriptor.start_small_only)
+        if k is None:
+            return sum(by_keys)
+        return by_keys[k] if k < len(by_keys) else 0
+    if descriptor.j is None and k is None and patterns == (PATTERN_123,):
+        return _count_123_avoiders(n, descriptor.start_small_only)
     return sum(1 for _ in enumerate_class(descriptor))
 
 
 def count_start_small_123_avoiders(n: int) -> int:
     """
-    Number of start-small 123-avoiding permutations of [n].
+    Number of start-small 123-avoiding permutations of [n], by brute force.
 
     >>> [count_start_small_123_avoiders(n) for n in range(1, 6)]
     [0, 1, 3, 9, 28]
     """
-    if n < 1:
-        raise ValueError("length n must be >= 1")
-    return sum(1 for p in enumerate_avoiders(n, [PATTERN_123]) if is_start_small(p))
+    descriptor = ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
+    return sum(1 for _ in enumerate_class(descriptor))

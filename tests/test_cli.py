@@ -105,6 +105,29 @@ def test_count_pair_matches_brute_force(capsys, monkeypatch, n):
             assert run_cli(capsys, *argv) == expected, argv
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_walked_classes_match_brute_force(capsys, monkeypatch, n):
+    # Classes whose count walks rather than lists: the start-small pair and
+    # its --k slices (every k through one past the largest, patterns in a
+    # shuffled order), and 123 with and without --start-small.
+    import avoiders.cli as cli_module
+
+    real = cli_module.count_class
+    argvs = [
+        ("--patterns", "123"),
+        ("--patterns", "123", "--start-small"),
+        ("--patterns", "2134,1243,2134", "--start-small"),
+        *(("--patterns", "2134,1243", "--start-small", "--k", str(k)) for k in range(n + 1)),
+    ]
+    for argv in argvs:
+        for flags in ((), ("--json",)):
+            full = ("count", "--n", str(n), *argv, *flags)
+            monkeypatch.setattr(cli_module, "count_class", _enumerated_count)
+            expected = run_cli(capsys, *full)
+            monkeypatch.setattr(cli_module, "count_class", real)
+            assert run_cli(capsys, *full) == expected, full
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

@@ -1,6 +1,7 @@
 """Generation and counting of avoidance classes, against independent oracles."""
 
 import itertools
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from avoiders.enumeration import (
     count_avoiders,
     count_class,
     count_pair_avoiders,
+    count_pair_avoiders_by_keys,
     count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
@@ -122,34 +124,119 @@ def test_pair_counter_rejects_negative_length():
         count_pair_avoiders(-1)
 
 
-def test_count_class_sends_only_the_whole_pair_class_to_the_counter(monkeypatch):
+def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
     import avoiders.enumeration as enumeration_module
 
-    calls = []
+    walks = []
+    listed = []
+    real_pair_walk = enumeration_module.count_pair_avoiders_by_keys
+    real_123_walk = enumeration_module._count_123_avoiders
+    real_enumerate = enumeration_module.enumerate_class
 
-    def spy(n):
-        calls.append(n)
-        return count_pair_avoiders(n)
+    def pair_walk(n, start_small_only=False):
+        walks.append(("pair", n, start_small_only))
+        return real_pair_walk(n, start_small_only)
 
-    monkeypatch.setattr(enumeration_module, "count_pair_avoiders", spy)
+    def walk_123(n, start_small_only):
+        walks.append(("123", n, start_small_only))
+        return real_123_walk(n, start_small_only)
+
+    def enumerate_spy(descriptor):
+        listed.append(descriptor)
+        return real_enumerate(descriptor)
+
+    monkeypatch.setattr(enumeration_module, "count_pair_avoiders_by_keys", pair_walk)
+    monkeypatch.setattr(enumeration_module, "_count_123_avoiders", walk_123)
+    monkeypatch.setattr(enumeration_module, "enumerate_class", enumerate_spy)
     # pattern order and repeats do not matter: the normalized set decides
-    for patterns in (AVOIDED_PAIR, AVOIDED_PAIR[::-1], AVOIDED_PAIR[::-1] * 2):
-        assert count_class(ClassDescriptor(6, patterns)) == 354
-    assert calls == [6, 6, 6]
-    calls.clear()
-    enumerated = [
-        (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True), 267),
-        (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True, k=1), 110),
-        (ClassDescriptor(6, AVOIDED_PAIR, k=0), 132),
+    pairs = (AVOIDED_PAIR, AVOIDED_PAIR[::-1], AVOIDED_PAIR[::-1] * 2)
+    walked = [
+        *((ClassDescriptor(6, p), 354, ("pair", 6, False)) for p in pairs),
+        *((ClassDescriptor(6, p, start_small_only=True), 267, ("pair", 6, True))
+          for p in pairs),
+        (ClassDescriptor(6, AVOIDED_PAIR, k=0), 132, ("pair", 6, False)),
+        (ClassDescriptor(6, AVOIDED_PAIR[::-1], start_small_only=True, k=1), 110,
+         ("pair", 6, True)),
+        (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True, k=9), 0,
+         ("pair", 6, True)),
+        (ClassDescriptor(7, (PATTERN_123,)), 429, ("123", 7, False)),
+        (ClassDescriptor(7, (PATTERN_123,) * 2, start_small_only=True), 297,
+         ("123", 7, True)),
+    ]
+    for descriptor, size, walk in walked:
+        assert count_class(descriptor) == size
+        assert (walks, listed) == ([walk], []), descriptor
+        assert size == sum(1 for _ in real_enumerate(descriptor))
+        walks.clear()
+    listed_only = [
         (ClassDescriptor(6, AVOIDED_PAIR, k=1, j=3), 36),
         (ClassDescriptor(6, AVOIDED_PAIR + ((1, 2),)), 1),
         (ClassDescriptor(6, (AVOIDED_PAIR[0],)), 513),
+        (ClassDescriptor(6, (PATTERN_123,), k=0), 132),
     ]
-    for descriptor, size in enumerated:
-        assert count_class(descriptor) == size == sum(1 for _ in enumerate_class(descriptor))
-    assert calls == []
+    for descriptor, size in listed_only:
+        assert count_class(descriptor) == size
+        assert (walks, listed) == ([], [descriptor]), descriptor
+        listed.clear()
     with pytest.raises(ValueError, match=r"pattern \(1, 3\) is not a permutation"):
         count_class(ClassDescriptor(3, AVOIDED_PAIR + ((1, 3),)))
+
+
+def _pair_avoiders_by_keys(n):
+    # Brute force: every avoider of [n] and the start-small ones, bucketed by
+    # their number of key mid-123 entries.
+    whole, start_small = {}, {}
+    for perm in enumerate_avoiders(n, AVOIDED_PAIR):
+        keys = len(key_mid123_entries(perm))
+        whole[keys] = whole.get(keys, 0) + 1
+        if is_start_small(perm):
+            start_small[keys] = start_small.get(keys, 0) + 1
+    return {False: whole, True: start_small}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_key_walk_matches_brute_force(n):
+    for start_small_only, by_keys in _pair_avoiders_by_keys(n).items():
+        walked = count_pair_avoiders_by_keys(n, start_small_only)
+        assert walked == tuple(by_keys.get(k, 0) for k in range(n + 1))
+        # every k through one past the largest present, which is empty
+        for k in range(max(by_keys, default=0) + 2):
+            descriptor = ClassDescriptor(
+                n, AVOIDED_PAIR, start_small_only=start_small_only, k=k
+            )
+            assert count_class(descriptor) == by_keys.get(k, 0), (descriptor, by_keys)
+
+
+def test_key_walk_matches_lagrange_form():
+    # phi sends a start-small avoider of [n] with k keys to a list of k + 1
+    # start-small 123-avoiders, counted by [x^(n-1)] (x C^3)^(k+1); Lagrange
+    # inversion gives (3k+3)/(2n+k-1) * binom(2n+k-1, n-k-2).
+    for n in range(2, 19):
+        walked = count_pair_avoiders_by_keys(n, start_small_only=True)
+        lagrange = tuple(
+            (3 * k + 3) * math.comb(2 * n + k - 1, n - k - 2) // (2 * n + k - 1)
+            for k in range(n - 1)
+        ) + (0, 0)  # k + 1 elements of length >= 2 need n + k >= 2k + 2
+        assert walked == lagrange, n
+        assert sum(walked) == count_pair_avoiders(n) - count_pair_avoiders(n - 1)
+
+
+def test_key_walk_small_lengths():
+    assert count_pair_avoiders_by_keys(0) == (1,)
+    assert count_pair_avoiders_by_keys(0, start_small_only=True) == (1,)
+    assert count_pair_avoiders_by_keys(1, start_small_only=True) == (0, 0)
+    with pytest.raises(ValueError, match="length n must be >= 0"):
+        count_pair_avoiders_by_keys(-1, start_small_only=True)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_123_walk_matches_brute_force(n):
+    assert count_class(ClassDescriptor(n, (PATTERN_123,))) == count_avoiders(
+        n, [PATTERN_123]
+    )
+    assert count_class(
+        ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
+    ) == count_start_small_123_avoiders(n)
 
 
 # ---------------------------------------------------------------------------
