@@ -1,25 +1,32 @@
 """Exhaustive generation and counting of pattern-avoidance classes.
 
-The generators build permutations position by position and abandon a prefix
-as soon as it contains a forbidden pattern, which is sound because classical
-containment is monotone under extension: a clean permutation cannot have a
-dirty prefix.  Emission is in lexicographic one-line order, and everything is
-streamed, never materialized.
+The generators build permutations position by position and enter only live
+prefixes: those to which no unused value can be appended without completing
+a forbidden pattern.  Any other prefix has no completion, since an unused
+value that would complete a pattern now completes it wherever it is placed
+later: the occurrence's other letters are already in place.  Emission is in
+lexicographic one-line order, and everything is streamed, never
+materialized.
 
-Dedicated prefix tests make the two hot pattern sets cheap: for {123} and for
-the {1243, 2134} pair, appending a value can only complete an occurrence
-whose final letter is the new value, and for these patterns that condition
-reduces to O(1) threshold checks against scan statistics of the prefix.  Any
-other pattern set goes through ``perms._ends_at``, the backtracking matcher
-that ``contains`` is built on, pinned to the new final position.  The naive
-filter over all n! permutations with ``contains`` is kept as an independent
-debug oracle.
+Appending a value can only complete an occurrence whose final letter is the
+new value.  Every set that contains both 1243 and 2134, and the set {123},
+gets O(1) prefix rules: scan statistics of the prefix say which unused
+values a placement would forbid, so a child is entered iff its value passes
+a threshold test.  The pair generator tests the set's other patterns, and
+the generic generator every pattern, with ``perms._ends_at``, the
+backtracking matcher that ``contains`` is built on, pinned to the appended
+value.  Each node tries every unused value once against those patterns and
+returns at the first that completes one; otherwise the generic generator
+enters every unused value, the pair generator those its rules allow.  The
+naive filter over all n! permutations with ``contains`` is kept as an
+independent debug oracle.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a memoized walk over the pair
 enumerator's prefix statistics, each kept only as the gap it falls in
 between consecutive unused values, plus the gap of the previous entry.
-``count_pair_avoiders`` sums it, and a smaller walk counts the {123} class.
+``count_pair_avoiders`` sums it, and a loop of prefix sums over the states of
+a smaller walk counts the {123} class in O(n^2) time.
 ``count_class`` uses them for every descriptor without ``j`` whose
 normalized pattern set is ``AVOIDED_PAIR`` (any start-small or ``k``
 filter) or {123} (any start-small filter, no ``k``).  Every other count,
@@ -70,8 +77,8 @@ def enumerate_avoiders(
     if n < 1:
         raise ValueError("length n must be >= 1")
     pats = _normalize_patterns(patterns)
-    if pats == AVOIDED_PAIR:
-        yield from _avoiders_1243_2134(n)
+    if set(AVOIDED_PAIR) <= set(pats):
+        yield from _avoiders_1243_2134(n, [q for q in pats if q not in AVOIDED_PAIR])
     elif pats == (PATTERN_123,):
         yield from _avoiders_123(n)
     else:
@@ -126,16 +133,12 @@ def count_pair_avoiders_by_keys(
     # The statistics of ``_avoiders_1243_2134``, each recorded as a gap: with
     # k unused values u_1 < ... < u_k, gap g holds the placed values between
     # u_g and u_{g+1} (u_0 = 0, u_{k+1} = infinity), and infinity is gap k.
-    # A prefix whose unused values include a forbidden one can never be
-    # completed, so a child is pruned the moment one appears; both ways are
-    # monotone.  Appending v = u_i forbids
-    #   for 1243, every unused u_j with s12 < u_j < v (s12_at[v] = s12),
+    # The generator's child rules, in gaps: appending v = u_i forbids
+    #   for 1243, every unused u_j with s12 < u_j < v,
     #             which exists iff i >= gap(s12) + 2;
-    #   for 2134, every unused value above v once v becomes bad4 (m21 < v),
+    #   for 2134, every unused value above v once m21 < v,
     #             which exists iff i < k.
-    # In a live state every unused value may come next and none lies above
-    # bad4, so bad4 and s12_at carry no information and drop out.  What
-    # remains is k, the gaps of prefix_min, s12 and m21, and ``nonempty``:
+    # The state is k, the gaps of prefix_min, s12 and m21, and ``nonempty``:
     # bit g is set iff gap g holds a placed value, for the gaps below m21's,
     # since the new m21 is the first nonempty gap at or above v's.  Removing
     # u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and v itself
@@ -195,110 +198,110 @@ def count_pair_avoiders_by_keys(
 
 def _count_123_avoiders(n: int, start_small_only: bool) -> int:
     # The walk of ``_avoiders_123`` over gaps as in
-    # ``count_pair_avoiders_by_keys``.  In a live prefix no unused value lies
-    # above s12, so appending v = u_i is allowed iff v becomes the new prefix
-    # minimum (i <= low) or is the largest unused value (i = k): any other v
-    # tops a rise with a larger unused value still to come.  The state is
-    # just k and the gap of prefix_min.
-    memo: dict[tuple[int, int], int] = {}
-
-    def count(k: int, low: int) -> int:
-        if k <= 1:
-            return 1
-        key = (k, low)
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = sum(count(k - 1, i - 1) for i in range(1, low + 1))
-        if low < k:
-            total += count(k - 1, low)
-        memo[key] = total
-        return total
-
-    total = count(n, n)
-    if start_small_only:
-        total -= count(n - 1, n - 1)  # those starting with n, as above
-    return total
+    # ``count_pair_avoiders_by_keys``: placing v = u_i keeps the prefix live
+    # iff v becomes the new prefix minimum (i <= low) or is the largest
+    # unused value (i = k), so with c(k, low) the completions of a state
+    #   c(k, low) = sum of c(k - 1, i) over i < low, plus c(k - 1, low) if low < k,
+    # and c(0, 0) = 1.  With S(j) the sum of the first j entries of row
+    # k - 1, row k is S(1), ..., S(k), S(k): each row is one pass of prefix
+    # sums over the one before, and c(k, k), its last entry, is C_k.
+    row = [1]
+    for _ in range(n):
+        last = row[-1]  # c(k - 1, k - 1), those of [k] starting with k
+        row = list(itertools.accumulate(row))
+        row.append(row[-1])
+    return row[-1] - last if start_small_only else row[-1]
 
 
-def _avoiders_1243_2134(n: int) -> Iterator[tuple[int, ...]]:
+def _some_value_completes(
+    prefix: list[int], values: Sequence[int], patterns: Sequence[Sequence[int]]
+) -> bool:
+    # Would appending any one of ``values`` to ``prefix`` complete one of
+    # ``patterns``?  Any new occurrence must end at the appended entry.
+    end = len(prefix)
+    for v in values:
+        prefix.append(v)
+        completes = any(_ends_at(prefix, end, q) for q in patterns)
+        prefix.pop()
+        if completes:
+            return True
+    return False
+
+
+def _avoiders_1243_2134(
+    n: int, rest: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
     # Appending v to a clean prefix w creates 1243 iff some w[l] > v has a
     # rise (both entries < v) strictly before it, and creates 2134 iff some
     # w[l] < v has a descent with top below w[l] strictly before it.  The
     # scan statistics carried through the recursion:
-    #   s12   = smallest top of a rise in the prefix so far,
-    #   s12_at[x] = value of s12 just before value x was placed,
-    #   m21   = smallest top of a descent in the prefix so far,
-    #   bad4  = smallest w[l] whose earlier descent tops out below it; any
-    #           v > bad4 is forbidden, so the ascending loop can stop there.
-    inf = n + 1
-    used = [False] * (n + 2)
-    s12_at = [inf] * (n + 1)
-    prefix: list[int] = []
-
-    def rec(
-        depth: int, prefix_min: int, s12: int, m21: int, bad4: int
-    ) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        # min_above[x] = min of s12_at over placed values >= x; the 1243 test
-        # for candidate v is then min_above[v + 1] < v.
-        min_above = [inf] * (n + 2)
-        running = inf
-        for x in range(n, 0, -1):
-            if used[x] and s12_at[x] < running:
-                running = s12_at[x]
-            min_above[x] = running
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if v > bad4:
-                break
-            if min_above[v + 1] < v:
-                continue
-            new_s12 = v if (prefix_min < v < s12) else s12
-            new_m21 = m21
-            for x in range(v + 1, n + 1):  # smallest placed value above v
-                if used[x]:
-                    if x < new_m21:
-                        new_m21 = x
-                    break
-            new_bad4 = v if (m21 < v < bad4) else bad4
-            used[v] = True
-            s12_at[v] = s12
-            prefix.append(v)
-            yield from rec(depth + 1, min(prefix_min, v), new_s12, new_m21, new_bad4)
-            prefix.pop()
-            used[v] = False
-
-    yield from rec(0, inf, inf, inf, inf)
-
-
-def _avoiders_123(n: int) -> Iterator[tuple[int, ...]]:
-    # Appending v completes a 123 iff the prefix has a rise topping out below
-    # v, so with s12 as above every candidate v > s12 is forbidden at once.
+    #   s12 = smallest top of a rise in the prefix so far,
+    #   m21 = smallest top of a descent in the prefix so far.
+    # Placing v forbids, for 1243, every unused value between s12 and v (it
+    # would play the 3 below v's 4), and for 2134, once m21 < v makes v a 3,
+    # every unused value above v.  Every prefix entered is live, so no unused
+    # value is forbidden yet, and a child is live iff placing v forbids
+    # nothing: v > s12 only as the smallest unused value above s12, and
+    # v > m21 only as the largest unused value.  The set's other patterns,
+    # ``rest``, are tested with ``_ends_at`` against every unused value.
     inf = n + 1
     used = [False] * (n + 1)
     prefix: list[int] = []
 
-    def rec(depth: int, prefix_min: int, s12: int) -> Iterator[tuple[int, ...]]:
+    def rec(
+        depth: int, prefix_min: int, s12: int, m21: int
+    ) -> Iterator[tuple[int, ...]]:
         if depth == n:
             yield tuple(prefix)
             return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if v > s12:
+        unused = [v for v in range(1, n + 1) if not used[v]]
+        if rest and _some_value_completes(prefix, unused, rest):
+            return
+        top = unused[-1]
+        for v in unused:
+            if v < m21 or v == top:
+                new_s12 = v if (prefix_min < v < s12) else s12
+                new_m21 = m21
+                for x in range(v + 1, m21):  # smallest placed value above v
+                    if used[x]:
+                        new_m21 = x
+                        break
+                used[v] = True
+                prefix.append(v)
+                yield from rec(depth + 1, min(prefix_min, v), new_s12, new_m21)
+                prefix.pop()
+                used[v] = False
+            if v > s12:  # the smallest unused value above s12 was the last one
                 break
-            new_s12 = v if (prefix_min < v < s12) else s12
+
+    yield from rec(0, inf, inf, inf)
+
+
+def _avoiders_123(n: int) -> Iterator[tuple[int, ...]]:
+    # Appending v completes a 123 iff the prefix has a rise topping out below
+    # v.  Every prefix entered is live, so no unused value lies above the
+    # smallest rise top, and placing v keeps it so iff v is a new prefix
+    # minimum or the largest unused value: any other v tops a new rise with
+    # a larger unused value still to come.
+    used = [False] * (n + 1)
+    prefix: list[int] = []
+
+    def rec(depth: int, prefix_min: int) -> Iterator[tuple[int, ...]]:
+        if depth == n:
+            yield tuple(prefix)
+            return
+        top = next(v for v in range(n, 0, -1) if not used[v])
+        values = list(range(1, prefix_min))  # all unused, being below the minimum
+        if top > prefix_min:
+            values.append(top)
+        for v in values:
             used[v] = True
             prefix.append(v)
-            yield from rec(depth + 1, min(prefix_min, v), new_s12)
+            yield from rec(depth + 1, min(prefix_min, v))
             prefix.pop()
             used[v] = False
 
-    yield from rec(0, inf, inf)
+    yield from rec(0, n + 1)
 
 
 def _avoiders_generic(
@@ -311,16 +314,15 @@ def _avoiders_generic(
         if depth == n:
             yield tuple(prefix)
             return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            # Any new occurrence must end at the new final position.
+        unused = [v for v in range(1, n + 1) if not used[v]]
+        if _some_value_completes(prefix, unused, patterns):
+            return
+        for v in unused:
+            used[v] = True
             prefix.append(v)
-            if not any(_ends_at(prefix, depth, q) for q in patterns):
-                used[v] = True
-                yield from rec(depth + 1)
-                used[v] = False
+            yield from rec(depth + 1)
             prefix.pop()
+            used[v] = False
 
     yield from rec(0)
 
@@ -372,8 +374,8 @@ def count_class(descriptor: ClassDescriptor) -> int:
     """
     Exact cardinality of the described class.
 
-    Without a ``j`` filter, two pattern sets are counted by memoized walks
-    instead of listing their members: the {1243, 2134} pair (normalized
+    Without a ``j`` filter, two pattern sets are counted by walks instead of
+    listing their members: the {1243, 2134} pair (normalized
     patterns exactly ``AVOIDED_PAIR``), with or without start-small and
     ``k``, by ``count_pair_avoiders_by_keys``, and {123}, with or without
     start-small but with no ``k``.  Every other class is counted by

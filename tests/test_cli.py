@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from avoiders.cli import main
-from avoiders.enumeration import enumerate_class
+from avoiders.enumeration import enumerate_class, naive_avoiders
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +126,40 @@ def test_count_walked_classes_match_brute_force(capsys, monkeypatch, n):
             expected = run_cli(capsys, *full)
             monkeypatch.setattr(cli_module, "count_class", real)
             assert run_cli(capsys, *full) == expected, full
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_listing(n, patterns):
+    return tuple(naive_avoiders(n, patterns))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_and_enumerate_match_naive_route(capsys, monkeypatch, n):
+    # The streaming brute-force route: the class streams from the filter
+    # over all n! permutations, and count sums that stream.
+    import avoiders.cli as cli_module
+    import avoiders.enumeration as enumeration_module
+
+    def naive_route():
+        monkeypatch.setattr(
+            enumeration_module,
+            "enumerate_avoiders",
+            lambda n, patterns: iter(_naive_listing(n, tuple(patterns))),
+        )
+        monkeypatch.setattr(
+            cli_module,
+            "count_class",
+            lambda descriptor: sum(1 for _ in enumerate_class(descriptor)),
+        )
+
+    for patterns in ("1243,2134,4321", "2134,1243,12", "1243,2134,3412", "123"):
+        for command in ("count", "enumerate"):
+            for flags in ((), ("--json",)):
+                argv = (command, "--n", str(n), "--patterns", patterns, *flags)
+                naive_route()
+                expected = run_cli(capsys, *argv)
+                monkeypatch.undo()
+                assert run_cli(capsys, *argv) == expected, argv
 
 
 # ---------------------------------------------------------------------------

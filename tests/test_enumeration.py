@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -88,6 +89,55 @@ def test_generic_path_matches_naive_filter(patterns):
         assert list(enumerate_avoiders(n, patterns)) == list(
             naive_avoiders(n, patterns)
         )
+
+
+def _patterns_up_to(length):
+    return [
+        q for m in range(1, length + 1) for q in itertools.permutations(range(1, m + 1))
+    ]
+
+
+def _random_pattern_sets(count, seed):
+    rng = random.Random(seed)
+    patterns = _patterns_up_to(4)
+    return [tuple(rng.sample(patterns, rng.randint(1, 3))) for _ in range(count)]
+
+
+ORACLE_PATTERN_SETS = [
+    (),
+    ((1,),),
+    ((1, 2),),
+    (PATTERN_123,),
+    AVOIDED_PAIR,
+    *(AVOIDED_PAIR + (q,) for q in _patterns_up_to(4)),
+    *_random_pattern_sets(40, seed=20131),
+]
+
+
+@pytest.mark.parametrize("patterns", ORACLE_PATTERN_SETS, ids=str)
+def test_generators_match_naive_filter_in_order(patterns):
+    # Every generator, and the pair generator with extra patterns, against
+    # the filter over all n! permutations, order included.
+    for n in range(1, 8):
+        assert list(enumerate_avoiders(n, patterns)) == list(
+            naive_avoiders(n, patterns)
+        ), n
+
+
+def test_pair_generator_tests_only_the_other_patterns(monkeypatch):
+    import avoiders.enumeration as enumeration_module
+
+    asked = set()
+    real_ends_at = enumeration_module._ends_at
+
+    def ends_at_spy(word, end, pattern):
+        asked.add(tuple(pattern))
+        return real_ends_at(word, end, pattern)
+
+    monkeypatch.setattr(enumeration_module, "_ends_at", ends_at_spy)
+    patterns = [(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]]
+    assert sum(1 for _ in enumerate_avoiders(7, patterns)) == 333
+    assert asked == {(4, 3, 2, 1)}
 
 
 def test_pattern_normalization():
@@ -237,6 +287,15 @@ def test_123_walk_matches_brute_force(n):
     assert count_class(
         ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
     ) == count_start_small_123_avoiders(n)
+
+
+def test_123_walk_reaches_length_1000():
+    # Past Python's recursion limit, against the Catalan closed form.
+    catalan = [math.comb(2 * n, n) // (n + 1) for n in (999, 1000)]
+    assert count_class(ClassDescriptor(1000, (PATTERN_123,))) == catalan[1]
+    assert count_class(
+        ClassDescriptor(1000, (PATTERN_123,), start_small_only=True)
+    ) == catalan[1] - catalan[0]
 
 
 # ---------------------------------------------------------------------------
