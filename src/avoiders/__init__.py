@@ -37,6 +37,7 @@ from .perms import (
     PATTERN_1243,
     PATTERN_2134,
     avoids,
+    avoids_pair,
     contains,
     contains_123,
     format_perm,
@@ -70,6 +71,7 @@ __all__ = [
     "InverseParams",
     "PowerSeries",
     "avoids",
+    "avoids_pair",
     "catalan_series",
     "contains",
     "contains_123",

@@ -28,12 +28,16 @@ a and c sat and what value filled the seam; the concatenation below rebuilds
 pi up to two placeholder slots which are then overwritten with a and c.
 
 Validation contract: each public entry point checks its inputs once and
-raises ``ValueError`` naming the offending role; the private cores it calls
-(``_decompose``, ``_inverse_params``, ``_recompose``) trust their inputs and
-keep only cheap ``RuntimeError`` guards.  ``phi`` and ``phi_inverse`` feed
-each core's output straight into the next core, which is sound because
-every step stays in its class: ``avoiders.verify`` checks exactly that
-(decomposition typing, both round trips) exhaustively at small lengths.
+raises ``ValueError`` naming the offending role.  Pattern avoidance is
+checked by the one-pass ``perms.avoids_pair`` scan; only a rejected input
+goes on to generic ``contains``, so that the message can name the pattern
+(1243 first when both occur).  The private cores that the entry points
+call (``_decompose``, ``_inverse_params``, ``_recompose``) trust their
+inputs and keep only cheap ``RuntimeError`` guards.  ``phi`` and
+``phi_inverse`` feed each core's output straight into the next core, which
+is sound because every step stays in its class: ``avoiders.verify`` checks
+exactly that (decomposition typing, both round trips) exhaustively at small
+lengths.
 The postconditions of ``decompose`` are stated only there, in
 ``verify.check_decomposition_typing``; this module does not re-check them.
 """
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 
 from .perms import (
     AVOIDED_PAIR,
+    avoids_pair,
     contains,
     contains_123,
     format_perm,
@@ -98,9 +103,12 @@ class InverseParams:
 def _require_avoider(perm: Perm, role: str) -> None:
     if not is_permutation(perm):
         raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
-    for q in AVOIDED_PAIR:
-        if contains(perm, q):
-            raise ValueError(f"{role} contains the forbidden pattern {format_perm(q)}")
+    if not avoids_pair(perm):
+        # Only a rejected input pays for ``contains``, which names the pattern.
+        for q in AVOIDED_PAIR:
+            if contains(perm, q):
+                raise ValueError(f"{role} contains the forbidden pattern {format_perm(q)}")
+        raise RuntimeError(f"avoids_pair and contains disagree on {perm!r}")
     if not is_start_small(perm):
         raise ValueError(f"{role} is not start-small: it begins with its largest entry")
 

@@ -54,6 +54,11 @@ from .perms import (
 )
 
 
+#: Largest n that ``count_pair_avoiders_by_keys`` accepts: its walk recurses
+#: once per position.
+PAIR_WALK_MAX_N = 100
+
+
 def _normalize_patterns(
     patterns: Iterable[Sequence[int]],
 ) -> tuple[tuple[int, ...], ...]:
@@ -123,6 +128,12 @@ def count_pair_avoiders_by_keys(
     ones count (the empty permutation is one, as in the series G).  The memo
     lives for one call only.
 
+    The walk recurses once per position, so n is limited to
+    ``PAIR_WALK_MAX_N`` (100), well inside Python's default recursion limit
+    of 1000; a larger n raises ``ValueError``.  Cost grows fast long before
+    that: n = 40 already needs 202,652 memo states, and the number of states
+    grows about as n^4.
+
     >>> count_pair_avoiders_by_keys(5)
     (42, 34, 10, 1, 0, 0)
     >>> count_pair_avoiders_by_keys(5, start_small_only=True)
@@ -130,6 +141,10 @@ def count_pair_avoiders_by_keys(
     """
     if n < 0:
         raise ValueError("length n must be >= 0")
+    if n > PAIR_WALK_MAX_N:
+        raise ValueError(
+            f"length n must be <= {PAIR_WALK_MAX_N} for the memoized pair walk, got {n}"
+        )
     # The statistics of ``_avoiders_1243_2134``, each recorded as a gap: with
     # k unused values u_1 < ... < u_k, gap g holds the placed values between
     # u_g and u_{g+1} (u_0 = 0, u_{k+1} = infinity), and infinity is gap k.
@@ -231,10 +246,10 @@ def _some_value_completes(
 def _avoiders_1243_2134(
     n: int, rest: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
-    # Appending v to a clean prefix w creates 1243 iff some w[l] > v has a
-    # rise (both entries < v) strictly before it, and creates 2134 iff some
-    # w[l] < v has a descent with top below w[l] strictly before it.  The
-    # scan statistics carried through the recursion:
+    # Appending v completes a 1243 or a 2134 by the two rules written out
+    # once, in the ``perms.avoids_pair`` docstring.  A live prefix needs
+    # only three of that scan's statistics, carried through the recursion:
+    #   prefix_min = the scan's ``lowest``,
     #   s12 = smallest top of a rise in the prefix so far,
     #   m21 = smallest top of a descent in the prefix so far.
     # Placing v forbids, for 1243, every unused value between s12 and v (it

@@ -12,6 +12,14 @@ whether an occurrence of a pattern ends at a given (0-based) index of a
 word.  ``contains`` tries it at every index, and the generic enumerator in
 ``enumeration`` asks it whether an appended entry completes a pattern.
 
+The pattern pair {1243, 2134} also has a one-pass scan, ``avoids_pair``,
+for permutations of [n]: a few prefix statistics and two int bitsets decide
+at each appended entry whether it completes either pattern, in O(1) big-int
+operations per entry.  Its docstring states the two completion rules, which
+the pair enumerator and the memoized walks in ``enumeration`` also build
+on.  The bijection's entry points validate with it; ``contains`` stays the
+independent oracle it is tested against.
+
 Terminology used throughout the package:
 
 - a *pattern* q is contained in p when some subsequence of p is
@@ -177,6 +185,55 @@ def contains_123(word: Sequence[int]) -> bool:
 def avoids(word: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     """True iff ``word`` contains none of the given patterns."""
     return not any(contains(word, q) for q in patterns)
+
+
+def avoids_pair(perm: Sequence[int]) -> bool:
+    """
+    True iff ``perm`` avoids both 1243 and 2134, in one left-to-right scan.
+
+    The input must be a permutation of [n]: values are used as bit indices,
+    so they must be positive (and distinct); words are not accepted.  The
+    scan carries the prefix minimum ``lowest``, the smallest top of a rise
+    ``s12``, the smallest top of a descent ``m21``, the smallest entry
+    ``bad4`` above the top of an earlier descent (the 3 of a 213), and two
+    int bitsets: the placed values, and the values whose placement would
+    complete a 1243.  An occurrence of either pattern ends at the entry that
+    completes it, so the scan checks two rules as it appends each value v:
+
+    - v completes a 2134 iff v > ``bad4``: some placed x < v is the 3 of a
+      213, and v is the 4;
+    - v completes a 1243 iff v lies strictly between ``s12_at[x]`` and x for
+      some placed x, where ``s12_at[x]`` is ``s12`` just before x was placed:
+      x is the 4 and a rise below v before it the 12.  The second bitset is
+      the union of those intervals.
+
+    Placing v makes the smallest placed value above v, the lowest set bit
+    of ``placed >> v``, the top of a descent, so each step costs O(1) big-int
+    operations.  ``contains`` stays the independent oracle.
+
+    >>> avoids_pair((11, 2, 12, 9, 7, 8, 4, 5, 6, 1, 10, 3))
+    True
+    >>> [avoids_pair(p) for p in [(1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)]]
+    [False, False, True]
+    """
+    lowest = s12 = m21 = bad4 = len(perm) + 1
+    placed = forbidden = 0
+    for v in perm:
+        if v > bad4 or forbidden >> v & 1:
+            return False
+        if v > m21:
+            bad4 = v  # v < bad4, which it did not exceed
+        above = placed >> v
+        if above:
+            m21 = min(m21, v + (above & -above).bit_length() - 1)
+        if v > s12:
+            forbidden |= (1 << v) - (2 << s12)  # s12 < u < v
+        elif v > lowest:
+            s12 = v
+        else:
+            lowest = v
+        placed |= 1 << v
+    return True
 
 
 def right_to_left_maxima(perm: Sequence[int]) -> set[int]:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import avoiders.bijection as bijection_module
 from avoiders.bijection import (
     DecompositionStep,
     decompose,
@@ -20,6 +21,7 @@ from avoiders.perms import (
     AVOIDED_PAIR,
     PATTERN_123,
     avoids,
+    contains,
     contains_123,
     is_start_small,
     key_mid123_entries,
@@ -120,6 +122,52 @@ def test_recompose_rejects_bad_inputs():
         recompose((1, 2, 4, 3), (1, 2))
     with pytest.raises(ValueError, match="sigma2 is not start-small"):
         recompose((1, 2), (3, 1, 2))
+
+
+def test_valid_inputs_never_reach_contains(monkeypatch):
+    # Accepted inputs are validated by the one-pass avoids_pair scan alone;
+    # generic contains is only the reject path's pattern namer.
+    def spy(word, pattern):
+        raise AssertionError(f"contains({word!r}, {pattern!r}) on a valid input")
+
+    monkeypatch.setattr(bijection_module, "contains", spy)
+    for perm in (KEY_INPUT, DROP_INPUT):
+        step = decompose(perm)
+        assert inverse_params(*step.pair).j == step.j
+        assert recompose(*step.pair) == perm
+    for n in range(1, 8):
+        for perm in start_small_avoiders(n):
+            assert phi_inverse(phi(perm)) == perm
+
+
+@pytest.mark.parametrize(
+    "perm, contained, named",
+    [
+        ((1, 2, 4, 3), [(1, 2, 4, 3)], "1 2 4 3"),
+        ((2, 1, 3, 4), [(2, 1, 3, 4)], "2 1 3 4"),
+        ((2, 1, 3, 5, 4), [(1, 2, 4, 3), (2, 1, 3, 4)], "1 2 4 3"),  # 1243 first
+    ],
+)
+def test_rejected_inputs_name_the_pattern(monkeypatch, perm, contained, named):
+    assert [q for q in AVOIDED_PAIR if contains(perm, q)] == contained
+    calls = []
+
+    def spy(word, q):
+        calls.append(q)
+        return contains(word, q)
+
+    monkeypatch.setattr(bijection_module, "contains", spy)
+    for role, call in [
+        ("input", lambda: decompose(perm)),
+        ("input", lambda: phi(perm)),
+        ("sigma1", lambda: inverse_params(perm, (1, 2))),
+        ("sigma1", lambda: recompose(perm, (1, 2))),
+        ("element 1", lambda: phi_inverse((perm, (1, 2)))),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{role} contains the forbidden pattern {named}"
+    assert calls  # the reject path asked contains to name the pattern
 
 
 def test_step_consistency_guard():

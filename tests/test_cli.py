@@ -66,6 +66,17 @@ def test_count_invalid_descriptor_exits_2(capsys):
     assert "j without k" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--start-small",), ("--start-small", "--k", "3")])
+def test_count_pair_past_walk_limit_exits_2(capsys, extra):
+    # The pair walk recurses once per position; past its limit it refuses
+    # up front instead of hitting Python's recursion limit (exit 3).
+    code, out, err = run_cli(
+        capsys, "count", "--n", "1000", "--patterns", "1243,2134", *extra
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: length n must be <= 100 for the memoized pair walk, got 1000\n"
+
+
 def test_count_invalid_pattern_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "4", "--patterns", "1244")
     assert code == 2

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from avoiders.enumeration import (
+    PAIR_WALK_MAX_N,
     ClassDescriptor,
     count_avoiders,
     count_class,
@@ -277,6 +278,10 @@ def test_key_walk_small_lengths():
     assert count_pair_avoiders_by_keys(1, start_small_only=True) == (0, 0)
     with pytest.raises(ValueError, match="length n must be >= 0"):
         count_pair_avoiders_by_keys(-1, start_small_only=True)
+    with pytest.raises(ValueError, match="length n must be <= 100"):
+        count_pair_avoiders_by_keys(PAIR_WALK_MAX_N + 1)
+    with pytest.raises(ValueError, match="length n must be <= 100"):
+        count_pair_avoiders(PAIR_WALK_MAX_N + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 12))

@@ -1,15 +1,19 @@
 """Entry-level predicates: standardization, containment, entry classes."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avoiders.bijection import phi_inverse
 from avoiders.perms import (
     AVOIDED_PAIR,
     _ends_at,
     PATTERN_123,
+    avoids,
+    avoids_pair,
     contains,
     contains_123,
     format_perm,
@@ -21,6 +25,7 @@ from avoiders.perms import (
     right_to_left_maxima,
     standardize,
 )
+from test_bijection import _random_element
 
 distinct_words = st.lists(
     st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40, unique=True
@@ -133,6 +138,32 @@ def test_contains_monotone_under_prefix_extension():
             for q in patterns:
                 flags = [contains(perm[:k], q) for k in range(len(q), n + 1)]
                 assert flags == sorted(flags), (perm, q)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_avoids_pair_matches_generic(n):
+    for perm in itertools.permutations(range(1, n + 1)):
+        assert avoids_pair(perm) == avoids(perm, AVOIDED_PAIR), perm
+
+
+def test_avoids_pair_matches_generic_on_hard_cases():
+    # Avoiders of length up to about 50, folded by phi_inverse from random
+    # lists, and every permutation one transposition away from each: mostly
+    # near-misses, so both verdicts are well represented.
+    rng = random.Random(20131243)
+    verdicts = {True: 0, False: 0}
+    for _ in range(30):
+        perm = phi_inverse(tuple(_random_element(rng) for _ in range(rng.randint(1, 12))))
+        cases = [perm]
+        for i, j in itertools.combinations(range(len(perm)), 2):
+            swapped = list(perm)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            cases.append(tuple(swapped))
+        for case in cases:
+            verdict = avoids_pair(case)
+            assert verdict == avoids(case, AVOIDED_PAIR), case
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 500, verdicts
 
 
 # ---------------------------------------------------------------------------
