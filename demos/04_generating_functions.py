@@ -34,6 +34,7 @@ g = gf_start_small(ORDER)
 f = gf_full(ORDER)
 print("G:      ", integer_coefficients(g)[:9], " (start-small avoiders of the pair)")
 print("F:      ", integer_coefficients(f)[:9], " (all avoiders of the pair, A164651)")
+print("G / (1-x) == F ->", g / poly(ORDER, 1, -1) == f, " (exact series division)")
 
 closed = kotesovec_series(ORDER)
 print("closed: ", integer_coefficients(closed)[:9])

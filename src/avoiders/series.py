@@ -2,8 +2,17 @@
 generating functions this package is about.
 
 Every series is a fixed-order truncation with plain ``int`` coefficients,
-and every division in this module is exact or raises.  So ``reciprocal``
-requires a constant term of +1 or -1.  The specific series of interest:
+and every division in this module is exact or raises.  So ``a / d`` and
+``reciprocal`` require a divisor whose constant term is +1 or -1, and raise
+``ValueError`` otherwise.
+
+Trailing zero coefficients cost nothing: a product of order n costs
+O(n * m), with m the length of the shorter factor's polynomial part (up to
+its last nonzero coefficient), and a quotient costs O(n * m) with m that of
+the divisor.  So multiplying or dividing by a short polynomial such as
+1 - x is linear in n, and only dense-by-dense products are quadratic.
+
+The specific series of interest:
 
 - ``catalan_series``: C with C = 1 + x*C^2, counting 123-avoiders;
 - ``invert_transform``: B with 1 + B = 1/(1 - A), counting lists
@@ -50,23 +59,42 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        a = self.coeffs[: n + 1]
-        b_reversed = other.coeffs[n::-1]
-        # [x^k] = sum a[i] * b[k - i]; b[k - i] is b_reversed[n - k + i].
+        # a is the factor with the shorter polynomial part, of m terms.
+        a, b = sorted((self.coeffs[: n + 1], other.coeffs[: n + 1]), key=_poly_length)
+        m = _poly_length(a)
+        b_reversed = b[::-1]
+        # [x^k] = sum a[i] * b[k - i] for i < m; b[k - i] is b_reversed[n - k + i].
         return PowerSeries(
-            tuple(sum(map(mul, a[: k + 1], b_reversed[n - k :])) for k in range(n + 1))
+            tuple(sum(map(mul, a, b_reversed[n - k : n - k + m])) for k in range(n + 1))
         )
+
+    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
+        """The series Q with Q * other = self up to the smaller order; the
+        divisor's constant term must be +1 or -1 for Q to have integer
+        coefficients."""
+        n = min(self.order, other.order)
+        d = other.coeffs[: n + 1]
+        d0, *tail = d[: _poly_length(d)]
+        if d0 not in (1, -1):
+            raise ValueError(f"series with constant term {d0} has no integer reciprocal")
+        q: list[int] = []
+        for a_k in self.coeffs[: n + 1]:
+            # 1/d0 == d0 for a unit
+            q.append(d0 * (a_k - sum(map(mul, tail, reversed(q)))))
+        return PowerSeries(tuple(q))
 
     def reciprocal(self) -> "PowerSeries":
         """The series R with self * R = 1 up to the truncation order; the
         constant term must be +1 or -1 for R to have integer coefficients."""
-        a0 = self.coeffs[0]
-        if a0 not in (1, -1):
-            raise ValueError(f"series with constant term {a0} has no integer reciprocal")
-        out = [a0]  # 1/a0 == a0 for a unit
-        for k in range(1, self.order + 1):
-            out.append(-a0 * sum(map(mul, self.coeffs[1 : k + 1], reversed(out))))
-        return PowerSeries(tuple(out))
+        return poly(self.order, 1) / self
+
+
+def _poly_length(coeffs: tuple[int, ...]) -> int:
+    """The number of coefficients up to the last nonzero one, at least 1."""
+    m = len(coeffs)
+    while m > 1 and not coeffs[m - 1]:
+        m -= 1
+    return m
 
 
 def _require_order(order: int) -> None:
@@ -156,12 +184,13 @@ def gf_start_small(order: int) -> PowerSeries:
 def gf_full(order: int) -> PowerSeries:
     """
     Generating function for all {1243, 2134}-avoiders by length (A164651):
-    F = G/(1 - x), so the coefficients are the partial sums of G's.
+    F = G/(1 - x), so the coefficients are the partial sums of G's.  It
+    divides G by 1 - x exactly rather than multiplying by 1/(1 - x).
 
     >>> list(gf_full(6).coeffs)
     [1, 1, 2, 6, 22, 87, 354]
     """
-    return gf_start_small(order) * poly(order, 1, -1).reciprocal()
+    return gf_start_small(order) / poly(order, 1, -1)
 
 
 def kotesovec_series(order: int) -> PowerSeries:
@@ -169,8 +198,9 @@ def kotesovec_series(order: int) -> PowerSeries:
     Exact expansion of the closed form attached to A164651:
     (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1)).
 
-    The numerator is halved coefficient by coefficient, then multiplied by
-    the reciprocal of (x-1)(x^2+4x-1), whose constant term is +1.
+    The numerator is halved coefficient by coefficient, then divided
+    exactly by the cubic (x-1)(x^2+4x-1), whose constant term is +1; the
+    division costs O(order), as does every product with a short polynomial.
     """
     s = sqrt_one_minus_4x(order)
     x = poly(order, 0, 1)
@@ -180,7 +210,7 @@ def kotesovec_series(order: int) -> PowerSeries:
     if odd:
         raise RuntimeError(f"closed form: numerator coefficient of x^{odd[0]} is odd")
     halved = PowerSeries(tuple(c // 2 for c in numerator.coeffs))
-    return halved * ((x - one) * poly(order, -1, 4, 1)).reciprocal()
+    return halved / ((x - one) * poly(order, -1, 4, 1))
 
 
 def integer_coefficients(series: PowerSeries) -> list[int]:

@@ -1,6 +1,8 @@
-"""Keep the docstring examples honest."""
+"""Keep the docstring examples and the README tour honest."""
 
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ import avoiders.bijection
 import avoiders.enumeration
 import avoiders.perms
 import avoiders.series
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -19,3 +23,19 @@ def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_python_blocks():
+    # Each block is checked as `python -m doctest README.md` reads it, closing
+    # fence included: expected output runs on to the next blank line.
+    text = README.read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?^```)$", text, re.M | re.S))
+    assert blocks
+    parser = doctest.DocTestParser()
+    runner = doctest.DocTestRunner()
+    for block in blocks:
+        lineno = text.count("\n", 0, block.start(1))
+        test = parser.get_doctest(block.group(1), {}, "README.md", str(README), lineno)
+        result = runner.run(test)
+        assert result.failed == 0
+        assert result.attempted > 0

@@ -91,6 +91,65 @@ def test_mul_commutes(a, b):
     assert a * b == b * a
 
 
+# Series with trailing zeros, zero or negative constant terms and any order.
+any_series = st.tuples(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10),
+    st.integers(min_value=0, max_value=5),
+).map(lambda t: PowerSeries(tuple(t[0]) + (0,) * t[1]))
+
+unit_divisor = st.tuples(
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=10),
+    st.integers(min_value=0, max_value=5),
+).map(lambda t: PowerSeries((t[0], *t[1]) + (0,) * t[2]))
+
+
+def convolution(a, b):
+    n = min(a.order, b.order)
+    return PowerSeries(
+        tuple(
+            sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)) for k in range(n + 1)
+        )
+    )
+
+
+def truncated(series, order):
+    return PowerSeries(series.coeffs[: order + 1])
+
+
+@given(any_series, any_series)
+def test_mul_equals_convolution(a, b):
+    assert a * b == convolution(a, b)
+
+
+@given(any_series, st.integers(min_value=0, max_value=15))
+def test_mul_by_zero_series(a, order):
+    zero = poly(order)
+    expected = poly(min(a.order, order))
+    assert a * zero == expected
+    assert zero * a == expected
+
+
+@given(any_series, unit_divisor)
+def test_div_undoes_mul(a, d):
+    n = min(a.order, d.order)
+    q = a / d
+    assert q.order == n
+    assert q * d == truncated(a, n)
+    assert (a * d) / d == truncated(a, n)
+
+
+@given(any_series, unit_divisor)
+def test_div_equals_mul_by_reciprocal(a, d):
+    assert a / d == a * d.reciprocal()
+
+
+@pytest.mark.parametrize("constant", [0, 2])
+def test_div_by_nonunit_constant(constant):
+    with pytest.raises(ValueError, match="no integer reciprocal"):
+        poly(4, 1, 1) / poly(4, constant, 1)
+
+
 # ---------------------------------------------------------------------------
 # the specific series
 
@@ -200,6 +259,26 @@ def test_closed_form_first_terms():
 
 def test_closed_form_equals_transform_route_order_300():
     assert kotesovec_series(300) == gf_full(300)
+
+
+def test_closed_form_satisfies_order_4_recurrence_to_order_2000():
+    # The P-recurrence guessed from the counted terms (ROADMAP item 3):
+    # (n-1)(n-4) f(n) = (9n^2-51n+62) f(n-1) - (23n^2-145n+222) f(n-2)
+    #                 + (11n^2-73n+122) f(n-3) + (4n^2-26n+42) f(n-4),
+    # for n >= 5 from f(0..4) = 1, 1, 2, 6, 22, every division exact.
+    order = 2000
+    f = [1, 1, 2, 6, 22]
+    for n in range(5, order + 1):
+        rhs = (
+            (9 * n * n - 51 * n + 62) * f[n - 1]
+            - (23 * n * n - 145 * n + 222) * f[n - 2]
+            + (11 * n * n - 73 * n + 122) * f[n - 3]
+            + (4 * n * n - 26 * n + 42) * f[n - 4]
+        )
+        term, remainder = divmod(rhs, (n - 1) * (n - 4))
+        assert remainder == 0, n
+        f.append(term)
+    assert integer_coefficients(kotesovec_series(order)) == f
 
 
 def test_closed_form_rejects_odd_numerator(monkeypatch):
