@@ -1,7 +1,11 @@
 """The verification harness itself: reporting, failure surfacing, fixture."""
 
 import dataclasses
+import inspect
 
+import pytest
+
+import avoiders.verify as verify_module
 from avoiders.series import PowerSeries, gf_full, integer_coefficients, kotesovec_series
 from avoiders.verify import (
     CheckResult,
@@ -62,8 +66,6 @@ def test_report_surfaces_failures():
 
 def test_corrupted_coefficient_is_caught(monkeypatch):
     # Feed the comparison a doctored reference and watch it name the spot.
-    import avoiders.verify as verify_module
-
     doctored = load_reference_sequence()
     doctored[5] += 1
     monkeypatch.setattr(verify_module, "load_reference_sequence", lambda: doctored)
@@ -75,8 +77,6 @@ def test_corrupted_coefficient_is_caught(monkeypatch):
 
 def test_series_mismatches_name_first_index(monkeypatch):
     # The first coefficient where two routes part is named, with both values.
-    import avoiders.verify as verify_module
-
     def bumped(build):
         def doctored(order):
             coeffs = list(build(order).coeffs)
@@ -98,8 +98,6 @@ def test_series_mismatches_name_first_index(monkeypatch):
 
 
 def test_golden_failure_names_case_and_field(monkeypatch):
-    import avoiders.verify as verify_module
-
     case, perm, pair, key_case, witnesses, params = verify_module.GOLDEN_EXAMPLES[1]
     doctored = (case, perm, pair, key_case, witnesses, {**params, "s": 5})
     monkeypatch.setattr(
@@ -112,7 +110,6 @@ def test_broken_decomposition_fails_typing_check(monkeypatch):
     # Doctor the unchecked core behind decompose and watch the typing check
     # name the permutation whose step broke its contract.
     import avoiders.bijection as bijection_module
-    import avoiders.verify as verify_module
 
     real = bijection_module._decompose
 
@@ -125,3 +122,58 @@ def test_broken_decomposition_fails_typing_check(monkeypatch):
     assert not result.passed
     assert "decompose(1 2 3)" in result.detail
     assert "sigma2 not start-small" in result.detail
+
+
+def _bump_x3(build):
+    def doctored(order):
+        coeffs = list(build(order).coeffs)
+        coeffs[3] += 1
+        return PowerSeries(tuple(coeffs))
+    return doctored
+
+
+def _sigma2_is_sigma1(real):
+    def doctored(perm):
+        step = real(perm)
+        return dataclasses.replace(step, sigma2=step.sigma1)
+    return doctored
+
+
+@pytest.mark.parametrize(
+    "binding, doctor, check, bound, detail",
+    [
+        ("key_mid123_entries", lambda real: lambda perm: [],
+         "check_no_key_implies_123_avoiding", 4, "counterexample 1 2 3"),
+        ("mid123_entries", lambda real: lambda perm: [len(perm)],
+         "check_unique_entry_above_last_mid123", 4,
+         "1: 0 entries above the last mid-123 entry 1"),
+        ("phi_inverse", lambda real: lambda elements: elements[0][::-1],
+         "check_phi_roundtrip", 4, "round trip moved 1 2"),
+        ("decompose", _sigma2_is_sigma1,
+         "check_pair_roundtrip", 5, "(1 2, 1 3 2) -> 1 3 4 2 -> (1 2, 1 2)"),
+        ("count_start_small_123_avoiders", lambda real: lambda m: 0,
+         "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 1 * 0"),
+        ("catalan_series", _bump_x3,
+         "check_series_identities", 10, "C != 1 + x*C^2"),
+    ],
+)
+def test_doctored_binding_gives_exact_detail(monkeypatch, binding, doctor, check, bound, detail):
+    # One doctored dependency per check: the check fails with exactly the
+    # first counterexample its sweep meets.
+    real = getattr(verify_module, binding)
+    monkeypatch.setattr(verify_module, binding, doctor(real))
+    result = getattr(verify_module, check)(bound)
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_every_result_name_is_a_check_function():
+    # ``run_checks`` result ``name`` is the suffix of the function that made
+    # it; per-check timings are keyed on that mapping.
+    for result in run_checks(max_n=3, order=5):
+        check = getattr(verify_module, f"check_{result.name}")
+        required = [
+            p for p in inspect.signature(check).parameters.values()
+            if p.default is p.empty
+        ]
+        assert check(*[3] * len(required)).name == result.name
