@@ -11,7 +11,6 @@ from avoiders import (
     count_avoiders,
     gf_full,
     gf_start_small,
-    integer_coefficients,
     invert_transform,
     kotesovec_series,
     poly,
@@ -22,22 +21,22 @@ from avoiders.perms import AVOIDED_PAIR
 ORDER = 20
 
 c = catalan_series(ORDER)
-print("Catalan:", integer_coefficients(c)[:9])
+print("Catalan:", list(c.coeffs)[:9])
 
-cube = integer_coefficients(c * c * c)
+cube = list((c * c * c).coeffs)
 print("C^3:    ", cube[:9], " (start-small 123-avoiders of [n+2])")
 
 lists = invert_transform(poly(ORDER, 0, 1) * c * c * c)
-print("lists:  ", integer_coefficients(lists)[:9], " (lists of them, by total size)")
+print("lists:  ", list(lists.coeffs)[:9], " (lists of them, by total size)")
 
 g = gf_start_small(ORDER)
 f = gf_full(ORDER)
-print("G:      ", integer_coefficients(g)[:9], " (start-small avoiders of the pair)")
-print("F:      ", integer_coefficients(f)[:9], " (all avoiders of the pair, A164651)")
+print("G:      ", list(g.coeffs)[:9], " (start-small avoiders of the pair)")
+print("F:      ", list(f.coeffs)[:9], " (all avoiders of the pair, A164651)")
 print("G / (1-x) == F ->", g / poly(ORDER, 1, -1) == f, " (exact series division)")
 
 closed = kotesovec_series(ORDER)
-print("closed: ", integer_coefficients(closed)[:9])
+print("closed: ", list(closed.coeffs)[:9])
 print("routes agree to order", ORDER, "->", f == closed)
 
 # The square root driving the closed form really squares back.
@@ -46,4 +45,4 @@ print("sqrt(1-4x)^2 == 1-4x ->", s * s == poly(ORDER, 1, -4))
 
 # And the low coefficients match brute force.
 brute = [1] + [count_avoiders(n, AVOIDED_PAIR) for n in range(1, 8)]
-print("brute force n<=7:", brute, "->", brute == integer_coefficients(f)[:8])
+print("brute force n<=7:", brute, "->", brute == list(f.coeffs)[:8])

@@ -54,7 +54,6 @@ from .series import (
     catalan_series,
     gf_full,
     gf_start_small,
-    integer_coefficients,
     invert_transform,
     kotesovec_series,
     poly,
@@ -87,7 +86,6 @@ __all__ = [
     "format_perm_list",
     "gf_full",
     "gf_start_small",
-    "integer_coefficients",
     "inverse_params",
     "invert_transform",
     "is_permutation",

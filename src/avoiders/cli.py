@@ -140,15 +140,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if value < 0:
             raise ValueError(f"{flag} must be >= 0")
     results = run_checks(max_n=args.max_n, order=args.order, deep=args.deep)
+    passed = all(r.passed for r in results)
     if args.json:
         payload = {
             "checks": [dataclasses.asdict(r) for r in results],
-            "passed": all(r.passed for r in results),
+            "passed": passed,
         }
         print(json.dumps(payload, indent=2))
     else:
         print(render_report(results))
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -211,14 +211,3 @@ def kotesovec_series(order: int) -> PowerSeries:
         raise RuntimeError(f"closed form: numerator coefficient of x^{odd[0]} is odd")
     halved = PowerSeries(tuple(c // 2 for c in numerator.coeffs))
     return halved / ((x - one) * poly(order, -1, 4, 1))
-
-
-def integer_coefficients(series: PowerSeries) -> list[int]:
-    """
-    The coefficients as a list of ints; raises if any coefficient is not an
-    ``int`` (counting sequences must be integral).
-    """
-    for k, c in enumerate(series.coeffs):
-        if not isinstance(c, int):
-            raise ValueError(f"coefficient of x^{k} is not an integer: {c}")
-    return list(series.coeffs)

@@ -1,8 +1,10 @@
 """Cross-verification harness: every structural claim the package relies on,
 checked against independent computation.
 
-Each check returns a ``CheckResult`` carrying a pass/fail flag and, on
-failure, the first counterexample or an expected-vs-actual diff.  The
+Every check is a stream of failure strings over its cases, and one driver,
+``_result``, turns the stream into a ``CheckResult``: a pass/fail flag and, on
+failure, the first counterexample or an expected-vs-actual diff.  The driver
+stops the stream at its first failure, so nothing after it is computed.  The
 bijection checks sweep complete avoidance classes; the series checks compare
 the two independent generating-function routes and the enumeration oracle.
 ``run_checks`` bundles everything for the ``verify`` CLI command; the test
@@ -43,7 +45,6 @@ from .series import (
     catalan_series,
     gf_full,
     gf_start_small,
-    integer_coefficients,
     invert_transform,
     kotesovec_series,
     poly,
@@ -51,7 +52,7 @@ from .series import (
 )
 
 #: First terms of A164651 (index n holds the count for length n), vendored in
-#: the package data; regenerated by scripts in demos/ if ever needed.
+#: the package data; the file's header states where each term comes from.
 REFERENCE_SEQUENCE_FILE = "a164651.txt"
 
 # The two fixed worked decompositions used as golden examples, one row each:
@@ -87,7 +88,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, scope: str, failure: str | None) -> CheckResult:
+def _result(name: str, scope: str, failures: Iterable[str]) -> CheckResult:
+    # The one place a check's outcome is decided: the stream's first failure,
+    # if it has one.  Nothing after that failure is computed.
+    failure = next(iter(failures), None)
     return CheckResult(name=name, scope=scope, passed=failure is None,
                        detail=failure or "")
 
@@ -96,15 +100,14 @@ def _start_small(n: int, patterns: tuple[Perm, ...]) -> Iterator[Perm]:
     return enumerate_class(ClassDescriptor(n, patterns, start_small_only=True))
 
 
-def _first_mismatch(
+def _mismatches(
     left: Iterable[int], right: Iterable[int], message: str, start: int = 0
-) -> str | None:
-    # ``message`` filled in with the first index n where the equal-length
-    # sides differ and their values a, b there; None if they never differ.
+) -> Iterator[str]:
+    # ``message`` filled in at each index n where the equal-length sides
+    # differ, with their values a, b there.
     for n, (a, b) in enumerate(zip(left, right, strict=True), start):
         if a != b:
-            return message.format(n=n, a=a, b=b)
-    return None
+            yield message.format(n=n, a=a, b=b)
 
 
 def load_reference_sequence() -> list[int]:
@@ -126,53 +129,48 @@ def check_reference_counts(order: int = 100) -> CheckResult:
     """gf_full reproduces the vendored A164651 terms."""
     reference = load_reference_sequence()
     top = min(order, len(reference) - 1)
-    coeffs = integer_coefficients(gf_full(top))
-    failure = _first_mismatch(
-        coeffs, reference[: top + 1], "n={n}: series gives {a}, reference says {b}"
+    mismatches = _mismatches(
+        gf_full(top).coeffs, reference[: top + 1],
+        "n={n}: series gives {a}, reference says {b}",
     )
-    return _result("reference_counts", f"n<={top}", failure)
+    return _result("reference_counts", f"n<={top}", mismatches)
 
 
 def check_enumeration_matches_series(max_n: int) -> CheckResult:
     """Brute-force avoider counts equal the gf_full coefficients for n >= 1
     (the n = 0 term is compared with A164651 by ``check_reference_counts``)."""
-    coeffs = integer_coefficients(gf_full(max_n))
+    coeffs = gf_full(max_n).coeffs
     counts = (count_avoiders(n, AVOIDED_PAIR) for n in range(1, max_n + 1))
-    failure = _first_mismatch(
+    mismatches = _mismatches(
         counts, coeffs[1:], "n={n}: enumeration counts {a}, series gives {b}", start=1
     )
-    return _result("enumeration_matches_series", f"n<={max_n}", failure)
+    return _result("enumeration_matches_series", f"n<={max_n}", mismatches)
 
 
 def check_memo_matches_series(max_n: int) -> CheckResult:
     """The memoized pair counter equals the gf_full coefficients for n <= max_n.
     ``check_enumeration_matches_series`` holds brute force to the same series,
     so the two together tie the counter to the enumerator."""
-    coeffs = integer_coefficients(gf_full(max_n))
     counts = (count_pair_avoiders(n) for n in range(max_n + 1))
-    failure = _first_mismatch(
-        counts, coeffs, "n={n}: memo counter gives {a}, series gives {b}"
+    mismatches = _mismatches(
+        counts, gf_full(max_n).coeffs, "n={n}: memo counter gives {a}, series gives {b}"
     )
-    return _result("memo_matches_series", f"n<={max_n}", failure)
+    return _result("memo_matches_series", f"n<={max_n}", mismatches)
 
 
 def check_no_key_implies_123_avoiding(max_n: int) -> CheckResult:
     """Any permutation without key mid-123 entries has no mid-123 entries at all."""
-    failure = None
-    for n in range(1, max_n + 1):
-        for perm in itertools.permutations(range(1, n + 1)):
-            if not key_mid123_entries(perm) and mid123_entries(perm):
-                failure = f"counterexample {format_perm(perm)}"
-                break
-        if failure:
-            break
-    return _result("no_key_implies_123_avoiding", f"all permutations, n<={max_n}", failure)
+    counterexamples = (
+        f"counterexample {format_perm(perm)}"
+        for n in range(1, max_n + 1)
+        for perm in itertools.permutations(range(1, n + 1))
+        if not key_mid123_entries(perm) and mid123_entries(perm)
+    )
+    scope = f"all permutations, n<={max_n}"
+    return _result("no_key_implies_123_avoiding", scope, counterexamples)
 
 
-def check_unique_entry_above_last_mid123(max_n: int) -> CheckResult:
-    """In a {1243, 2134}-avoider, exactly one entry after the last mid-123
-    entry exceeds it."""
-    failure = None
+def _entries_above_failures(max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
         for perm in enumerate_avoiders(n, AVOIDED_PAIR):
             mids = mid123_entries(perm)
@@ -181,27 +179,28 @@ def check_unique_entry_above_last_mid123(max_n: int) -> CheckResult:
             j = mids[-1]
             above = [x for x in perm[j:] if x > perm[j - 1]]
             if len(above) != 1:
-                failure = (
+                yield (
                     f"{format_perm(perm)}: {len(above)} entries above the last "
                     f"mid-123 entry {perm[j - 1]}"
                 )
-                break
-        if failure:
-            break
-    return _result("unique_entry_above_last_mid123", f"avoiders, n<={max_n}", failure)
+
+
+def check_unique_entry_above_last_mid123(max_n: int) -> CheckResult:
+    """In a {1243, 2134}-avoider, exactly one entry after the last mid-123
+    entry exceeds it."""
+    failures = _entries_above_failures(max_n)
+    return _result("unique_entry_above_last_mid123", f"avoiders, n<={max_n}", failures)
 
 
 def check_phi_roundtrip(max_n: int) -> CheckResult:
     """phi_inverse(phi(p)) = p over all start-small avoiders."""
-    failure = None
-    for n in range(1, max_n + 1):
-        for perm in _start_small(n, AVOIDED_PAIR):
-            if phi_inverse(phi(perm)) != perm:
-                failure = f"round trip moved {format_perm(perm)}"
-                break
-        if failure:
-            break
-    return _result("phi_roundtrip", f"start-small avoiders, n<={max_n}", failure)
+    moved = (
+        f"round trip moved {format_perm(perm)}"
+        for n in range(1, max_n + 1)
+        for perm in _start_small(n, AVOIDED_PAIR)
+        if phi_inverse(phi(perm)) != perm
+    )
+    return _result("phi_roundtrip", f"start-small avoiders, n<={max_n}", moved)
 
 
 def _valid_pairs(max_total_len: int) -> Iterator[tuple[Perm, Perm]]:
@@ -216,31 +215,26 @@ def _valid_pairs(max_total_len: int) -> Iterator[tuple[Perm, Perm]]:
                     yield sigma1, sigma2
 
 
-def check_pair_roundtrip(max_total_len: int) -> CheckResult:
-    """decompose(recompose(sigma1, sigma2)) = (sigma1, sigma2) over all valid
-    pairs with len(sigma1) + len(sigma2) <= max_total_len."""
-    failure = None
+def _pair_roundtrip_failures(max_total_len: int) -> Iterator[str]:
     for sigma1, sigma2 in _valid_pairs(max_total_len):
         rebuilt = recompose(sigma1, sigma2)
         step = decompose(rebuilt)
         if step.pair != (sigma1, sigma2):
-            failure = (
+            yield (
                 f"({format_perm(sigma1)}, {format_perm(sigma2)}) -> "
                 f"{format_perm(rebuilt)} -> ({format_perm(step.sigma1)}, "
                 f"{format_perm(step.sigma2)})"
             )
-            break
-    return _result(
-        "pair_roundtrip", f"valid pairs, combined length<={max_total_len}", failure
-    )
 
 
-def check_decomposition_typing(max_n: int) -> CheckResult:
-    """Each decomposition lands where it should: sigma1 start-small avoider of
-    length j with one fewer key mid-123 entry, sigma2 start-small 123-avoider
-    of length n + 1 - j.  These are the postconditions of ``decompose``,
-    stated nowhere else; a guard tripped inside it is reported as well."""
-    failure = None
+def check_pair_roundtrip(max_total_len: int) -> CheckResult:
+    """decompose(recompose(sigma1, sigma2)) = (sigma1, sigma2) over all valid
+    pairs with len(sigma1) + len(sigma2) <= max_total_len."""
+    scope = f"valid pairs, combined length<={max_total_len}"
+    return _result("pair_roundtrip", scope, _pair_roundtrip_failures(max_total_len))
+
+
+def _typing_failures(max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
         for perm in _start_small(n, AVOIDED_PAIR):
             k = len(key_mid123_entries(perm))
@@ -249,8 +243,8 @@ def check_decomposition_typing(max_n: int) -> CheckResult:
             try:
                 step = decompose(perm)
             except RuntimeError as exc:
-                failure = str(exc)
-                break
+                yield str(exc)
+                continue
             sigma1, sigma2 = step.pair
             postconditions = (
                 ("sigma1 length != j", len(sigma1) == step.j),
@@ -263,14 +257,19 @@ def check_decomposition_typing(max_n: int) -> CheckResult:
             )
             problems = [text for text, holds in postconditions if not holds]
             if problems:
-                failure = (
+                yield (
                     f"decompose({format_perm(perm)}) broke its contract: "
                     + "; ".join(problems)
                 )
-                break
-        if failure:
-            break
-    return _result("decomposition_typing", f"start-small avoiders, n<={max_n}", failure)
+
+
+def check_decomposition_typing(max_n: int) -> CheckResult:
+    """Each decomposition lands where it should: sigma1 start-small avoider of
+    length j with one fewer key mid-123 entry, sigma2 start-small 123-avoider
+    of length n + 1 - j.  These are the postconditions of ``decompose``,
+    stated nowhere else; a guard tripped inside it is reported as well."""
+    scope = f"start-small avoiders, n<={max_n}"
+    return _result("decomposition_typing", scope, _typing_failures(max_n))
 
 
 def _class_sizes(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
@@ -285,13 +284,10 @@ def _class_sizes(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     return by_k, by_kj
 
 
-def check_class_product_identity(max_n: int) -> CheckResult:
-    """|{start-small avoiders of [n], k keys, last mid-123 at j}| equals
-    |{same of [j], k-1 keys}| * |{start-small 123-avoiders of [n+1-j]}|."""
+def _class_product_failures(max_n: int) -> Iterator[str]:
     sizes = {n: _class_sizes(n) for n in range(1, max_n + 1)}
     # The right factor's length n + 1 - j runs over 2 .. max_n - 1.
     right_factors = {m: count_start_small_123_avoiders(m) for m in range(2, max_n)}
-    failure = None
     for n in range(1, max_n + 1):
         by_kj = sizes[n][1]
         for k in range(1, n - 1):
@@ -300,21 +296,20 @@ def check_class_product_identity(max_n: int) -> CheckResult:
                 left_factor = sizes[j][0].get(k - 1, 0)
                 right_factor = right_factors[n + 1 - j]
                 if lhs != left_factor * right_factor:
-                    failure = (
+                    yield (
                         f"n={n}, k={k}, j={j}: class size {lhs} != "
                         f"{left_factor} * {right_factor}"
                     )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    return _result("class_product_identity", f"n<={max_n}", failure)
+
+
+def check_class_product_identity(max_n: int) -> CheckResult:
+    """|{start-small avoiders of [n], k keys, last mid-123 at j}| equals
+    |{same of [j], k-1 keys}| * |{start-small 123-avoiders of [n+1-j]}|."""
+    return _result("class_product_identity", f"n<={max_n}", _class_product_failures(max_n))
 
 
 def _golden_failures() -> Iterator[str]:
-    # Every discrepancy with the golden table, in checking order; the check
-    # takes the first, so nothing after it is computed.
+    # Every discrepancy with the golden table, in checking order.
     for case, perm, pair, key_case, witnesses, params in GOLDEN_EXAMPLES:
         step = decompose(perm)
         if step.pair != pair or step.key_case != key_case:
@@ -335,49 +330,49 @@ def _golden_failures() -> Iterator[str]:
 def check_golden_examples() -> CheckResult:
     """The two fixed worked decompositions reproduce exactly, both ways,
     including every intermediate witness."""
-    failure = next(_golden_failures(), None)
-    return _result("golden_examples", "2 fixed decompositions", failure)
+    return _result("golden_examples", "2 fixed decompositions", _golden_failures())
+
+
+def _series_identity_failures(order: int, list_oracle_max_n: int) -> Iterator[str]:
+    one = poly(order, 1)
+    x = poly(order, 0, 1)
+    c = catalan_series(order)
+    if c * c * x + one != c:
+        yield "C != 1 + x*C^2"
+    s = sqrt_one_minus_4x(order)
+    if s * s != poly(order, 1, -4):
+        yield "sqrt(1-4x)^2 != 1-4x"
+    a = x * c * c * c
+    b = invert_transform(a)
+    if (one + b) * (one - a) != one:
+        yield "(1+B)(1-A) != 1"
+    if gf_start_small(order) != gf_full(order) * poly(order, 1, -1):
+        yield "(1-x)F != G"
+    # [x^n] C^3 counts start-small 123-avoiders of [n+2].
+    c3 = (c * c * c).coeffs
+    for n in range(1, min(list_oracle_max_n, order) + 1):
+        counted = count_start_small_123_avoiders(n + 2)
+        if c3[n] != counted:
+            yield f"[x^{n}]C^3 = {c3[n]} but [n+2] has {counted} start-small 123-avoiders"
 
 
 def check_series_identities(order: int, list_oracle_max_n: int = 8) -> CheckResult:
     """The defining series identities, exact to the given order, plus the
     combinatorial meaning of C^3 and of the list transform checked against
     the enumeration oracle."""
-    failure = None
-    one = poly(order, 1)
-    x = poly(order, 0, 1)
-    c = catalan_series(order)
-    if c * c * x + one != c:
-        failure = "C != 1 + x*C^2"
-    s = sqrt_one_minus_4x(order)
-    if not failure and s * s != poly(order, 1, -4):
-        failure = "sqrt(1-4x)^2 != 1-4x"
-    a = x * c * c * c
-    b = invert_transform(a)
-    if not failure and (one + b) * (one - a) != one:
-        failure = "(1+B)(1-A) != 1"
-    if not failure and gf_start_small(order) != gf_full(order) * poly(order, 1, -1):
-        failure = "(1-x)F != G"
-    if not failure:
-        # [x^n] C^3 counts start-small 123-avoiders of [n+2].
-        c3 = integer_coefficients(c * c * c)
-        for n in range(1, min(list_oracle_max_n, order) + 1):
-            counted = count_start_small_123_avoiders(n + 2)
-            if c3[n] != counted:
-                failure = f"[x^{n}]C^3 = {c3[n]} but [n+2] has {counted} start-small 123-avoiders"
-                break
-    return _result("series_identities", f"order {order}", failure)
+    failures = _series_identity_failures(order, list_oracle_max_n)
+    return _result("series_identities", f"order {order}", failures)
 
 
 def check_closed_form_match(order: int) -> CheckResult:
     """The composition-transform route and the closed form agree coefficient
     by coefficient."""
-    failure = _first_mismatch(
+    mismatches = _mismatches(
         gf_full(order).coeffs,
         kotesovec_series(order).coeffs,
         "n={n}: transform route {a}, closed form {b}",
     )
-    return _result("closed_form_match", f"order {order}", failure)
+    return _result("closed_form_match", f"order {order}", mismatches)
 
 
 def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[CheckResult]:
