@@ -72,12 +72,11 @@ class DecompositionStep:
     a_value: int
     c_value: int
     j: int  # position of the last mid-123 entry in the input
-    key_case: bool
     r: int  # number of entries dropped from tau1; 0 exactly in the key case
 
-    def __post_init__(self) -> None:
-        if self.key_case != (self.r == 0):
-            raise ValueError("key_case must hold exactly when r == 0")
+    @property
+    def key_case(self) -> bool:
+        return self.r == 0
 
     @property
     def pair(self) -> tuple[Perm, Perm]:
@@ -150,8 +149,7 @@ def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
     sigma2 = standardize((a,) + tau2)
     # Key iff the predecessor of b is smaller or a right-to-left maximum;
     # tau2 holds c > b, so max(tau2) is the largest entry after it.
-    key_case = perm[j - 2] < b or perm[j - 2] > max(tau2)
-    if key_case:
+    if perm[j - 2] < b or perm[j - 2] > max(tau2):
         r = 0
         sigma1 = standardize(tau1 + (c,))
     else:
@@ -171,7 +169,6 @@ def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
         a_value=a,
         c_value=c,
         j=j,
-        key_case=key_case,
         r=r,
     )
 

@@ -1,38 +1,33 @@
 """Exhaustive generation and counting of pattern-avoidance classes.
 
-The generators build permutations position by position and enter only live
-prefixes: those to which no unused value can be appended without completing
-a forbidden pattern.  Any other prefix has no completion, since an unused
-value that would complete a pattern now completes it wherever it is placed
-later: the occurrence's other letters are already in place.  Emission is in
-lexicographic one-line order, and everything is streamed, never
-materialized.
+One backtracking generator builds permutations position by position and
+enters only live prefixes: those to which no unused value can be appended
+without completing a forbidden pattern.  A value that would complete one
+completes it wherever it goes later, so any other prefix has no completion.
+Emission is in lexicographic one-line order, streamed, never materialized.
 
-Appending a value can only complete an occurrence whose final letter is the
-new value.  Every set that contains both 1243 and 2134, and the set {123},
-gets O(1) prefix rules: scan statistics of the prefix say which unused
-values a placement would forbid, so a child is entered iff its value passes
-a threshold test.  The pair generator tests the set's other patterns, and
-the generic generator every pattern, with ``perms._ends_at``, the
-backtracking matcher that ``contains`` is built on, pinned to the appended
-value.  Each node tries every unused value once against those patterns and
-returns at the first that completes one; otherwise the generic generator
-enters every unused value, the pair generator those its rules allow.  The
-naive filter over all n! permutations with ``contains`` is kept as an
-independent debug oracle.
+Each class gives the generator a child rule, which names the unused values
+that keep a prefix live.  Sets that contain both 1243 and 2134 get the pair
+rule and {123} its own, threshold tests on a few prefix statistics; other
+sets get the rule that enters every value.  Patterns no rule covers are
+tested with ``perms._ends_at``, the matcher behind ``contains``, pinned to
+the appended value; a node is left at the first unused value that
+completes one.  The naive filter over all n! permutations with
+``contains`` is kept as an independent debug oracle.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a memoized walk over the pair
-enumerator's prefix statistics, each kept only as the gap it falls in
-between consecutive unused values, plus the gap of the previous entry.
-``count_pair_avoiders`` sums it, and a loop of prefix sums over the states of
-a smaller walk counts the {123} class in O(n^2) time.
+rule's prefix statistics, each kept only as the gap it falls in between
+consecutive unused values, plus the gap of the previous entry.  It is a
+separate transcription of the pair rule, so that the enumerator stays an
+independent check on it; a step function shared by both also slows the
+walk.  ``count_pair_avoiders`` sums it, and a loop of prefix sums over the
+states of a smaller walk counts the {123} class in O(n^2) time.
 ``count_class`` uses them for every descriptor without ``j`` whose
 normalized pattern set is ``AVOIDED_PAIR`` (any start-small or ``k``
 filter) or {123} (any start-small filter, no ``k``).  Every other count,
 ``count_avoiders`` and ``count_start_small_123_avoiders`` included, streams
-the enumerator, so the brute-force route stays an independent check on the
-walks.
+the enumerator.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .perms import (
     AVOIDED_PAIR,
@@ -83,11 +78,12 @@ def enumerate_avoiders(
         raise ValueError("length n must be >= 1")
     pats = _normalize_patterns(patterns)
     if set(AVOIDED_PAIR) <= set(pats):
-        yield from _avoiders_1243_2134(n, [q for q in pats if q not in AVOIDED_PAIR])
+        rest = [q for q in pats if q not in AVOIDED_PAIR]
+        yield from _live_avoiders(n, _pair_children, (n + 1,) * 3, rest)
     elif pats == (PATTERN_123,):
-        yield from _avoiders_123(n)
+        yield from _live_avoiders(n, _children_123, n + 1, ())
     else:
-        yield from _avoiders_generic(n, pats)
+        yield from _live_avoiders(n, _all_children, None, pats)
 
 
 def naive_avoiders(
@@ -145,7 +141,7 @@ def count_pair_avoiders_by_keys(
         raise ValueError(
             f"length n must be <= {PAIR_WALK_MAX_N} for the memoized pair walk, got {n}"
         )
-    # The statistics of ``_avoiders_1243_2134``, each recorded as a gap: with
+    # The statistics of ``_pair_children``, each recorded as a gap: with
     # k unused values u_1 < ... < u_k, gap g holds the placed values between
     # u_g and u_{g+1} (u_0 = 0, u_{k+1} = infinity), and infinity is gap k.
     # The generator's child rules, in gaps: appending v = u_i forbids
@@ -212,7 +208,7 @@ def count_pair_avoiders_by_keys(
 
 
 def _count_123_avoiders(n: int, start_small_only: bool) -> int:
-    # The walk of ``_avoiders_123`` over gaps as in
+    # The walk of ``_children_123`` over gaps as in
     # ``count_pair_avoiders_by_keys``: placing v = u_i keeps the prefix live
     # iff v becomes the new prefix minimum (i <= low) or is the largest
     # unused value (i = k), so with c(k, low) the completions of a state
@@ -243,103 +239,77 @@ def _some_value_completes(
     return False
 
 
-def _avoiders_1243_2134(
-    n: int, rest: Sequence[Sequence[int]]
+def _live_avoiders(
+    n: int, children: Callable, root: Any, patterns: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
+    # The one recursion behind ``enumerate_avoiders``.  ``children(state,
+    # unused)`` is a class's child rule: from the prefix's state and sorted
+    # unused values it returns the live children as (index into ``unused``,
+    # child state), by increasing value.  A prefix to which some unused value
+    # appends one of ``patterns``, those no rule covers, is left at once.
+    prefix: list[int] = []
+
+    def rec(unused: list[int], state: Any) -> Iterator[tuple[int, ...]]:
+        if not unused:
+            yield tuple(prefix)
+            return
+        if patterns and _some_value_completes(prefix, unused, patterns):
+            return
+        for i, child in children(state, unused):
+            remaining = unused.copy()
+            prefix.append(remaining.pop(i))
+            yield from rec(remaining, child)
+            prefix.pop()
+
+    yield from rec(list(range(1, n + 1)), root)
+
+
+def _pair_children(
+    state: tuple[int, int, int], unused: list[int]
+) -> list[tuple[int, tuple[int, int, int]]]:
     # Appending v completes a 1243 or a 2134 by the two rules written out
     # once, in the ``perms.avoids_pair`` docstring.  A live prefix needs
-    # only three of that scan's statistics, carried through the recursion:
+    # only three of that scan's statistics, with n + 1 for "none yet":
     #   prefix_min = the scan's ``lowest``,
     #   s12 = smallest top of a rise in the prefix so far,
     #   m21 = smallest top of a descent in the prefix so far.
     # Placing v forbids, for 1243, every unused value between s12 and v (it
     # would play the 3 below v's 4), and for 2134, once m21 < v makes v a 3,
-    # every unused value above v.  Every prefix entered is live, so no unused
-    # value is forbidden yet, and a child is live iff placing v forbids
-    # nothing: v > s12 only as the smallest unused value above s12, and
-    # v > m21 only as the largest unused value.  The set's other patterns,
-    # ``rest``, are tested with ``_ends_at`` against every unused value.
-    inf = n + 1
-    used = [False] * (n + 1)
-    prefix: list[int] = []
-
-    def rec(
-        depth: int, prefix_min: int, s12: int, m21: int
-    ) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        unused = [v for v in range(1, n + 1) if not used[v]]
-        if rest and _some_value_completes(prefix, unused, rest):
-            return
-        top = unused[-1]
-        for v in unused:
-            if v < m21 or v == top:
-                new_s12 = v if (prefix_min < v < s12) else s12
-                new_m21 = m21
-                for x in range(v + 1, m21):  # smallest placed value above v
-                    if used[x]:
-                        new_m21 = x
-                        break
-                used[v] = True
-                prefix.append(v)
-                yield from rec(depth + 1, min(prefix_min, v), new_s12, new_m21)
-                prefix.pop()
-                used[v] = False
-            if v > s12:  # the smallest unused value above s12 was the last one
-                break
-
-    yield from rec(0, inf, inf, inf)
+    # every unused value above v.  The prefix is live, so no unused value is
+    # forbidden yet, and a child is live iff placing v forbids nothing:
+    # v > s12 only as the smallest unused value above s12, and v > m21 only
+    # as the largest unused value.  The new m21 is the smallest placed value
+    # above v, the first value after v's run of unused values, if below m21.
+    prefix_min, s12, m21 = state
+    top = unused[-1]
+    live = []
+    for i, v in enumerate(unused):
+        if v < m21 or v == top:
+            above, j = v + 1, i + 1
+            while above < m21 and j < len(unused) and unused[j] == above:
+                above, j = above + 1, j + 1
+            new_s12 = v if prefix_min < v < s12 else s12
+            live.append((i, (min(prefix_min, v), new_s12, min(above, m21))))
+        if v > s12:  # the smallest unused value above s12 was the last one
+            break
+    return live
 
 
-def _avoiders_123(n: int) -> Iterator[tuple[int, ...]]:
+def _children_123(prefix_min: int, unused: list[int]) -> list[tuple[int, int]]:
     # Appending v completes a 123 iff the prefix has a rise topping out below
-    # v.  Every prefix entered is live, so no unused value lies above the
-    # smallest rise top, and placing v keeps it so iff v is a new prefix
-    # minimum or the largest unused value: any other v tops a new rise with
-    # a larger unused value still to come.
-    used = [False] * (n + 1)
-    prefix: list[int] = []
-
-    def rec(depth: int, prefix_min: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        top = next(v for v in range(n, 0, -1) if not used[v])
-        values = list(range(1, prefix_min))  # all unused, being below the minimum
-        if top > prefix_min:
-            values.append(top)
-        for v in values:
-            used[v] = True
-            prefix.append(v)
-            yield from rec(depth + 1, min(prefix_min, v))
-            prefix.pop()
-            used[v] = False
-
-    yield from rec(0, n + 1)
+    # v.  The prefix is live, so no unused value lies above the smallest rise
+    # top, and placing v keeps it so iff v is a new prefix minimum (one of
+    # the first prefix_min - 1 unused values) or the largest unused value:
+    # any other v tops a new rise with a larger unused value still to come.
+    live = [(i, i + 1) for i in range(prefix_min - 1)]
+    if unused[-1] > prefix_min:
+        live.append((len(unused) - 1, prefix_min))
+    return live
 
 
-def _avoiders_generic(
-    n: int, patterns: Sequence[Sequence[int]]
-) -> Iterator[tuple[int, ...]]:
-    used = [False] * (n + 1)
-    prefix: list[int] = []
-
-    def rec(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        unused = [v for v in range(1, n + 1) if not used[v]]
-        if _some_value_completes(prefix, unused, patterns):
-            return
-        for v in unused:
-            used[v] = True
-            prefix.append(v)
-            yield from rec(depth + 1)
-            prefix.pop()
-            used[v] = False
-
-    yield from rec(0)
+def _all_children(state: None, unused: list[int]) -> list[tuple[int, None]]:
+    # No rule: every unused value is entered.
+    return [(i, None) for i in range(len(unused))]
 
 
 @dataclass(frozen=True)

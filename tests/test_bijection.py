@@ -7,7 +7,6 @@ import pytest
 
 import avoiders.bijection as bijection_module
 from avoiders.bijection import (
-    DecompositionStep,
     decompose,
     format_perm_list,
     inverse_params,
@@ -168,14 +167,6 @@ def test_rejected_inputs_name_the_pattern(monkeypatch, perm, contained, named):
             call()
         assert str(excinfo.value) == f"{role} contains the forbidden pattern {named}"
     assert calls  # the reject path asked contains to name the pattern
-
-
-def test_step_consistency_guard():
-    with pytest.raises(ValueError, match="key_case"):
-        DecompositionStep(
-            sigma1=(1, 2), sigma2=(1, 2), b_value=2, a_value=1, c_value=3,
-            j=2, key_case=True, r=1,
-        )
 
 
 # ---------------------------------------------------------------------------

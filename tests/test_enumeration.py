@@ -21,6 +21,7 @@ from avoiders.enumeration import (
 from avoiders.perms import (
     AVOIDED_PAIR,
     PATTERN_123,
+    contains,
     is_start_small,
     key_mid123_entries,
     mid123_entries,
@@ -139,6 +140,52 @@ def test_pair_generator_tests_only_the_other_patterns(monkeypatch):
     patterns = [(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]]
     assert sum(1 for _ in enumerate_avoiders(7, patterns)) == 333
     assert asked == {(4, 3, 2, 1)}
+
+
+def _live_prefix_count(n, patterns):
+    # Prefixes shorter than n to which every unused value can be appended
+    # without completing a pattern, by brute force with ``contains``.
+    values = range(1, n + 1)
+    return sum(
+        1
+        for length in range(n)
+        for prefix in itertools.permutations(values, length)
+        if not any(
+            contains(prefix + (u,), q)
+            for u in values
+            if u not in prefix
+            for q in patterns
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "rule, patterns, live",
+    [
+        ("_pair_children", AVOIDED_PAIR, 3130),
+        ("_children_123", (PATTERN_123,), 1001),
+        ("_pair_children", AVOIDED_PAIR + ((4, 3, 2, 1),), 1211),
+        ("_all_children", ((1, 3, 4, 2), (3, 1, 2, 4)), 3087),
+    ],
+    ids=["pair", "123", "pair+4321", "generic"],
+)
+def test_generator_enters_exactly_the_live_prefixes(monkeypatch, rule, patterns, live):
+    # The rule is asked once per entered prefix that no other pattern has
+    # killed, so a rule that entered dead prefixes would be asked more often,
+    # even though the same permutations would come out.
+    import avoiders.enumeration as enumeration_module
+
+    real_rule = getattr(enumeration_module, rule)
+    calls = 0
+
+    def rule_spy(state, unused):
+        nonlocal calls
+        calls += 1
+        return real_rule(state, unused)
+
+    monkeypatch.setattr(enumeration_module, rule, rule_spy)
+    assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
+    assert calls == _live_prefix_count(7, patterns) == live
 
 
 def test_pattern_normalization():

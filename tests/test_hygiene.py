@@ -1,7 +1,11 @@
-"""Source hygiene, read with ``ast`` alone: no module imports a name it never
-uses, and the package's ``__all__`` is exactly what ``__init__`` imports."""
+"""Source hygiene: no module imports a name it never uses, the package's
+``__all__`` is exactly what ``__init__`` imports, and every code reference in
+a comment or docstring names something that exists."""
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,52 @@ def test_all_is_exactly_what_init_imports():
     exported = _dunder_all(tree)
     assert len(exported) == len(set(exported)), "__all__ lists a name twice"
     assert set(exported) == _imported_names(tree)
+
+
+# A double-backticked dotted name or private name, as comments and
+# docstrings cite code: ``perms.avoids_pair``, ``_ends_at``.
+CODE_REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.\w+)*)``")
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _definitions(tree):
+    """Every name a def, class or assignment binds, anywhere in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def _code_references(path):
+    return [
+        (lineno, ref)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for ref in CODE_REFERENCE.findall(line)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_code_references_in_comments_resolve(path):
+    defined = set().union(*(_definitions(_parse(p)) for p in SRC.glob("*.py")))
+    stale = []
+    for lineno, ref in _code_references(path):
+        head, _, attrs = ref.partition(".")
+        if head in MODULES and attrs:
+            module = importlib.import_module(f"avoiders.{head}")
+            try:
+                functools.reduce(getattr, attrs.split("."), module)
+            except AttributeError:
+                stale.append((lineno, ref))
+        elif ref.startswith("_") and not ref.startswith("__") and ref not in defined:
+            stale.append((lineno, ref))
+    assert not stale, f"{path.name} cites code that does not exist: {stale}"
+
+
+def test_code_reference_scan_sees_both_kinds():
+    # The scan must keep finding the references it guards, or the check
+    # above would pass on nothing.
+    refs = {ref for path in SRC.glob("*.py") for _, ref in _code_references(path)}
+    assert {"perms.avoids_pair", "_ends_at"} <= refs
