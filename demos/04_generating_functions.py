@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 # Exact generating functions, two independent routes to the same sequence.
 #
-# Route one composes combinatorial pieces: the Catalan series C, the cube
-# C^3 (start-small 123-avoiders, shifted), the list transform 1/(1 - x*C^3),
-# and a final tidy-up to G and F = G/(1-x).  Route two expands a closed form
-# with an exact square root.  They must agree coefficient by coefficient.
+# Route one composes combinatorial pieces: the Catalan series C, the series
+# A of start-small 123-avoiders by weight (length - 1), read off C as
+# C_{w+1} - C_w and equal to x*C^3, the list transform 1/(1 - A), and a
+# final tidy-up to G and F = G/(1-x).  Route two expands a closed form with
+# an exact square root.  They must agree coefficient by coefficient.
 
 from avoiders import (
     catalan_series,
     count_avoiders,
+    gf_elements,
     gf_full,
     gf_start_small,
     invert_transform,
@@ -23,10 +25,11 @@ ORDER = 20
 c = catalan_series(ORDER)
 print("Catalan:", list(c.coeffs)[:9])
 
-cube = list((c * c * c).coeffs)
-print("C^3:    ", cube[:9], " (start-small 123-avoiders of [n+2])")
+a = gf_elements(ORDER)
+print("A:      ", list(a.coeffs)[:9], " (C_{w+1} - C_w start-small 123-avoiders of weight w)")
+print("A == x*C^3 ->", a == poly(ORDER, 0, 1) * c * c * c, " (the identity A satisfies)")
 
-lists = invert_transform(poly(ORDER, 0, 1) * c * c * c)
+lists = invert_transform(a)
 print("lists:  ", list(lists.coeffs)[:9], " (lists of them, by total size)")
 
 g = gf_start_small(ORDER)

@@ -52,6 +52,7 @@ from .perms import (
 from .series import (
     PowerSeries,
     catalan_series,
+    gf_elements,
     gf_full,
     gf_start_small,
     invert_transform,
@@ -84,6 +85,7 @@ __all__ = [
     "enumerate_class",
     "format_perm",
     "format_perm_list",
+    "gf_elements",
     "gf_full",
     "gf_start_small",
     "inverse_params",

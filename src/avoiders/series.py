@@ -15,11 +15,14 @@ the divisor.  So multiplying or dividing by a short polynomial such as
 The specific series of interest:
 
 - ``catalan_series``: C with C = 1 + x*C^2, counting 123-avoiders;
+- ``gf_elements``: A = x*C^3 = C^2 - C, whose [x^w] = C_{w+1} - C_w
+  counts the start-small 123-avoiders of length w + 1, read off the
+  Catalan numbers in O(order) with no product;
 - ``invert_transform``: B with 1 + B = 1/(1 - A), counting lists
   (compositions) of A-structures;
-- ``gf_start_small``: G = 1 + x*B with B the transform of x*C^3, so
-  G = 1 + x/(1 - x*C^3) - x, counting start-small {1243, 2134}-avoiders by
-  length;
+- ``gf_start_small``: G = 1 + x*B with B the transform of ``gf_elements``,
+  so G = 1 + x/(1 - A) - x, counting start-small {1243, 2134}-avoiders by
+  length with one dense division and no dense product;
 - ``gf_full``: F = G/(1 - x), counting all {1243, 2134}-avoiders (A164651);
 - ``kotesovec_series``: the closed form
   (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1))
@@ -155,6 +158,22 @@ def catalan_series(order: int) -> PowerSeries:
     return PowerSeries(tuple(cat))
 
 
+def gf_elements(order: int) -> PowerSeries:
+    """
+    The series A = x*C^3 counting start-small 123-avoiders by weight, length
+    minus one: of the C_{w+1} 123-avoiders of length w + 1, the C_w that
+    start with w + 1 are not start-small, so [x^w]A = C_{w+1} - C_w.  This is
+    C^2 - C, since [x^w]C^2 = C_{w+1}; ``verify.check_series_identities``
+    holds it to the dense cube.
+
+    >>> gf_elements(5).coeffs
+    (0, 1, 3, 9, 28, 90)
+    """
+    _require_order(order)
+    c = catalan_series(order + 1).coeffs
+    return PowerSeries(tuple(c[w + 1] - c[w] for w in range(order + 1)))
+
+
 def invert_transform(a: PowerSeries) -> PowerSeries:
     """
     The transform B of A defined by 1 + B = 1/(1 - A); requires A to have
@@ -170,15 +189,14 @@ def invert_transform(a: PowerSeries) -> PowerSeries:
 def gf_start_small(order: int) -> PowerSeries:
     """
     Generating function for start-small {1243, 2134}-avoiders by length:
-    G = 1 + x*B with B = ``invert_transform``(x*C^3), that is
-    G = 1 + x/(1 - x*C^3) - x.
+    G = 1 + x*B with B = ``invert_transform``(A) and A = ``gf_elements``,
+    that is G = 1 + x/(1 - A) - x.
 
     >>> list(gf_start_small(4).coeffs)
     [1, 0, 1, 4, 16]
     """
-    c = catalan_series(order)
     x = poly(order, 0, 1)
-    return poly(order, 1) + x * invert_transform(x * c * c * c)
+    return poly(order, 1) + x * invert_transform(gf_elements(order))
 
 
 def gf_full(order: int) -> PowerSeries:

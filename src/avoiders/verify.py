@@ -43,6 +43,7 @@ from .perms import (
 )
 from .series import (
     catalan_series,
+    gf_elements,
     gf_full,
     gf_start_small,
     invert_transform,
@@ -342,24 +343,28 @@ def _series_identity_failures(order: int, list_oracle_max_n: int) -> Iterator[st
     s = sqrt_one_minus_4x(order)
     if s * s != poly(order, 1, -4):
         yield "sqrt(1-4x)^2 != 1-4x"
-    a = x * c * c * c
+    # The dense cube is the oracle for the list elements' series.
+    cube = c * c * c
+    a = x * cube
     b = invert_transform(a)
     if (one + b) * (one - a) != one:
         yield "(1+B)(1-A) != 1"
     if gf_start_small(order) != gf_full(order) * poly(order, 1, -1):
         yield "(1-x)F != G"
     # [x^n] C^3 counts start-small 123-avoiders of [n+2].
-    c3 = (c * c * c).coeffs
+    c3 = cube.coeffs
     for n in range(1, min(list_oracle_max_n, order) + 1):
         counted = count_start_small_123_avoiders(n + 2)
         if c3[n] != counted:
             yield f"[x^{n}]C^3 = {c3[n]} but [n+2] has {counted} start-small 123-avoiders"
+    if a != gf_elements(order):
+        yield "x*C^3 != gf_elements"
 
 
 def check_series_identities(order: int, list_oracle_max_n: int = 8) -> CheckResult:
     """The defining series identities, exact to the given order, plus the
     combinatorial meaning of C^3 and of the list transform checked against
-    the enumeration oracle."""
+    the enumeration oracle, and ``gf_elements`` held to the dense x*C^3."""
     failures = _series_identity_failures(order, list_oracle_max_n)
     return _result("series_identities", f"order {order}", failures)
 

@@ -19,6 +19,7 @@ from avoiders.perms import AVOIDED_PAIR
 from avoiders.series import (
     PowerSeries,
     catalan_series,
+    gf_elements,
     gf_full,
     gf_start_small,
     invert_transform,
@@ -191,6 +192,31 @@ def test_catalan_cube_counts_start_small_123_avoiders():
         assert cube[n] == count_start_small_123_avoiders(n + 2)
 
 
+def test_gf_elements_are_catalan_differences():
+    a = gf_elements(500).coeffs
+    assert len(a) == 501
+    catalan = [math.comb(2 * k, k) // (k + 1) for k in range(502)]
+    assert list(a) == [catalan[w + 1] - catalan[w] for w in range(501)]
+
+
+def test_gf_elements_equals_x_catalan_cube():
+    order = 300
+    c = catalan_series(order)
+    assert gf_elements(order) == poly(order, 0, 1) * c * c * c
+    a = gf_elements(8).coeffs
+    for w in range(9):
+        assert a[w] == count_start_small_123_avoiders(w + 1)
+
+
+def test_gf_start_small_equals_product_route():
+    # Oracle: the same transform with the list elements as the dense x*C^3.
+    order = 300
+    c = catalan_series(order)
+    x = poly(order, 0, 1)
+    product_route = poly(order, 1) + x * invert_transform(x * c * c * c)
+    assert gf_start_small(order) == product_route
+
+
 def test_invert_transform_geometric():
     assert list(invert_transform(poly(6, 0, 1)).coeffs) == [0] + [1] * 6
 
@@ -260,6 +286,10 @@ def test_closed_form_equals_transform_route_order_300():
     assert kotesovec_series(300) == gf_full(300)
 
 
+def test_closed_form_equals_transform_route_order_1000():
+    assert kotesovec_series(1000) == gf_full(1000)
+
+
 def test_closed_form_satisfies_order_4_recurrence_to_order_2000():
     # The P-recurrence guessed from the counted terms (ROADMAP item 3):
     # (n-1)(n-4) f(n) = (9n^2-51n+62) f(n-1) - (23n^2-145n+222) f(n-2)
@@ -320,7 +350,7 @@ def test_poly_validation():
 
 @pytest.mark.parametrize(
     "builder",
-    [*SERIES_BUILDERS.values(), sqrt_one_minus_4x],
+    [*SERIES_BUILDERS.values(), sqrt_one_minus_4x, gf_elements],
     ids=lambda f: f.__name__,
 )
 def test_negative_order_rejected(builder):

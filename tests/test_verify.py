@@ -155,6 +155,8 @@ def _sigma2_is_sigma1(real):
          "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 1 * 0"),
         ("catalan_series", _bump_x3,
          "check_series_identities", 10, "C != 1 + x*C^2"),
+        ("gf_elements", _bump_x3,
+         "check_series_identities", 10, "x*C^3 != gf_elements"),
     ],
 )
 def test_doctored_binding_gives_exact_detail(monkeypatch, binding, doctor, check, bound, detail):
