@@ -18,7 +18,8 @@ at each appended entry whether it completes either pattern, in O(1) big-int
 operations per entry.  Its docstring states the two completion rules, which
 the pair enumerator and the memoized walks in ``enumeration`` also build
 on.  The bijection's entry points validate with it; ``contains`` stays the
-independent oracle it is tested against.
+independent oracle it is tested against.  The entry classes below share one
+suffix-maximum scan, and each is then a single left-to-right pass.
 
 Terminology used throughout the package:
 
@@ -96,9 +97,9 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     >>> standardize((16, 19, 15, 6, 18, 11, 12, 13, 17, 3, 2, 1))
     (9, 12, 8, 4, 11, 5, 6, 7, 10, 3, 2, 1)
     """
-    if len(set(word)) != len(word):
+    rank = dict(zip(sorted(word), range(1, len(word) + 1)))
+    if len(rank) != len(word):
         raise ValueError(f"cannot standardize a word with duplicates: {word!r}")
-    rank = {v: i + 1 for i, v in enumerate(sorted(word))}
     return tuple(rank[v] for v in word)
 
 
@@ -256,30 +257,40 @@ def right_to_left_maxima(perm: Sequence[int]) -> set[int]:
     return maxima
 
 
+def _suffix_max(perm: Sequence[int]) -> list[int]:
+    # suffix_max[t] is the largest of perm[t:] (0-based), 0 past the end: at
+    # a 1-based position t, the largest entry after position t.
+    suffix_max = [0]
+    best = 0
+    for v in reversed(perm):
+        if v > best:
+            best = v
+        suffix_max.append(best)
+    suffix_max.reverse()
+    return suffix_max
+
+
 def mid123_entries(perm: Sequence[int]) -> list[int]:
     """
     Positions (1-based, increasing) of the mid-123 entries of ``perm``.
 
     Position t qualifies iff some earlier entry is smaller and some later
-    entry is larger, detected in linear time from the running prefix minimum
-    and a precomputed suffix maximum.
+    entry is larger: one left-to-right scan compares each entry with the
+    running prefix minimum and the suffix maximum after it.
 
     >>> mid123_entries((1, 3, 4, 5, 2, 6))
     [2, 3, 4, 5]
     >>> mid123_entries((3, 2, 1))
     []
     """
-    n = len(perm)
-    suffix_max = [0] * (n + 1)  # suffix_max[t] = max of perm[t:] (0-based), 0 past the end
-    for t in range(n - 1, -1, -1):
-        suffix_max[t] = max(perm[t], suffix_max[t + 1])
+    suffix_max = _suffix_max(perm)
     positions = []
-    prefix_min = math.inf
-    for t in range(n):
-        if prefix_min < perm[t] < suffix_max[t + 1]:
-            positions.append(t + 1)
-        if perm[t] < prefix_min:
-            prefix_min = perm[t]
+    low = math.inf
+    for t, v in enumerate(perm, 1):
+        if low < v < suffix_max[t]:
+            positions.append(t)
+        elif v < low:
+            low = v
     return positions
 
 
@@ -288,17 +299,26 @@ def key_mid123_entries(perm: Sequence[int]) -> list[int]:
     Positions of the key mid-123 entries: mid-123 entries whose immediate
     predecessor is smaller or is a right-to-left maximum.
 
-    A mid-123 entry never sits at position 1, so the predecessor exists.
+    A mid-123 entry never sits at position 1, so the predecessor exists.  In
+    ``mid123_entries``'s scan, the entry v at position t is key iff its
+    predecessor is below v or above every entry from position t on.
 
-    >>> key_mid123_entries((1, 3, 4, 5, 2, 6))
+    >>> key_mid123_entries((1, 3, 4, 5, 2, 6))  # 2 follows 5, and 6 > 5 later
     [2, 3, 4]
+    >>> key_mid123_entries((1, 4, 2, 3))  # 2 follows 4, a right-to-left maximum
+    [3]
     """
-    maxima = right_to_left_maxima(perm)
-    return [
-        t
-        for t in mid123_entries(perm)
-        if perm[t - 2] < perm[t - 1] or (t - 1) in maxima
-    ]
+    suffix_max = _suffix_max(perm)
+    positions = []
+    low = prev = math.inf
+    for t, v in enumerate(perm, 1):
+        if low < v < suffix_max[t]:
+            if prev < v or prev > suffix_max[t - 1]:
+                positions.append(t)
+        elif v < low:
+            low = v
+        prev = v
+    return positions
 
 
 def is_start_small(perm: Sequence[int]) -> bool:

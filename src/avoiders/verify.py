@@ -4,11 +4,14 @@ checked against independent computation.
 Every check is a stream of failure strings over its cases, and one driver,
 ``_result``, turns the stream into a ``CheckResult``: a pass/fail flag and, on
 failure, the first counterexample or an expected-vs-actual diff.  The driver
-stops the stream at its first failure, so nothing after it is computed.  The
+stops the stream at its first failure, so no case after it is checked.  The
 bijection checks sweep complete avoidance classes; the series checks compare
 the two independent generating-function routes and the enumeration oracle.
 ``run_checks`` bundles everything for the ``verify`` CLI command; the test
-suite calls the individual functions with the bounds it wants.
+suite calls the individual functions with the bounds it wants.  Within one
+``run_checks`` call each start-small class is enumerated once, in full,
+before the first case of the first check that sweeps it, and the later
+checks reuse it; the memo is dropped when the call returns.
 
 This module is the one place each theorem is checked: in particular the
 postconditions of ``bijection.decompose`` are written only in
@@ -91,14 +94,24 @@ class CheckResult:
 
 def _result(name: str, scope: str, failures: Iterable[str]) -> CheckResult:
     # The one place a check's outcome is decided: the stream's first failure,
-    # if it has one.  Nothing after that failure is computed.
+    # if it has one.  No case after that failure is checked.
     failure = next(iter(failures), None)
     return CheckResult(name=name, scope=scope, passed=failure is None,
                        detail=failure or "")
 
 
-def _start_small(n: int, patterns: tuple[Perm, ...]) -> Iterator[Perm]:
-    return enumerate_class(ClassDescriptor(n, patterns, start_small_only=True))
+#: Start-small classes by (n, patterns), kept for one ``run_checks`` call and
+#: None outside one.  Full classes are not kept: at ``--deep`` they would
+#: hold about half a million tuples.
+_classes: dict[tuple[int, tuple[Perm, ...]], tuple[Perm, ...]] | None = None
+
+
+def _start_small(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    classes = {} if _classes is None else _classes
+    if (n, patterns) not in classes:
+        descriptor = ClassDescriptor(n, patterns, start_small_only=True)
+        classes[n, patterns] = tuple(enumerate_class(descriptor))
+    return classes[n, patterns]
 
 
 def _mismatches(
@@ -207,8 +220,8 @@ def check_phi_roundtrip(max_n: int) -> CheckResult:
 def _valid_pairs(max_total_len: int) -> Iterator[tuple[Perm, Perm]]:
     # sigma1 ranges over start-small {1243, 2134}-avoiders, sigma2 over
     # start-small 123-avoiders, both of length >= 2.
-    lefts = {m: list(_start_small(m, AVOIDED_PAIR)) for m in range(2, max_total_len - 1)}
-    rights = {m: list(_start_small(m, (PATTERN_123,))) for m in range(2, max_total_len - 1)}
+    lefts = {m: _start_small(m, AVOIDED_PAIR) for m in range(2, max_total_len - 1)}
+    rights = {m: _start_small(m, (PATTERN_123,)) for m in range(2, max_total_len - 1)}
     for len1 in range(2, max_total_len - 1):
         for len2 in range(2, max_total_len - len1 + 1):
             for sigma1 in lefts[len1]:
@@ -387,23 +400,28 @@ def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[Che
     (minutes instead of seconds).  The memo counter is compared with the
     series to n = 12, or n = 20 with ``deep``, whatever ``max_n`` is.
     """
+    global _classes
     if deep:
         max_n = max(max_n, 10)
     oracle_n = 11 if deep else max_n
-    return [
-        check_reference_counts(order),
-        check_enumeration_matches_series(oracle_n),
-        check_memo_matches_series(20 if deep else 12),
-        check_no_key_implies_123_avoiding(max_n),
-        check_unique_entry_above_last_mid123(max_n),
-        check_phi_roundtrip(max_n),
-        check_pair_roundtrip(max_n + 1),
-        check_decomposition_typing(max_n),
-        check_class_product_identity(max_n),
-        check_golden_examples(),
-        check_series_identities(order),
-        check_closed_form_match(order),
-    ]
+    _classes = {}
+    try:
+        return [
+            check_reference_counts(order),
+            check_enumeration_matches_series(oracle_n),
+            check_memo_matches_series(20 if deep else 12),
+            check_no_key_implies_123_avoiding(max_n),
+            check_unique_entry_above_last_mid123(max_n),
+            check_phi_roundtrip(max_n),
+            check_pair_roundtrip(max_n + 1),
+            check_decomposition_typing(max_n),
+            check_class_product_identity(max_n),
+            check_golden_examples(),
+            check_series_identities(order),
+            check_closed_form_match(order),
+        ]
+    finally:
+        _classes = None
 
 
 def render_report(results: list[CheckResult]) -> str:

@@ -184,12 +184,45 @@ def test_mid123_entries_examples():
 
 
 def test_key_mid123_entries_examples():
-    # of the mid-123 entries 3, 4, 5, 2 only the first three are key
+    # of the mid-123 entries 3, 4, 5, 2 only the first three are key: each
+    # follows a smaller entry, while 2 follows 5, which 6 exceeds later on
     assert key_mid123_entries((1, 3, 4, 5, 2, 6)) == [2, 3, 4]
+    # 2 follows the larger 4, but is key because 4 is a right-to-left maximum
+    assert key_mid123_entries((1, 4, 2, 3)) == [3]
     key_example = parse_perm("11 2 12 9 7 8 4 5 6 1 10 3")
     assert mid123_entries(key_example)[-1] in key_mid123_entries(key_example)
     drop_example = parse_perm("13 16 12 3 15 8 9 10 11 7 6 5 2 1 14 4")
     assert mid123_entries(drop_example)[-1] not in key_mid123_entries(drop_example)
+
+
+def _entry_classes_by_definition(perm):
+    # The literal quantifiers, in quadratic time: mid-123 entries have a
+    # smaller entry before and a larger one after; key ones also have a
+    # smaller predecessor or one at a right-to-left maximum's position.
+    mids = [
+        t for t in range(1, len(perm) + 1)
+        if any(x < perm[t - 1] for x in perm[: t - 1])
+        and any(x > perm[t - 1] for x in perm[t:])
+    ]
+    maxima = right_to_left_maxima(perm)
+    keys = [t for t in mids if perm[t - 2] < perm[t - 1] or t - 1 in maxima]
+    return mids, keys
+
+
+def _entry_class_cases():
+    for n in range(1, 8):
+        yield from itertools.permutations(range(1, n + 1))
+    rng = random.Random(123)
+    for _ in range(300):
+        n = rng.randint(30, 60)
+        yield tuple(rng.sample(range(1, n + 1), n))
+
+
+def test_entry_classes_match_definitions():
+    for perm in _entry_class_cases():
+        mids, keys = _entry_classes_by_definition(perm)
+        assert mid123_entries(perm) == mids, perm
+        assert key_mid123_entries(perm) == keys, perm
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -179,3 +179,31 @@ def test_every_result_name_is_a_check_function():
             if p.default is p.empty
         ]
         assert check(*[3] * len(required)).name == result.name
+
+
+def test_run_checks_enumerates_each_start_small_class_once(monkeypatch):
+    # Every check that sweeps a start-small class shares one enumeration of
+    # it per run, and nothing is kept once the run is over, so an earlier
+    # run cannot make a later one cheaper.
+    real = verify_module.enumerate_class
+    seen = []
+
+    def spy(descriptor):
+        assert descriptor.start_small_only
+        seen.append((descriptor.n, descriptor.patterns))
+        return real(descriptor)
+
+    monkeypatch.setattr(verify_module, "enumerate_class", spy)
+    assert all(r.passed for r in run_checks(max_n=6, order=10))
+    pair, only_123 = verify_module.AVOIDED_PAIR, (verify_module.PATTERN_123,)
+    expected = [(n, pair) for n in range(1, 7)] + [(m, only_123) for m in range(2, 6)]
+    assert sorted(seen) == sorted(expected)
+    assert verify_module._classes is None
+
+    def broken(order):
+        raise RuntimeError("doctored")
+
+    monkeypatch.setattr(verify_module, "check_series_identities", broken)
+    with pytest.raises(RuntimeError):
+        run_checks(max_n=3, order=5)
+    assert verify_module._classes is None
