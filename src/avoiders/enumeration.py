@@ -10,9 +10,11 @@ Each class gives the generator a child rule, which names the unused values
 that keep a prefix live.  Sets that contain both 1243 and 2134 get the pair
 rule and {123} its own, threshold tests on a few prefix statistics; other
 sets get the rule that enters every value.  Patterns no rule covers are
-tested with ``perms._ends_at``, the matcher behind ``contains``, pinned to
-the appended value; a node is left at the first unused value that
-completes one.  The naive filter over all n! permutations with
+tested with ``perms._ends_at``, the matcher behind ``contains``; a node is
+left at the first unused value that completes one.  Its parent passed the
+same test for a superset of those values, so below the root such an
+occurrence also uses the newest entry: the matcher pins the pattern's last
+two letters to the two.  The naive filter over all n! permutations with
 ``contains`` is kept as an independent debug oracle.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
@@ -224,21 +226,6 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
     return row[-1] - last if start_small_only else row[-1]
 
 
-def _some_value_completes(
-    prefix: list[int], values: Sequence[int], patterns: Sequence[Sequence[int]]
-) -> bool:
-    # Would appending any one of ``values`` to ``prefix`` complete one of
-    # ``patterns``?  Any new occurrence must end at the appended entry.
-    end = len(prefix)
-    for v in values:
-        prefix.append(v)
-        completes = any(_ends_at(prefix, end, q) for q in patterns)
-        prefix.pop()
-        if completes:
-            return True
-    return False
-
-
 def _live_avoiders(
     n: int, children: Callable, root: Any, patterns: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
@@ -253,8 +240,14 @@ def _live_avoiders(
         if not unused:
             yield tuple(prefix)
             return
-        if patterns and _some_value_completes(prefix, unused, patterns):
-            return
+        if patterns:
+            end, pinned = len(prefix), 2 if prefix else 1  # see the module docstring
+            for v in unused:
+                prefix.append(v)
+                completes = any(_ends_at(prefix, end, q, pinned) for q in patterns)
+                prefix.pop()
+                if completes:
+                    return
         for i, child in children(state, unused):
             remaining = unused.copy()
             prefix.append(remaining.pop(i))

@@ -7,10 +7,10 @@ position 1.  Functions that only care about relative order (``standardize``,
 ``contains``) also accept words: sequences of distinct ints that need not
 fill an interval, such as ``(16, 19, 15, 6)``.
 
-Containment has one backtracking matcher, ``_ends_at``, which decides
-whether an occurrence of a pattern ends at a given (0-based) index of a
-word.  ``contains`` tries it at every index, and the generic enumerator in
-``enumeration`` asks it whether an appended entry completes a pattern.
+Containment has one backtracking matcher, ``_ends_at``: does an occurrence
+of a pattern end with the one or two entries up to a given index?  The
+generic enumerator pins two, the appended value and the newest entry, as
+the prefix's parent passed the same test; ``contains`` pins one.
 
 The pattern pair {1243, 2134} also has a one-pass scan, ``avoids_pair``,
 for permutations of [n]: a few prefix statistics and two int bitsets decide
@@ -83,7 +83,7 @@ def parse_perm(text: str) -> tuple[int, ...]:
 
 def format_perm(perm: Sequence[int]) -> str:
     """Render a permutation in the space-separated text format."""
-    return " ".join(str(v) for v in perm)
+    return " ".join(map(str, perm))
 
 
 def standardize(word: Sequence[int]) -> tuple[int, ...]:
@@ -103,44 +103,50 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in word)
 
 
-def _ends_at(word: Sequence[int], end: int, pattern: Sequence[int]) -> bool:
+def _ends_at(
+    word: Sequence[int], end: int, pattern: Sequence[int], pinned: int = 1
+) -> bool:
     """
-    Does ``word[:end + 1]`` hold an occurrence of ``pattern`` whose last letter
-    is ``word[end]``?  ``end`` is a 0-based index into ``word``, and
-    ``pattern`` is non-empty.
-
-    The pattern's last letter is pinned to ``word[end]``, so every other slot
-    starts with a bound from it.  The remaining slots are then filled left to
-    right: each candidate entry must fall strictly between the already-placed
-    entries that the pattern orders below and above it, which prunes hopeless
-    branches early.  This is the package's one pattern backtracker.
+    Does ``word[:end + 1]`` hold an occurrence of ``pattern`` (non-empty)
+    whose last ``pinned`` letters, one or two, are the entries up to index
+    ``end`` (0-based)?  ``contains`` pins one; the generic enumerator pins
+    the appended value and the newest entry, as the prefix's parent passed
+    the same test.  Two pinned entries ordered unlike the pattern's last two
+    letters refuse at once.  Otherwise the other slots are filled left to
+    right, each candidate strictly between the placed entries, pinned ones
+    included, that the pattern orders below and above it.  This is the
+    package's one pattern backtracker.
 
     >>> _ends_at((1, 2, 4, 3), 3, (1, 2, 4, 3))
     True
     >>> _ends_at((1, 2, 4, 3, 5), 4, (1, 2, 4, 3))
     False
+    >>> _ends_at((1, 4, 2, 5, 3), 4, (1, 2, 4, 3), pinned=2)  # 1 2 5 3
+    True
     """
-    m = len(pattern)
-    top = word[end]
-    last = pattern[-1]
-    placed = [0] * (m - 1)
+    m, first = len(pattern), end + 1 - pinned  # first pinned index
+    if m < pinned or (word[first] < word[end]) != (pattern[m - pinned] < pattern[-1]):
+        return False
+    # The pattern with its pinned letters first, and the entries in its slots.
+    order = (*pattern[m - pinned:], *pattern[: m - pinned])
+    placed = [*word[first : end + 1], *[0] * (m - pinned)]
 
     def extend(slot: int, start: int) -> bool:
-        lo, hi = (-math.inf, top) if pattern[slot] < last else (top, math.inf)
+        lo, hi = -math.inf, math.inf
         for s in range(slot):
-            if pattern[s] < pattern[slot]:
-                lo = max(lo, placed[s])
+            if order[s] < order[slot]:
+                lo = placed[s] if placed[s] > lo else lo
             else:
-                hi = min(hi, placed[s])
-        for pos in range(start, end - (m - 2 - slot)):
+                hi = placed[s] if placed[s] < hi else hi
+        for pos in range(start, first - (m - 1 - slot)):
             v = word[pos]
             if lo < v < hi:
                 placed[slot] = v
-                if slot == m - 2 or extend(slot + 1, pos + 1):
+                if slot == m - 1 or extend(slot + 1, pos + 1):
                     return True
         return False
 
-    return m == 1 or extend(0, 0)
+    return m == pinned or extend(pinned, 0)
 
 
 def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from avoiders.cli import main
+from avoiders.cli import build_parser, main
 from avoiders.enumeration import enumerate_class, naive_avoiders
 
 
@@ -426,3 +426,43 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["series", "--which", "nope", "--order", "3"])
     assert excinfo.value.code == 2
+
+
+# One call of every subcommand, text then JSON, then a usage error and a
+# valid call after it.
+REUSED_PARSER_CALLS = [
+    *(
+        argv + extra
+        for argv in (
+            ["count", "--n", "5", "--patterns", "1243,2134", "--start-small"],
+            ["enumerate", "--n", "4", "--patterns", "2134,1243"],
+            ["phi", "--forward", "11 2 12 9 7 8 4 5 6 1 10 3"],
+            ["phi", "--inverse", "1 2 | 2 1 3"],
+            ["series", "--which", "F", "--order", "12"],
+            ["verify", "--max-n", "4", "--order", "12"],
+        )
+        for extra in ([], ["--json"])
+    ),
+    ["series", "--which", "nope", "--order", "3"],
+    ["count", "--n", "6", "--patterns", "1342,3124"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_parser_built_once_gives_what_a_fresh_parser_gives(capsys):
+    reused = [_outcome(capsys, argv) for argv in REUSED_PARSER_CALLS]
+    parser = build_parser()
+    assert build_parser() is parser
+    fresh = []
+    for argv in REUSED_PARSER_CALLS:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0] * 12 + [2, 0]

@@ -105,6 +105,19 @@ def _random_pattern_sets(count, seed):
     return [tuple(rng.sample(patterns, rng.randint(1, 3))) for _ in range(count)]
 
 
+def _sets_with_length_5_pattern(count, seed):
+    # A length-5 pattern, so that the matcher fills three slots in front of
+    # its two pinned letters, with a shorter pattern beside it or the pair
+    # rule in front of it.
+    rng = random.Random(seed)
+    fives = list(itertools.permutations(range(1, 6)))
+    shorter = _patterns_up_to(4)
+    return [
+        (rng.choice(fives), *rng.choice([(), (rng.choice(shorter),), AVOIDED_PAIR]))
+        for _ in range(count)
+    ]
+
+
 ORACLE_PATTERN_SETS = [
     (),
     ((1,),),
@@ -113,6 +126,7 @@ ORACLE_PATTERN_SETS = [
     AVOIDED_PAIR,
     *(AVOIDED_PAIR + (q,) for q in _patterns_up_to(4)),
     *_random_pattern_sets(40, seed=20131),
+    *_sets_with_length_5_pattern(10, seed=5),
 ]
 
 
@@ -132,9 +146,9 @@ def test_pair_generator_tests_only_the_other_patterns(monkeypatch):
     asked = set()
     real_ends_at = enumeration_module._ends_at
 
-    def ends_at_spy(word, end, pattern):
+    def ends_at_spy(word, end, pattern, *pinned):
         asked.add(tuple(pattern))
-        return real_ends_at(word, end, pattern)
+        return real_ends_at(word, end, pattern, *pinned)
 
     monkeypatch.setattr(enumeration_module, "_ends_at", ends_at_spy)
     patterns = [(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]]

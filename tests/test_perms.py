@@ -118,6 +118,26 @@ def test_ends_at_matches_brute_force(n):
                     assert _ends_at(word, end, q) == (q in shapes), (word, end, q)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ends_at_with_two_pinned_letters_matches_brute_force(n):
+    # An occurrence whose last two letters are word[end - 1] and word[end]
+    # is m - 2 entries of word[:end - 1] followed by those two.
+    lengths = range(2, 6)
+    patterns = [q for m in lengths for q in itertools.permutations(range(1, m + 1))]
+    for perm in itertools.permutations(range(1, n + 1)):
+        for end in range(1, n):
+            shapes = {
+                _shape(sub + (perm[end - 1], perm[end]))
+                for m in lengths
+                for sub in itertools.combinations(perm[: end - 1], m - 2)
+            }
+            for word in (perm, [3 * v - 40 for v in perm]):
+                for q in patterns:
+                    assert _ends_at(word, end, q, pinned=2) == (q in shapes), (
+                        word, end, q,
+                    )
+
+
 def test_contains_123_matches_generic():
     for n in range(1, 7):
         for perm in itertools.permutations(range(1, n + 1)):
