@@ -93,11 +93,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    for perm in enumerate_class(_descriptor(args)):
-        if args.json:
-            print(json.dumps(list(perm)))
-        else:
-            print(format_perm(perm))
+    # One template renders every member as ``json.dumps``/``format_perm`` would.
+    slots = ["%d"] * args.n
+    line = f"[{', '.join(slots)}]\n" if args.json else " ".join(slots) + "\n"
+    sys.stdout.writelines(line % perm for perm in enumerate_class(_descriptor(args)))
     return 0
 
 

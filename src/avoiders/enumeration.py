@@ -1,9 +1,10 @@
 """Exhaustive generation and counting of pattern-avoidance classes.
 
-One backtracking generator builds permutations position by position and
-enters only live prefixes: those to which no unused value can be appended
-without completing a forbidden pattern.  A value that would complete one
-completes it wherever it goes later, so any other prefix has no completion.
+One backtracking loop over an explicit stack builds permutations position
+by position and enters only live prefixes: those to which no unused value
+can be appended without completing a forbidden pattern.  A value that would
+complete one completes it wherever it goes later, so any other prefix has
+no completion, and a live prefix with one unused value has exactly one.
 Emission is in lexicographic one-line order, streamed, never materialized.
 
 Each class gives the generator a child rule, which names the unused values
@@ -11,11 +12,13 @@ that keep a prefix live.  Sets that contain both 1243 and 2134 get the pair
 rule and {123} its own, threshold tests on a few prefix statistics; other
 sets get the rule that enters every value.  Patterns no rule covers are
 tested with ``perms._ends_at``, the matcher behind ``contains``; a node is
-left at the first unused value that completes one.  Its parent passed the
-same test for a superset of those values, so below the root such an
-occurrence also uses the newest entry: the matcher pins the pattern's last
-two letters to the two.  The naive filter over all n! permutations with
-``contains`` is kept as an independent debug oracle.
+left at the first unused value that completes one.  Of a run of consecutive
+unused values only the first is tried: no placed value lies between them,
+so the matcher gives all one answer.  The node's parent passed the same test
+for a superset of those values, so below the root such an occurrence also
+uses the newest entry: the matcher pins the pattern's last two letters to
+the two.  The naive filter over all n! permutations with ``contains`` is
+kept as an independent debug oracle.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a memoized walk over the pair
@@ -229,32 +232,44 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
 def _live_avoiders(
     n: int, children: Callable, root: Any, patterns: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
-    # The one recursion behind ``enumerate_avoiders``.  ``children(state,
+    # The one loop behind ``enumerate_avoiders``.  ``children(state,
     # unused)`` is a class's child rule: from the prefix's state and sorted
     # unused values it returns the live children as (index into ``unused``,
-    # child state), by increasing value.  A prefix to which some unused value
-    # appends one of ``patterns``, those no rule covers, is left at once.
-    prefix: list[int] = []
-
-    def rec(unused: list[int], state: Any) -> Iterator[tuple[int, ...]]:
-        if not unused:
-            yield tuple(prefix)
-            return
+    # child state), by increasing value.  ``stack`` holds each open prefix's
+    # unused values and an iterator over those children; the prefix at depth
+    # d is ``prefix[:d]``.  Only the first of a run of consecutive unused
+    # values is tried against ``patterns``: no entry lies between them.  A
+    # live prefix with one unused value u yields (*prefix, u) at once: the
+    # rule keeps u from completing its own patterns, and this check the rest.
+    unused, state = list(range(1, n + 1)), root
+    prefix, stack = [], []
+    while True:
+        live, below = True, -1
         if patterns:
             end, pinned = len(prefix), 2 if prefix else 1  # see the module docstring
             for v in unused:
-                prefix.append(v)
-                completes = any(_ends_at(prefix, end, q, pinned) for q in patterns)
-                prefix.pop()
-                if completes:
-                    return
-        for i, child in children(state, unused):
-            remaining = unused.copy()
-            prefix.append(remaining.pop(i))
-            yield from rec(remaining, child)
-            prefix.pop()
-
-    yield from rec(list(range(1, n + 1)), root)
+                if v != below + 1:  # the first of its run
+                    prefix.append(v)
+                    live = not any(_ends_at(prefix, end, q, pinned) for q in patterns)
+                    prefix.pop()
+                    if not live:
+                        break
+                below = v
+        if live and len(unused) == 1:
+            yield (*prefix, unused[0])
+        elif live:
+            stack.append((unused, iter(children(state, unused))))
+        while stack:
+            parent, kids = stack[-1]
+            child = next(kids, None)
+            if child is not None:
+                i, state = child
+                unused = parent.copy()
+                prefix[len(stack) - 1 :] = [unused.pop(i)]
+                break
+            stack.pop()
+        else:
+            return
 
 
 def _pair_children(

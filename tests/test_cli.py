@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import io
 import json
 import sys
 
@@ -191,6 +192,62 @@ def test_enumerate_json_lines(capsys):
     assert [json.loads(line) for line in out.splitlines()] == [
         [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
     ]
+
+
+# sha256 and line count of the stdout of `enumerate ARGS`, recorded when each
+# line was printed through `format_perm` or `json.dumps`.
+ENUMERATE_SHA256 = {
+    "--n 8 --patterns 1243,2134": (
+        "25c256d53afeeaa8b7446c7630533cc477737b134b73a790d5f0ad7768bdf7d8", 6056,
+    ),
+    "--n 8 --patterns 1243,2134 --json": (
+        "513c4d9d1cdcafc418bd94a0594826abffa6d3a6a9983cd794ace1da6eaf2a91", 6056,
+    ),
+    "--n 8 --patterns 1243,2134,4321": (
+        "471f66debfd7e73d016268e28dafb879fae02b7d8b2d07ae769a85d354f8bf24", 538,
+    ),
+    "--n 7 --patterns 1342,3124 --json": (
+        "79a3933d2c6754db54f124b05b03d8b15647446721f684cbfb9ef483fc6dd7bd", 1459,
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATE_SHA256))
+def test_enumerate_golden_digest(capsys, args):
+    code, out, _ = run_cli(capsys, "enumerate", *args.split())
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == (
+        ENUMERATE_SHA256[args]
+    )
+
+
+def test_enumerate_streams_into_a_broken_pipe(monkeypatch):
+    # The third write fails as a closed pipe would; the command must stop
+    # there with exit 0, having pulled at most one member per write, not
+    # the 442,916 of the whole class.
+    import avoiders.cli as cli_module
+
+    class ClosedAfterTwoLines(io.TextIOBase):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise BrokenPipeError
+            return len(text)
+
+    yielded = 0
+
+    def enumerate_spy(descriptor):
+        nonlocal yielded
+        for perm in enumerate_class(descriptor):
+            yielded += 1
+            yield perm
+
+    monkeypatch.setattr(cli_module, "enumerate_class", enumerate_spy)
+    monkeypatch.setattr(sys, "stdout", ClosedAfterTwoLines())
+    assert main(["enumerate", "--n", "11", "--patterns", "1243,2134"]) == 0
+    assert 1 <= yielded <= 3
 
 
 # ---------------------------------------------------------------------------
