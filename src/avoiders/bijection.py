@@ -33,11 +33,12 @@ checked by the one-pass ``perms.avoids_pair`` scan; only a rejected input
 goes on to generic ``contains``, so that the message can name the pattern
 (1243 first when both occur).  The private cores that the entry points
 call (``_decompose``, ``_inverse_params``, ``_recompose``) trust their
-inputs and keep only cheap ``RuntimeError`` guards.  ``phi`` and
-``phi_inverse`` feed each core's output straight into the next core, which
-is sound because every step stays in its class: ``avoiders.verify`` checks
-exactly that (decomposition typing, both round trips) exhaustively at small
-lengths.
+inputs, keep only cheap ``RuntimeError`` guards and pass plain tuples; only
+``decompose`` and ``inverse_params`` build the ``DecompositionStep`` and
+``InverseParams`` dataclasses.  ``phi`` and ``phi_inverse`` feed each core's
+output straight into the next core, which is sound because every step stays
+in its class: ``avoiders.verify`` checks exactly that (decomposition typing,
+both round trips) exhaustively at small lengths.
 The postconditions of ``decompose`` are stated only there, in
 ``verify.check_decomposition_typing``; this module does not re-check them.
 """
@@ -48,13 +49,13 @@ from dataclasses import dataclass
 
 from .perms import (
     AVOIDED_PAIR,
+    _last_mid123,
     avoids_pair,
     contains,
     contains_123,
     format_perm,
     is_permutation,
     is_start_small,
-    mid123_entries,
     parse_perm,
     standardize,
 )
@@ -127,15 +128,16 @@ def decompose(perm: Perm) -> DecompositionStep:
     entry into the pair (sigma1, sigma2) described in the module docstring.
     """
     _require_avoider(perm, "input")
-    mids = mid123_entries(perm)
-    if not mids:
+    j = _last_mid123(perm)
+    if not j:
         raise ValueError("input is 123-avoiding: no mid-123 entry to split at")
-    return _decompose(perm, mids)
+    sigma1, sigma2, b, a, c, r = _decompose(perm, j)
+    return DecompositionStep(sigma1, sigma2, b, a, c, j, r)
 
 
-def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
-    # perm is a start-small avoider and mids its nonempty mid-123 positions.
-    j = mids[-1]
+def _decompose(perm: Perm, j: int) -> tuple[Perm, Perm, int, int, int, int]:
+    # perm is a start-small avoider and j its last mid-123 position; returns
+    # (sigma1, sigma2, b, a, c, r).
     b = perm[j - 1]
     tau1 = perm[: j - 1]
     tau2 = perm[j:]
@@ -162,15 +164,7 @@ def _decompose(perm: Perm, mids: list[int]) -> DecompositionStep:
             raise RuntimeError("non-key case must drop at least one entry")
         shifted = tuple(x + r for x in tau1[:t] + (c,))
         sigma1 = standardize(shifted + tuple(range(r, 0, -1)))
-    return DecompositionStep(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        b_value=b,
-        a_value=a,
-        c_value=c,
-        j=j,
-        r=r,
-    )
+    return sigma1, sigma2, b, a, c, r
 
 
 def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
@@ -182,10 +176,11 @@ def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
     """
     _require_avoider(sigma1, "sigma1")
     _require_element(sigma2, "sigma2")
-    return _inverse_params(sigma1, sigma2)
+    return InverseParams(*_inverse_params(sigma1, sigma2))
 
 
-def _inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
+def _inverse_params(sigma1: Perm, sigma2: Perm) -> tuple[int, ...]:
+    # The ten fields of ``InverseParams``, in order.
     j = len(sigma1)
     n = j + len(sigma2) - 1
     r = 0  # maximal staircase r, r-1, ..., 1 at the end of sigma1
@@ -204,9 +199,7 @@ def _inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
     s = 1
     while s < len(segment) and segment[-s - 1] < segment[-s]:
         s += 1
-    return InverseParams(
-        n=n, j=j, r=r, p=p, q=q, i_pos=i_pos, k_pos=k_pos, a_value=a, c_value=c, s=s
-    )
+    return n, j, r, p, q, i_pos, k_pos, a, c, s
 
 
 def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
@@ -214,11 +207,13 @@ def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
     Rebuild the unique start-small {1243, 2134}-avoider that ``decompose``
     would split into (sigma1, sigma2).
     """
-    return _recompose(sigma1, sigma2, inverse_params(sigma1, sigma2))
+    _require_avoider(sigma1, "sigma1")
+    _require_element(sigma2, "sigma2")
+    return _recompose(sigma1, sigma2)
 
 
-def _recompose(sigma1: Perm, sigma2: Perm, pr: InverseParams) -> Perm:
-    p, q, s, j, n, r = pr.p, pr.q, pr.s, pr.j, pr.n, pr.r
+def _recompose(sigma1: Perm, sigma2: Perm) -> Perm:
+    n, j, r, p, q, i_pos, k_pos, a, c, s = _inverse_params(sigma1, sigma2)
     word = (
         [x + q for x in sigma1[: p - s]]
         + [x + q - 1 for x in sigma1[p - s : p - 1]]
@@ -228,8 +223,8 @@ def _recompose(sigma1: Perm, sigma2: Perm, pr: InverseParams) -> Perm:
     )
     # The slots where a and c belong may hold duplicated placeholder values
     # until this overwrite.
-    word[pr.i_pos - 1] = pr.a_value
-    word[pr.k_pos - 1] = pr.c_value
+    word[i_pos - 1] = a
+    word[k_pos - 1] = c
     result = tuple(word)
     if not is_permutation(result):
         raise RuntimeError(
@@ -256,10 +251,9 @@ def phi(perm: Perm) -> tuple[Perm, ...]:
     _require_avoider(perm, "input")
     extracted = []
     current = perm
-    while mids := mid123_entries(current):
-        step = _decompose(current, mids)
-        extracted.append(step.sigma2)
-        current = step.sigma1
+    while j := _last_mid123(current):
+        current, sigma2 = _decompose(current, j)[:2]
+        extracted.append(sigma2)
     return (current,) + tuple(reversed(extracted))
 
 
@@ -285,7 +279,7 @@ def phi_inverse(elements: tuple[Perm, ...]) -> Perm:
         _require_element(element, f"element {idx}")
     acc = elements[0]
     for element in elements[1:]:
-        acc = _recompose(acc, element, _inverse_params(acc, element))
+        acc = _recompose(acc, element)
     return acc
 
 

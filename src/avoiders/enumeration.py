@@ -46,11 +46,11 @@ from .perms import (
     AVOIDED_PAIR,
     PATTERN_123,
     _ends_at,
+    _last_mid123,
     avoids,
     is_permutation,
     is_start_small,
     key_mid123_entries,
-    mid123_entries,
 )
 
 
@@ -356,10 +356,8 @@ def enumerate_class(descriptor: ClassDescriptor) -> Iterator[tuple[int, ...]]:
             break  # in lexicographic order, every later one starts with n too
         if descriptor.k is not None and len(key_mid123_entries(perm)) != descriptor.k:
             continue
-        if descriptor.j is not None:
-            mids = mid123_entries(perm)
-            if not mids or mids[-1] != descriptor.j:
-                continue
+        if descriptor.j is not None and _last_mid123(perm) != descriptor.j:
+            continue
         yield perm
 
 

@@ -21,6 +21,11 @@ on.  The bijection's entry points validate with it; ``contains`` stays the
 independent oracle it is tested against.  The entry classes below share one
 suffix-maximum scan, and each is then a single left-to-right pass.
 
+The bijection splits at the last mid-123 entry only and finds it with the
+private ``_last_mid123``: prefix minima, then a right-to-left scan that stops
+at the first hit.  It is private so that a tracer of the public functions
+bills it to its caller; ``mid123_entries`` stays the tested definition.
+
 Terminology used throughout the package:
 
 - a *pattern* q is contained in p when some subsequence of p is
@@ -37,6 +42,7 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 PATTERN_123 = (1, 2, 3)
@@ -100,7 +106,7 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     rank = dict(zip(sorted(word), range(1, len(word) + 1)))
     if len(rank) != len(word):
         raise ValueError(f"cannot standardize a word with duplicates: {word!r}")
-    return tuple(rank[v] for v in word)
+    return tuple(map(rank.__getitem__, word))
 
 
 def _ends_at(
@@ -298,6 +304,20 @@ def mid123_entries(perm: Sequence[int]) -> list[int]:
         elif v < low:
             low = v
     return positions
+
+
+def _last_mid123(perm: Sequence[int]) -> int:
+    # The last of ``mid123_entries(perm)``, or 0 if there is none.  lows[t]
+    # is the smallest of perm[:t + 1]; high the largest entry after index t.
+    lows = list(accumulate(perm, min))
+    high = 0
+    for t in range(len(perm) - 1, 0, -1):
+        v = perm[t]
+        if lows[t - 1] < v < high:
+            return t + 1
+        if v > high:
+            high = v
+    return 0
 
 
 def key_mid123_entries(perm: Sequence[int]) -> list[int]:

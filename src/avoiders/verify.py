@@ -249,6 +249,9 @@ def check_pair_roundtrip(max_total_len: int) -> CheckResult:
 
 
 def _typing_failures(max_n: int) -> Iterator[str]:
+    # Many inputs share a sigma1: judge each one once, its pair avoidance
+    # and its key count.
+    judged: dict[Perm, tuple[bool, int]] = {}
     for n in range(1, max_n + 1):
         for perm in _start_small(n, AVOIDED_PAIR):
             k = len(key_mid123_entries(perm))
@@ -260,14 +263,19 @@ def _typing_failures(max_n: int) -> Iterator[str]:
                 yield str(exc)
                 continue
             sigma1, sigma2 = step.pair
+            if sigma1 not in judged:
+                judged[sigma1] = (
+                    avoids(sigma1, AVOIDED_PAIR), len(key_mid123_entries(sigma1))
+                )
+            avoider, keys = judged[sigma1]
             postconditions = (
                 ("sigma1 length != j", len(sigma1) == step.j),
                 ("sigma2 length != n + 1 - j", len(sigma2) == n + 1 - step.j),
                 ("sigma1 not start-small", is_start_small(sigma1)),
                 ("sigma2 not start-small", is_start_small(sigma2)),
-                ("sigma1 not an avoider", avoids(sigma1, AVOIDED_PAIR)),
+                ("sigma1 not an avoider", avoider),
                 ("sigma2 contains 123", not contains_123(sigma2)),
-                ("sigma1 key count != k - 1", len(key_mid123_entries(sigma1)) == k - 1),
+                ("sigma1 key count != k - 1", keys == k - 1),
             )
             problems = [text for text, holds in postconditions if not holds]
             if problems:

@@ -1,6 +1,8 @@
 """The decomposition, its inverse, and the iterated map, against the two
 fixed worked examples and exhaustive round trips."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from avoiders.bijection import (
     phi_inverse,
     recompose,
 )
-from avoiders.enumeration import enumerate_avoiders
+from avoiders.enumeration import ClassDescriptor, enumerate_avoiders, enumerate_class
 from avoiders.perms import (
     AVOIDED_PAIR,
     PATTERN_123,
@@ -262,6 +264,33 @@ def test_seeded_roundtrip_beyond_exhaustive_bounds():
         perm = phi_inverse(elements)
         assert avoids(perm, AVOIDED_PAIR) and is_start_small(perm), elements
         assert phi(perm) == elements
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_match_pinned_digests():
+    # Every output of phi, and every field of decompose and inverse_params,
+    # over the start-small classes n = 2..8, pinned by digests recorded
+    # while the cores still built a dataclass per step.
+    classes = [
+        p for n in range(2, 9)
+        for p in enumerate_class(ClassDescriptor(n, AVOIDED_PAIR, start_small_only=True))
+    ]
+    splittable = [p for p in classes if mid123_entries(p)]
+    assert (len(classes), len(splittable)) == (6055, 4626)
+    steps = [decompose(p) for p in splittable]
+    assert _sha256("".join(format_perm_list(phi(p)) + "\n" for p in classes)) == (
+        "0a5206cb29d4ffec7afaeaebe1275fde28821272fc86ac6f39c891368d494f69"
+    )
+    assert _sha256(repr([dataclasses.astuple(step) for step in steps])) == (
+        "0899910400a1f1f64f06fc69818a3527aa134ae10b868ff8e63d15a291b98703"
+    )
+    params = [dataclasses.astuple(inverse_params(*step.pair)) for step in steps]
+    assert _sha256(repr(params)) == (
+        "4f0681ee693c8991692964741467f44339d6dc723ec96cd60877f9c1a8c05bfa"
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -11,6 +11,7 @@ from avoiders.bijection import phi_inverse
 from avoiders.perms import (
     AVOIDED_PAIR,
     _ends_at,
+    _last_mid123,
     PATTERN_123,
     avoids,
     avoids_pair,
@@ -243,6 +244,16 @@ def test_entry_classes_match_definitions():
         mids, keys = _entry_classes_by_definition(perm)
         assert mid123_entries(perm) == mids, perm
         assert key_mid123_entries(perm) == keys, perm
+
+
+def test_last_mid123_is_the_last_mid123_entry():
+    # The bijection's private scan against the public list, including the
+    # empty permutation and two shapes with no mid-123 entry that make it
+    # scan everything.
+    n = 2000
+    no_mids = [(*range(n - 1, 0, -1), n), (1, *range(n, 1, -1))]
+    for perm in itertools.chain([()], _entry_class_cases(), no_mids):
+        assert _last_mid123(perm) == (mid123_entries(perm) or [0])[-1], perm
 
 
 @pytest.mark.parametrize("n", range(1, 8))

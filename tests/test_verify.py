@@ -113,15 +113,30 @@ def test_broken_decomposition_fails_typing_check(monkeypatch):
 
     real = bijection_module._decompose
 
-    def doctored(perm, mids):
-        step = real(perm, mids)
-        return dataclasses.replace(step, sigma2=step.sigma2[::-1])
+    def doctored(perm, j):
+        sigma1, sigma2, *witnesses = real(perm, j)
+        return (sigma1, sigma2[::-1], *witnesses)
 
     monkeypatch.setattr(bijection_module, "_decompose", doctored)
     result = verify_module.check_decomposition_typing(5)
     assert not result.passed
     assert "decompose(1 2 3)" in result.detail
     assert "sigma2 not start-small" in result.detail
+
+
+def test_typing_check_judges_each_sigma1_once(monkeypatch):
+    # 4,626 decompositions at n <= 8 share 1,458 distinct sigma1; the
+    # generic avoidance oracle runs once for each.
+    real = verify_module.avoids
+    judged = []
+
+    def spy(word, patterns):
+        judged.append(word)
+        return real(word, patterns)
+
+    monkeypatch.setattr(verify_module, "avoids", spy)
+    assert verify_module.check_decomposition_typing(8).passed
+    assert len(judged) == len(set(judged)) == 1458
 
 
 def _bump_x3(build):
