@@ -9,9 +9,10 @@ bijection checks sweep complete avoidance classes; the series checks compare
 the two independent generating-function routes and the enumeration oracle.
 ``run_checks`` bundles everything for the ``verify`` CLI command; the test
 suite calls the individual functions with the bounds it wants.  Within one
-``run_checks`` call each start-small class is enumerated once, in full,
-before the first case of the first check that sweeps it, and the later
-checks reuse it; the memo is dropped when the call returns.
+``run_checks`` call each start-small class and each ``gf_full`` and
+``gf_start_small`` series is built once and shared until the call returns;
+only the C^3 oracle streams its classes, which kept would take about 2 MB
+(the 16,794 start-small 123-avoiders of [3] .. [10]).
 
 This module is the one place each theorem is checked: in particular the
 postconditions of ``bijection.decompose`` are written only in
@@ -100,18 +101,21 @@ def _result(name: str, scope: str, failures: Iterable[str]) -> CheckResult:
                        detail=failure or "")
 
 
-#: Start-small classes by (n, patterns), kept for one ``run_checks`` call and
-#: None outside one.  Full classes are not kept: at ``--deep`` they would
-#: hold about half a million tuples.
-_classes: dict[tuple[int, tuple[Perm, ...]], tuple[Perm, ...]] | None = None
+#: What one ``run_checks`` call has built, by (builder, arguments); a module
+#: slot, since the public checks take only their bounds, and None outside a
+#: run.  Full classes are not kept: at ``--deep`` they would hold about 500k tuples.
+_store: dict[tuple, object] | None = None
+
+
+def _once(build, *args):
+    store = {} if _store is None else _store
+    if (build, args) not in store:
+        store[build, args] = build(*args)
+    return store[build, args]
 
 
 def _start_small(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    classes = {} if _classes is None else _classes
-    if (n, patterns) not in classes:
-        descriptor = ClassDescriptor(n, patterns, start_small_only=True)
-        classes[n, patterns] = tuple(enumerate_class(descriptor))
-    return classes[n, patterns]
+    return tuple(enumerate_class(ClassDescriptor(n, patterns, start_small_only=True)))
 
 
 def _mismatches(
@@ -144,7 +148,7 @@ def check_reference_counts(order: int = 100) -> CheckResult:
     reference = load_reference_sequence()
     top = min(order, len(reference) - 1)
     mismatches = _mismatches(
-        gf_full(top).coeffs, reference[: top + 1],
+        _once(gf_full, top).coeffs, reference[: top + 1],
         "n={n}: series gives {a}, reference says {b}",
     )
     return _result("reference_counts", f"n<={top}", mismatches)
@@ -153,7 +157,7 @@ def check_reference_counts(order: int = 100) -> CheckResult:
 def check_enumeration_matches_series(max_n: int) -> CheckResult:
     """Brute-force avoider counts equal the gf_full coefficients for n >= 1
     (the n = 0 term is compared with A164651 by ``check_reference_counts``)."""
-    coeffs = gf_full(max_n).coeffs
+    coeffs = _once(gf_full, max_n).coeffs
     counts = (count_avoiders(n, AVOIDED_PAIR) for n in range(1, max_n + 1))
     mismatches = _mismatches(
         counts, coeffs[1:], "n={n}: enumeration counts {a}, series gives {b}", start=1
@@ -167,7 +171,8 @@ def check_memo_matches_series(max_n: int) -> CheckResult:
     so the two together tie the counter to the enumerator."""
     counts = (count_pair_avoiders(n) for n in range(max_n + 1))
     mismatches = _mismatches(
-        counts, gf_full(max_n).coeffs, "n={n}: memo counter gives {a}, series gives {b}"
+        counts, _once(gf_full, max_n).coeffs,
+        "n={n}: memo counter gives {a}, series gives {b}",
     )
     return _result("memo_matches_series", f"n<={max_n}", mismatches)
 
@@ -211,7 +216,7 @@ def check_phi_roundtrip(max_n: int) -> CheckResult:
     moved = (
         f"round trip moved {format_perm(perm)}"
         for n in range(1, max_n + 1)
-        for perm in _start_small(n, AVOIDED_PAIR)
+        for perm in _once(_start_small, n, AVOIDED_PAIR)
         if phi_inverse(phi(perm)) != perm
     )
     return _result("phi_roundtrip", f"start-small avoiders, n<={max_n}", moved)
@@ -220,9 +225,10 @@ def check_phi_roundtrip(max_n: int) -> CheckResult:
 def _valid_pairs(max_total_len: int) -> Iterator[tuple[Perm, Perm]]:
     # sigma1 ranges over start-small {1243, 2134}-avoiders, sigma2 over
     # start-small 123-avoiders, both of length >= 2.
-    lefts = {m: _start_small(m, AVOIDED_PAIR) for m in range(2, max_total_len - 1)}
-    rights = {m: _start_small(m, (PATTERN_123,)) for m in range(2, max_total_len - 1)}
-    for len1 in range(2, max_total_len - 1):
+    lengths = range(2, max_total_len - 1)
+    lefts = {m: _once(_start_small, m, AVOIDED_PAIR) for m in lengths}
+    rights = {m: _once(_start_small, m, (PATTERN_123,)) for m in lengths}
+    for len1 in lengths:
         for len2 in range(2, max_total_len - len1 + 1):
             for sigma1 in lefts[len1]:
                 for sigma2 in rights[len2]:
@@ -253,7 +259,7 @@ def _typing_failures(max_n: int) -> Iterator[str]:
     # and its key count.
     judged: dict[Perm, tuple[bool, int]] = {}
     for n in range(1, max_n + 1):
-        for perm in _start_small(n, AVOIDED_PAIR):
+        for perm in _once(_start_small, n, AVOIDED_PAIR):
             k = len(key_mid123_entries(perm))
             if not k:
                 continue
@@ -297,7 +303,7 @@ def check_decomposition_typing(max_n: int) -> CheckResult:
 def _class_sizes(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     by_k: dict[int, int] = {}
     by_kj: dict[tuple[int, int], int] = {}
-    for perm in _start_small(n, AVOIDED_PAIR):
+    for perm in _once(_start_small, n, AVOIDED_PAIR):
         k = len(key_mid123_entries(perm))
         by_k[k] = by_k.get(k, 0) + 1
         if k >= 1:
@@ -309,14 +315,14 @@ def _class_sizes(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
 def _class_product_failures(max_n: int) -> Iterator[str]:
     sizes = {n: _class_sizes(n) for n in range(1, max_n + 1)}
     # The right factor's length n + 1 - j runs over 2 .. max_n - 1.
-    right_factors = {m: count_start_small_123_avoiders(m) for m in range(2, max_n)}
+    rights = {m: len(_once(_start_small, m, (PATTERN_123,))) for m in range(2, max_n)}
     for n in range(1, max_n + 1):
         by_kj = sizes[n][1]
         for k in range(1, n - 1):
             for j in range(k + 1, n):
                 lhs = by_kj.get((k, j), 0)
                 left_factor = sizes[j][0].get(k - 1, 0)
-                right_factor = right_factors[n + 1 - j]
+                right_factor = rights[n + 1 - j]
                 if lhs != left_factor * right_factor:
                     yield (
                         f"n={n}, k={k}, j={j}: class size {lhs} != "
@@ -355,7 +361,7 @@ def check_golden_examples() -> CheckResult:
     return _result("golden_examples", "2 fixed decompositions", _golden_failures())
 
 
-def _series_identity_failures(order: int, list_oracle_max_n: int) -> Iterator[str]:
+def _series_identity_failures(order: int) -> Iterator[str]:
     one = poly(order, 1)
     x = poly(order, 0, 1)
     c = catalan_series(order)
@@ -370,11 +376,11 @@ def _series_identity_failures(order: int, list_oracle_max_n: int) -> Iterator[st
     b = invert_transform(a)
     if (one + b) * (one - a) != one:
         yield "(1+B)(1-A) != 1"
-    if gf_start_small(order) != gf_full(order) * poly(order, 1, -1):
+    if _once(gf_start_small, order) != _once(gf_full, order) * poly(order, 1, -1):
         yield "(1-x)F != G"
-    # [x^n] C^3 counts start-small 123-avoiders of [n+2].
+    # [x^n] C^3 counts start-small 123-avoiders of [n+2], checked to n = 8.
     c3 = cube.coeffs
-    for n in range(1, min(list_oracle_max_n, order) + 1):
+    for n in range(1, min(8, order) + 1):
         counted = count_start_small_123_avoiders(n + 2)
         if c3[n] != counted:
             yield f"[x^{n}]C^3 = {c3[n]} but [n+2] has {counted} start-small 123-avoiders"
@@ -382,11 +388,11 @@ def _series_identity_failures(order: int, list_oracle_max_n: int) -> Iterator[st
         yield "x*C^3 != gf_elements"
 
 
-def check_series_identities(order: int, list_oracle_max_n: int = 8) -> CheckResult:
+def check_series_identities(order: int) -> CheckResult:
     """The defining series identities, exact to the given order, plus the
     combinatorial meaning of C^3 and of the list transform checked against
     the enumeration oracle, and ``gf_elements`` held to the dense x*C^3."""
-    failures = _series_identity_failures(order, list_oracle_max_n)
+    failures = _series_identity_failures(order)
     return _result("series_identities", f"order {order}", failures)
 
 
@@ -394,7 +400,7 @@ def check_closed_form_match(order: int) -> CheckResult:
     """The composition-transform route and the closed form agree coefficient
     by coefficient."""
     mismatches = _mismatches(
-        gf_full(order).coeffs,
+        _once(gf_full, order).coeffs,
         kotesovec_series(order).coeffs,
         "n={n}: transform route {a}, closed form {b}",
     )
@@ -404,15 +410,14 @@ def check_closed_form_match(order: int) -> CheckResult:
 def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[CheckResult]:
     """
     The full battery.  ``max_n`` bounds the exhaustive sweeps; ``deep`` raises
-    it to 10 and pushes the enumeration-vs-series comparison to n = 11
-    (minutes instead of seconds).  The memo counter is compared with the
-    series to n = 12, or n = 20 with ``deep``, whatever ``max_n`` is.
+    it to at least 10 and the enumeration-vs-series comparison to at least
+    n = 11 (minutes instead of seconds).  The memo counter is compared with
+    the series to n = 12, or n = 20 with ``deep``, whatever ``max_n`` is.
     """
-    global _classes
-    if deep:
-        max_n = max(max_n, 10)
-    oracle_n = 11 if deep else max_n
-    _classes = {}
+    global _store
+    oracle_n = max(max_n, 11) if deep else max_n
+    max_n = max(max_n, 10) if deep else max_n
+    _store = {}
     try:
         return [
             check_reference_counts(order),
@@ -429,7 +434,7 @@ def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[Che
             check_closed_form_match(order),
         ]
     finally:
-        _classes = None
+        _store = None
 
 
 def render_report(results: list[CheckResult]) -> str:

@@ -94,5 +94,5 @@ def test_criterion_7_golden_examples():
 
 def test_criterion_8_series_identities():
     with criterion(8, "series identities exact to order 100"):
-        result = check_series_identities(100, list_oracle_max_n=8)
+        result = check_series_identities(100)
         assert result.passed, result.detail

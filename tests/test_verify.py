@@ -2,10 +2,12 @@
 
 import dataclasses
 import inspect
+from collections import Counter
 
 import pytest
 
 import avoiders.verify as verify_module
+from avoiders.enumeration import ClassDescriptor
 from avoiders.series import PowerSeries, gf_full, kotesovec_series
 from avoiders.verify import (
     CheckResult,
@@ -154,6 +156,12 @@ def _sigma2_is_sigma1(real):
     return doctored
 
 
+def _no_123_classes(real):
+    def doctored(descriptor):
+        return () if descriptor.patterns == (verify_module.PATTERN_123,) else real(descriptor)
+    return doctored
+
+
 @pytest.mark.parametrize(
     "binding, doctor, check, bound, detail",
     [
@@ -166,7 +174,7 @@ def _sigma2_is_sigma1(real):
          "check_phi_roundtrip", 4, "round trip moved 1 2"),
         ("decompose", _sigma2_is_sigma1,
          "check_pair_roundtrip", 5, "(1 2, 1 3 2) -> 1 3 4 2 -> (1 2, 1 2)"),
-        ("count_start_small_123_avoiders", lambda real: lambda m: 0,
+        ("enumerate_class", _no_123_classes,
          "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 1 * 0"),
         ("catalan_series", _bump_x3,
          "check_series_identities", 10, "C != 1 + x*C^2"),
@@ -196,24 +204,64 @@ def test_every_result_name_is_a_check_function():
         assert check(*[3] * len(required)).name == result.name
 
 
-def test_run_checks_enumerates_each_start_small_class_once(monkeypatch):
-    # Every check that sweeps a start-small class shares one enumeration of
-    # it per run, and nothing is kept once the run is over, so an earlier
-    # run cannot make a later one cheaper.
-    real = verify_module.enumerate_class
-    seen = []
+#: The public checks, each of which ``run_checks`` should call once.
+CHECKS = sorted(
+    name for name, fn in vars(verify_module).items()
+    if name.startswith("check_") and inspect.isfunction(fn)
+)
 
-    def spy(descriptor):
-        assert descriptor.start_small_only
-        seen.append((descriptor.n, descriptor.patterns))
-        return real(descriptor)
 
-    monkeypatch.setattr(verify_module, "enumerate_class", spy)
-    assert all(r.passed for r in run_checks(max_n=6, order=10))
+def _record_checks(monkeypatch):
+    # Replace every check with a recorder of its bounds, so that a run
+    # reports what it would sweep without sweeping it.
+    calls = []
+    for name in CHECKS:
+        def recorder(*bounds, name=name):
+            calls.append((name, bounds))
+            return CheckResult(name=name[len("check_"):], scope="", passed=True)
+        monkeypatch.setattr(verify_module, name, recorder)
+    return calls
+
+
+def test_run_checks_calls_every_check_once(monkeypatch):
+    # The reverse of ``test_every_result_name_is_a_check_function``: a check
+    # left out of the battery fails here.
+    calls = _record_checks(monkeypatch)
+    run_checks()
+    assert len(CHECKS) == 12
+    assert sorted(name for name, _ in calls) == CHECKS
+
+
+@pytest.mark.parametrize(
+    "max_n, deep, oracle_n", [(8, False, 8), (8, True, 11), (12, False, 12), (12, True, 12)]
+)
+def test_deep_never_lowers_the_enumeration_bound(monkeypatch, max_n, deep, oracle_n):
+    calls = _record_checks(monkeypatch)
+    run_checks(max_n=max_n, deep=deep)
+    bounds = dict(calls)
+    assert bounds["check_enumeration_matches_series"] == (oracle_n,)
+    assert bounds["check_phi_roundtrip"] == (max(max_n, 10) if deep else max_n,)
+
+
+def test_run_checks_builds_each_class_and_series_once(monkeypatch):
+    # One default run enumerates each start-small class, the class-product
+    # check's 123 classes among them, and builds each transform-route series
+    # once; nothing is kept once the run is over, so an earlier run cannot
+    # make a later one cheaper.
+    built = []
+    for name in ("enumerate_class", "gf_full", "gf_start_small"):
+        def spy(arg, name=name, real=getattr(verify_module, name)):
+            built.append((name, arg))
+            return real(arg)
+        monkeypatch.setattr(verify_module, name, spy)
+    assert all(r.passed for r in run_checks())
     pair, only_123 = verify_module.AVOIDED_PAIR, (verify_module.PATTERN_123,)
-    expected = [(n, pair) for n in range(1, 7)] + [(m, only_123) for m in range(2, 6)]
-    assert sorted(seen) == sorted(expected)
-    assert verify_module._classes is None
+    classes = [ClassDescriptor(n, pair, start_small_only=True) for n in range(1, 9)]
+    classes += [ClassDescriptor(m, only_123, start_small_only=True) for m in range(2, 8)]
+    expected = [("enumerate_class", d) for d in classes]
+    expected += [("gf_full", 8), ("gf_full", 12), ("gf_full", 100), ("gf_start_small", 100)]
+    assert Counter(built) == Counter(expected)
+    assert verify_module._store is None
 
     def broken(order):
         raise RuntimeError("doctored")
@@ -221,4 +269,4 @@ def test_run_checks_enumerates_each_start_small_class_once(monkeypatch):
     monkeypatch.setattr(verify_module, "check_series_identities", broken)
     with pytest.raises(RuntimeError):
         run_checks(max_n=3, order=5)
-    assert verify_module._classes is None
+    assert verify_module._store is None
