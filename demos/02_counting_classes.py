@@ -8,6 +8,8 @@
 # without listing anything and meets the generating function F; with one
 # more coordinate it also sorts what it counts by number of key entries.
 
+import sys
+
 from avoiders import (
     AVOIDED_PAIR,
     ClassDescriptor,
@@ -30,10 +32,15 @@ print("\ncounts for n = 1..8:")
 for n in range(1, 9):
     print(f"  n={n}: {count_avoiders(n, AVOIDED_PAIR)}")
 
+# Where two routes to one number part, the demo says so and exits non-zero.
+differ = []
+
 print("\nmemoized counter next to the series F, n = 0..20:")
 series = gf_full(20).coeffs
 for n in range(21):
     memo = count_pair_avoiders(n)
+    if memo != series[n]:
+        differ.append(f"memo counter and F at n={n}")
     print(f"  n={n}: {memo}  F: {series[n]}  {'ok' if memo == series[n] else 'DIFFER'}")
 
 print("\nthe same, restricted to start-small permutations:")
@@ -51,6 +58,8 @@ for perm in enumerate_class(ClassDescriptor(8, AVOIDED_PAIR, start_small_only=Tr
     enumerated[k] = enumerated.get(k, 0) + 1
 walked = count_pair_avoiders_by_keys(8, start_small_only=True)
 for k in range(8):
+    if enumerated.get(k, 0) != walked[k]:
+        differ.append(f"enumeration and walk at k={k}")
     print(f"  k={k}: {enumerated.get(k, 0)}  walk: {walked[k]}")
 
 # Slicing finer: fix the number of key mid-123 entries (k) and the position
@@ -69,3 +78,6 @@ for k in range(1, 5):
 print("\nstart-small 123-avoiders:")
 for n in range(1, 9):
     print(f"  n={n}: {count_start_small_123_avoiders(n)}")
+
+if differ:
+    sys.exit("routes differ: " + "; ".join(differ))

@@ -5,8 +5,8 @@ Every check is a stream of failure strings over its cases, and one driver,
 ``_result``, turns the stream into a ``CheckResult``: a pass/fail flag and, on
 failure, the first counterexample or an expected-vs-actual diff.  The driver
 stops the stream at its first failure, so no case after it is checked.  The
-bijection checks sweep complete avoidance classes; the series checks compare
-the two independent generating-function routes and the enumeration oracle.
+bijection checks sweep complete avoidance classes; ``_routes`` holds each
+route (enumeration, the ``count`` walks, the closed form) to its series.
 ``run_checks`` bundles everything for the ``verify`` CLI command; the test
 suite calls the individual functions with the bounds it wants.  Within one
 ``run_checks`` call each start-small class and each ``gf_full`` and
@@ -29,7 +29,7 @@ from .bijection import Perm, decompose, inverse_params, phi, phi_inverse, recomp
 from .enumeration import (
     ClassDescriptor,
     count_avoiders,
-    count_pair_avoiders,
+    count_class,
     count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
@@ -101,6 +101,19 @@ def _result(name: str, scope: str, failures: Iterable[str]) -> CheckResult:
                        detail=failure or "")
 
 
+def _routes(name: str, scope: str, *routes: tuple) -> CheckResult:
+    # A route is (first n, its terms from there, the coefficients of the series
+    # they must equal, a message for each n where they differ, naming a and b).
+    # Checks build their routes when called, so a rebound gf_full reaches them.
+    mismatches = (
+        message.format(n=n, a=a, b=b)
+        for first, terms, coeffs, message in routes
+        for n, (a, b) in enumerate(zip(terms, coeffs[first:], strict=True), first)
+        if a != b
+    )
+    return _result(name, scope, mismatches)
+
+
 #: What one ``run_checks`` call has built, by (builder, arguments); a module
 #: slot, since the public checks take only their bounds, and None outside a
 #: run.  Full classes are not kept: at ``--deep`` they would hold about 500k tuples.
@@ -116,16 +129,6 @@ def _once(build, *args):
 
 def _start_small(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
     return tuple(enumerate_class(ClassDescriptor(n, patterns, start_small_only=True)))
-
-
-def _mismatches(
-    left: Iterable[int], right: Iterable[int], message: str, start: int = 0
-) -> Iterator[str]:
-    # ``message`` filled in at each index n where the equal-length sides
-    # differ, with their values a, b there.
-    for n, (a, b) in enumerate(zip(left, right, strict=True), start):
-        if a != b:
-            yield message.format(n=n, a=a, b=b)
 
 
 def load_reference_sequence() -> list[int]:
@@ -147,34 +150,39 @@ def check_reference_counts(order: int = 100) -> CheckResult:
     """gf_full reproduces the vendored A164651 terms."""
     reference = load_reference_sequence()
     top = min(order, len(reference) - 1)
-    mismatches = _mismatches(
-        _once(gf_full, top).coeffs, reference[: top + 1],
+    return _routes("reference_counts", f"n<={top}", (
+        0, _once(gf_full, top).coeffs, reference[: top + 1],
         "n={n}: series gives {a}, reference says {b}",
-    )
-    return _result("reference_counts", f"n<={top}", mismatches)
+    ))
 
 
 def check_enumeration_matches_series(max_n: int) -> CheckResult:
     """Brute-force avoider counts equal the gf_full coefficients for n >= 1
     (the n = 0 term is compared with A164651 by ``check_reference_counts``)."""
-    coeffs = _once(gf_full, max_n).coeffs
     counts = (count_avoiders(n, AVOIDED_PAIR) for n in range(1, max_n + 1))
-    mismatches = _mismatches(
-        counts, coeffs[1:], "n={n}: enumeration counts {a}, series gives {b}", start=1
-    )
-    return _result("enumeration_matches_series", f"n<={max_n}", mismatches)
+    return _routes("enumeration_matches_series", f"n<={max_n}", (
+        1, counts, _once(gf_full, max_n).coeffs,
+        "n={n}: enumeration counts {a}, series gives {b}",
+    ))
 
 
 def check_memo_matches_series(max_n: int) -> CheckResult:
-    """The memoized pair counter equals the gf_full coefficients for n <= max_n.
-    ``check_enumeration_matches_series`` holds brute force to the same series,
-    so the two together tie the counter to the enumerator."""
-    counts = (count_pair_avoiders(n) for n in range(max_n + 1))
-    mismatches = _mismatches(
-        counts, _once(gf_full, max_n).coeffs,
-        "n={n}: memo counter gives {a}, series gives {b}",
+    """``count_class``, the code behind ``avoiders count``, meets each walked
+    class's series for 1 <= n <= max_n: pair F (G start-small), 123 C ((1-x)C
+    start-small).  ``check_enumeration_matches_series`` ties F to brute force."""
+    def walk(*spec):
+        return (count_class(ClassDescriptor(n, *spec)) for n in range(1, max_n + 1))
+
+    f, g = _once(gf_full, max_n).coeffs, _once(gf_start_small, max_n).coeffs
+    c = catalan_series(max_n)
+    return _routes(
+        "memo_matches_series", f"n<={max_n}",
+        (1, walk(AVOIDED_PAIR), f, "n={n}: memo counter gives {a}, series gives {b}"),
+        (1, walk(AVOIDED_PAIR, True), g, "n={n}: start-small walk gives {a}, G gives {b}"),
+        (1, walk((PATTERN_123,)), c.coeffs, "n={n}: 123 walk gives {a}, C gives {b}"),
+        (1, walk((PATTERN_123,), True), (c * poly(max_n, 1, -1)).coeffs,
+         "n={n}: start-small 123 walk gives {a}, (1-x)C gives {b}"),
     )
-    return _result("memo_matches_series", f"n<={max_n}", mismatches)
 
 
 def check_no_key_implies_123_avoiding(max_n: int) -> CheckResult:
@@ -399,20 +407,18 @@ def check_series_identities(order: int) -> CheckResult:
 def check_closed_form_match(order: int) -> CheckResult:
     """The composition-transform route and the closed form agree coefficient
     by coefficient."""
-    mismatches = _mismatches(
-        _once(gf_full, order).coeffs,
-        kotesovec_series(order).coeffs,
+    return _routes("closed_form_match", f"order {order}", (
+        0, _once(gf_full, order).coeffs, kotesovec_series(order).coeffs,
         "n={n}: transform route {a}, closed form {b}",
-    )
-    return _result("closed_form_match", f"order {order}", mismatches)
+    ))
 
 
 def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[CheckResult]:
     """
     The full battery.  ``max_n`` bounds the exhaustive sweeps; ``deep`` raises
     it to at least 10 and the enumeration-vs-series comparison to at least
-    n = 11 (minutes instead of seconds).  The memo counter is compared with
-    the series to n = 12, or n = 20 with ``deep``, whatever ``max_n`` is.
+    n = 11 (minutes instead of seconds).  The walks behind ``count`` meet their
+    series to n = 12, or n = 20 with ``deep``, whatever ``max_n`` is.
     """
     global _store
     oracle_n = max(max_n, 11) if deep else max_n

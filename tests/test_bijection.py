@@ -190,6 +190,8 @@ def test_phi_inverse_examples():
 def test_phi_inverse_names_offending_index():
     with pytest.raises(ValueError, match="element 2"):
         phi_inverse(((1, 2), (1, 2, 3)))
+    with pytest.raises(ValueError, match=r"element 2 is not a permutation of 1..n: \(1, 3\)"):
+        phi_inverse(((1, 2), (1, 3)))
     with pytest.raises(ValueError, match="element 1"):
         phi_inverse(((2, 1), (1, 2)))
     with pytest.raises(ValueError, match="nonempty"):

@@ -112,7 +112,7 @@ def test_count_pair_matches_brute_force(capsys, monkeypatch, n):
         monkeypatch.setattr(cli_module, "count_class", _enumerated_count)
         expected = run_cli(capsys, "count", "--n", str(n), "--patterns", "1243,2134", *flags)
         monkeypatch.setattr(cli_module, "count_class", real)
-        for patterns in ("1243,2134", "2134,1243", "2134,1243,2134"):
+        for patterns in ("1243,2134", "2134,1243", "2134,1243,2134", "1243,,2134,"):
             argv = ("count", "--n", str(n), "--patterns", patterns, *flags)
             assert run_cli(capsys, *argv) == expected, argv
 

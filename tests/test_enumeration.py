@@ -261,6 +261,8 @@ def test_pattern_normalization():
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         list(enumerate_avoiders(0, AVOIDED_PAIR))
+    with pytest.raises(ValueError, match="length n must be >= 1"):
+        list(naive_avoiders(0, AVOIDED_PAIR))
     with pytest.raises(ValueError, match="pattern"):
         list(enumerate_avoiders(3, [(1, 3)]))
 

@@ -1,12 +1,14 @@
 """The verification harness itself: reporting, failure surfacing, fixture."""
 
 import dataclasses
+import importlib
 import inspect
 from collections import Counter
 
 import pytest
 
 import avoiders.verify as verify_module
+from avoiders.cli import main
 from avoiders.enumeration import ClassDescriptor
 from avoiders.series import PowerSeries, gf_full, kotesovec_series
 from avoiders.verify import (
@@ -162,6 +164,37 @@ def _no_123_classes(real):
     return doctored
 
 
+def _guard_trips(real):
+    def doctored(perm, j):
+        raise RuntimeError("non-key case must drop at least one entry")
+    return doctored
+
+
+#: Doctored counting paths behind ``avoiders count`` that only the rows of
+#: ``check_memo_matches_series`` see, with the detail each row gives.
+MEMO_DOCTORS = [
+    ("enumeration._count_123_avoiders",
+     lambda real: lambda n, start_small_only: real(n, start_small_only) + (n == 7),
+     "n=7: 123 walk gives 430, C gives 429"),
+    ("enumeration.count_pair_avoiders_by_keys",
+     lambda real: lambda n, start_small_only=False: real(n),
+     "n=1: start-small walk gives 1, G gives 0"),
+    ("count_class",  # routing that forgets the start-small flag
+     lambda real: lambda d: real(dataclasses.replace(d, start_small_only=False)),
+     "n=1: start-small walk gives 1, G gives 0"),
+    ("count_class",  # routing that sends every class to the pair walk
+     lambda real: lambda d: real(dataclasses.replace(d, patterns=verify_module.AVOIDED_PAIR)),
+     "n=3: 123 walk gives 6, C gives 5"),
+]
+
+
+def _doctor(monkeypatch, binding, doctor):
+    # ``binding`` names a binding in verify, or module.name elsewhere in the package.
+    owner, _, name = binding.rpartition(".")
+    module = importlib.import_module(f"avoiders.{owner or 'verify'}")
+    monkeypatch.setattr(module, name, doctor(getattr(module, name)))
+
+
 @pytest.mark.parametrize(
     "binding, doctor, check, bound, detail",
     [
@@ -174,22 +207,52 @@ def _no_123_classes(real):
          "check_phi_roundtrip", 4, "round trip moved 1 2"),
         ("decompose", _sigma2_is_sigma1,
          "check_pair_roundtrip", 5, "(1 2, 1 3 2) -> 1 3 4 2 -> (1 2, 1 2)"),
+        ("bijection._decompose", _guard_trips, "check_decomposition_typing", 5,
+         "non-key case must drop at least one entry"),
         ("enumerate_class", _no_123_classes,
          "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 1 * 0"),
+        ("decompose", _sigma2_is_sigma1, "check_golden_examples", None,
+         "key-case split gave ((8, 1, 9, 6, 4, 5, 2, 3, 7), (8, 1, 9, 6, 4, 5, 2, 3, 7))"),
+        ("decompose", lambda real: lambda perm: dataclasses.replace(real(perm), j=0),
+         "check_golden_examples", None, "key-case j: expected 9, got 0"),
+        ("recompose", lambda real: lambda sigma1, sigma2: real(sigma1, sigma2)[::-1],
+         "check_golden_examples", None, "key-case recompose missed the input"),
         ("catalan_series", _bump_x3,
          "check_series_identities", 10, "C != 1 + x*C^2"),
+        ("sqrt_one_minus_4x", _bump_x3,
+         "check_series_identities", 10, "sqrt(1-4x)^2 != 1-4x"),
+        ("invert_transform", _bump_x3,
+         "check_series_identities", 10, "(1+B)(1-A) != 1"),
+        ("gf_start_small", _bump_x3,
+         "check_series_identities", 10, "(1-x)F != G"),
+        ("count_start_small_123_avoiders", lambda real: lambda n: real(n) + 1,
+         "check_series_identities", 10,
+         "[x^1]C^3 = 3 but [n+2] has 4 start-small 123-avoiders"),
         ("gf_elements", _bump_x3,
          "check_series_identities", 10, "x*C^3 != gf_elements"),
+        *((binding, doctor, "check_memo_matches_series", 12, detail)
+          for binding, doctor, detail in MEMO_DOCTORS),
     ],
 )
 def test_doctored_binding_gives_exact_detail(monkeypatch, binding, doctor, check, bound, detail):
     # One doctored dependency per check: the check fails with exactly the
     # first counterexample its sweep meets.
-    real = getattr(verify_module, binding)
-    monkeypatch.setattr(verify_module, binding, doctor(real))
-    result = getattr(verify_module, check)(bound)
+    _doctor(monkeypatch, binding, doctor)
+    check = getattr(verify_module, check)
+    result = check() if bound is None else check(bound)
     assert not result.passed
     assert result.detail == detail
+
+
+@pytest.mark.parametrize("binding, doctor, detail", MEMO_DOCTORS)
+def test_doctored_count_path_fails_verify(monkeypatch, capsys, binding, doctor, detail):
+    # The CLI's counting paths are part of the battery: a doctored one makes
+    # ``avoiders verify`` exit 1, whatever bounds it is given.
+    _doctor(monkeypatch, binding, doctor)
+    assert main(["verify", "--max-n", "3", "--order", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split(None, 3) == ["memo_matches_series", "n<=12", "FAIL", detail]
+    assert lines[-1] == "overall: FAIL"
 
 
 def test_every_result_name_is_a_check_function():
@@ -259,7 +322,8 @@ def test_run_checks_builds_each_class_and_series_once(monkeypatch):
     classes = [ClassDescriptor(n, pair, start_small_only=True) for n in range(1, 9)]
     classes += [ClassDescriptor(m, only_123, start_small_only=True) for m in range(2, 8)]
     expected = [("enumerate_class", d) for d in classes]
-    expected += [("gf_full", 8), ("gf_full", 12), ("gf_full", 100), ("gf_start_small", 100)]
+    expected += [("gf_full", 8), ("gf_full", 12), ("gf_full", 100)]
+    expected += [("gf_start_small", 12), ("gf_start_small", 100)]
     assert Counter(built) == Counter(expected)
     assert verify_module._store is None
 
