@@ -27,13 +27,14 @@ and the longest increasing terminal run of sigma1 between them recover where
 a and c sat and what value filled the seam; the concatenation below rebuilds
 pi up to two placeholder slots which are then overwritten with a and c.
 
-Validation contract: each public entry point checks its inputs once and
-raises ``ValueError`` naming the offending role.  Pattern avoidance is
-checked by the one-pass ``perms.avoids_pair`` scan; only a rejected input
-goes on to generic ``contains``, so that the message can name the pattern
-(1243 first when both occur).  The private cores that the entry points
-call (``_decompose``, ``_inverse_params``, ``_recompose``) trust their
-inputs, keep only cheap ``RuntimeError`` guards and pass plain tuples; only
+Validation contract: each public entry point checks its inputs once, each
+in one scan (``perms.avoids_pair`` for an avoider, the element scan for a
+123-avoider), and raises ``ValueError`` naming the offending role.  Only a
+rejected input goes on to the separate predicates, ``is_permutation`` then
+``contains`` (1243 named first) or ``contains_123`` then start-small, which
+word the message.  The private cores (``_decompose``, ``_inverse_params``,
+``_recompose``) trust their inputs and the split data of ``_last_mid123``,
+keep only cheap ``RuntimeError`` guards and pass plain tuples; only
 ``decompose`` and ``inverse_params`` build the ``DecompositionStep`` and
 ``InverseParams`` dataclasses.  ``phi`` and ``phi_inverse`` feed each core's
 output straight into the next core, which is sound because every step stays
@@ -50,6 +51,8 @@ from dataclasses import dataclass
 from .perms import (
     AVOIDED_PAIR,
     _last_mid123,
+    _rank,
+    _start_small_123_avoider,
     avoids_pair,
     contains,
     contains_123,
@@ -57,7 +60,6 @@ from .perms import (
     is_permutation,
     is_start_small,
     parse_perm,
-    standardize,
 )
 
 Perm = tuple[int, ...]
@@ -101,25 +103,29 @@ class InverseParams:
 
 
 def _require_avoider(perm: Perm, role: str) -> None:
+    if avoids_pair(perm) and is_start_small(perm):
+        return
+    # Only a rejected input is diagnosed; ``contains`` names the pattern.
     if not is_permutation(perm):
         raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
     if not avoids_pair(perm):
-        # Only a rejected input pays for ``contains``, which names the pattern.
         for q in AVOIDED_PAIR:
             if contains(perm, q):
                 raise ValueError(f"{role} contains the forbidden pattern {format_perm(q)}")
         raise RuntimeError(f"avoids_pair and contains disagree on {perm!r}")
-    if not is_start_small(perm):
-        raise ValueError(f"{role} is not start-small: it begins with its largest entry")
+    raise ValueError(f"{role} is not start-small: it begins with its largest entry")
 
 
 def _require_element(perm: Perm, role: str) -> None:
+    if _start_small_123_avoider(perm):
+        return
     if not is_permutation(perm):
         raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
     if contains_123(perm):
         raise ValueError(f"{role} is not a 123-avoider")
-    if not is_start_small(perm):
-        raise ValueError(f"{role} is not start-small: it begins with its largest entry")
+    if is_start_small(perm):
+        raise RuntimeError(f"the element scan and contains_123 disagree on {perm!r}")
+    raise ValueError(f"{role} is not start-small: it begins with its largest entry")
 
 
 def decompose(perm: Perm) -> DecompositionStep:
@@ -128,32 +134,32 @@ def decompose(perm: Perm) -> DecompositionStep:
     entry into the pair (sigma1, sigma2) described in the module docstring.
     """
     _require_avoider(perm, "input")
-    j = _last_mid123(perm)
-    if not j:
+    split = _last_mid123(perm)
+    if not split[0]:
         raise ValueError("input is 123-avoiding: no mid-123 entry to split at")
-    sigma1, sigma2, b, a, c, r = _decompose(perm, j)
-    return DecompositionStep(sigma1, sigma2, b, a, c, j, r)
+    sigma1, sigma2, b, a, c, r = _decompose(perm, *split)
+    return DecompositionStep(sigma1, sigma2, b, a, c, split[0], r)
 
 
-def _decompose(perm: Perm, j: int) -> tuple[Perm, Perm, int, int, int, int]:
-    # perm is a start-small avoider and j its last mid-123 position; returns
-    # (sigma1, sigma2, b, a, c, r).
+def _decompose(
+    perm: Perm, j: int, a: int, c: int, second: int
+) -> tuple[Perm, Perm, int, int, int, int]:
+    # perm is a start-small avoider, split as ``_last_mid123`` reads it;
+    # returns (sigma1, sigma2, b, a, c, r).
     b = perm[j - 1]
     tau1 = perm[: j - 1]
     tau2 = perm[j:]
-    a = min(tau1)
-    above = [x for x in tau2 if x > b]
-    if len(above) != 1:
+    if second > b:
+        above = [x for x in tau2 if x > b]
         raise RuntimeError(
             f"expected exactly one entry above the last mid-123 entry, found {above!r}"
         )
-    c = above[0]
-    sigma2 = standardize((a,) + tau2)
+    sigma2 = _rank((a,) + tau2)
     # Key iff the predecessor of b is smaller or a right-to-left maximum;
-    # tau2 holds c > b, so max(tau2) is the largest entry after it.
-    if perm[j - 2] < b or perm[j - 2] > max(tau2):
+    # c is the largest entry after it.
+    if perm[j - 2] < b or perm[j - 2] > c:
         r = 0
-        sigma1 = standardize(tau1 + (c,))
+        sigma1 = _rank(tau1 + (c,))
     else:
         # Longest terminal run of tau1 that is decreasing and stays below c.
         t = len(tau1)
@@ -162,8 +168,8 @@ def _decompose(perm: Perm, j: int) -> tuple[Perm, Perm, int, int, int, int]:
         r = len(tau1) - t
         if r < 1:
             raise RuntimeError("non-key case must drop at least one entry")
-        shifted = tuple(x + r for x in tau1[:t] + (c,))
-        sigma1 = standardize(shifted + tuple(range(r, 0, -1)))
+        # The dropped run becomes r, r-1, ..., 1 below everything kept.
+        sigma1 = (*map(r.__add__, _rank(tau1[:t] + (c,))), *range(r, 0, -1))
     return sigma1, sigma2, b, a, c, r
 
 
@@ -188,16 +194,16 @@ def _inverse_params(sigma1: Perm, sigma2: Perm) -> tuple[int, ...]:
         r += 1
     p = j - r
     q = len(sigma2) - 1
-    mu = sigma1[:p]
-    i_pos = mu.index(min(mu)) + 1
-    k_pos = j - 1 + sigma2.index(max(sigma2)) + 1
+    # Permutations: mu = sigma1[:p] has minimum r + 1, sigma2 maximum q + 1.
+    i_pos = sigma1.index(r + 1) + 1
+    k_pos = j - 1 + sigma2.index(q + 1) + 1
     a = sigma2[0]
     c = sigma1[p - 1] + q
-    segment = sigma1[i_pos:p]  # positions i_pos + 1 .. p, 1-based
-    if not segment:
+    if i_pos == p:
         raise RuntimeError("minimum of mu sits at its last position")
+    # Longest increasing terminal run of sigma1[i_pos:p].
     s = 1
-    while s < len(segment) and segment[-s - 1] < segment[-s]:
+    while s < p - i_pos and sigma1[p - s - 1] < sigma1[p - s]:
         s += 1
     return n, j, r, p, q, i_pos, k_pos, a, c, s
 
@@ -214,13 +220,13 @@ def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
 
 def _recompose(sigma1: Perm, sigma2: Perm) -> Perm:
     n, j, r, p, q, i_pos, k_pos, a, c, s = _inverse_params(sigma1, sigma2)
-    word = (
-        [x + q for x in sigma1[: p - s]]
-        + [x + q - 1 for x in sigma1[p - s : p - 1]]
-        + [n - j + r + s]
-        + [x + q for x in sigma1[p:j]]  # empty when r == 0
-        + list(sigma2[1 : q + 1])
-    )
+    word = [
+        *map(q.__add__, sigma1[: p - s]),
+        *map((q - 1).__add__, sigma1[p - s : p - 1]),
+        n - j + r + s,
+        *map(q.__add__, sigma1[p:j]),  # empty when r == 0
+        *sigma2[1:],
+    ]
     # The slots where a and c belong may hold duplicated placeholder values
     # until this overwrite.
     word[i_pos - 1] = a
@@ -251,8 +257,8 @@ def phi(perm: Perm) -> tuple[Perm, ...]:
     _require_avoider(perm, "input")
     extracted = []
     current = perm
-    while j := _last_mid123(current):
-        current, sigma2 = _decompose(current, j)[:2]
+    while (split := _last_mid123(current))[0]:
+        current, sigma2 = _decompose(current, *split)[:2]
         extracted.append(sigma2)
     return (current,) + tuple(reversed(extracted))
 

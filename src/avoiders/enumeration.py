@@ -356,7 +356,7 @@ def enumerate_class(descriptor: ClassDescriptor) -> Iterator[tuple[int, ...]]:
             break  # in lexicographic order, every later one starts with n too
         if descriptor.k is not None and len(key_mid123_entries(perm)) != descriptor.k:
             continue
-        if descriptor.j is not None and _last_mid123(perm) != descriptor.j:
+        if descriptor.j is not None and _last_mid123(perm)[0] != descriptor.j:
             continue
         yield perm
 

@@ -13,18 +13,20 @@ generic enumerator pins two, the appended value and the newest entry, as
 the prefix's parent passed the same test; ``contains`` pins one.
 
 The pattern pair {1243, 2134} also has a one-pass scan, ``avoids_pair``,
-for permutations of [n]: a few prefix statistics and two int bitsets decide
-at each appended entry whether it completes either pattern, in O(1) big-int
-operations per entry.  Its docstring states the two completion rules, which
-the pair enumerator and the memoized walks in ``enumeration`` also build
-on.  The bijection's entry points validate with it; ``contains`` stays the
-independent oracle it is tested against.  The entry classes below share one
-suffix-maximum scan, and each is then a single left-to-right pass.
+that refuses non-permutations too: a few prefix statistics and two int
+bitsets decide at each appended entry whether it completes either pattern,
+in O(1) big-int operations per entry.  Its docstring states the two
+completion rules, which the pair enumerator and the memoized walks in
+``enumeration`` also build on.  The bijection's entry points validate with
+it; ``contains`` stays the independent oracle it is tested against.  The
+entry classes below share one suffix-maximum scan, and each is then a single
+left-to-right pass.
 
-The bijection splits at the last mid-123 entry only and finds it with the
-private ``_last_mid123``: prefix minima, then a right-to-left scan that stops
-at the first hit.  It is private so that a tracer of the public functions
-bills it to its caller; ``mid123_entries`` stays the tested definition.
+The bijection's helpers are private, so that a tracer of the public
+functions bills them to their caller: ``_last_mid123`` finds the split and
+the entries either side of it in one scan, ``_rank`` is ``standardize``
+without its duplicate check, and ``_start_small_123_avoider`` checks a list
+element in one scan.  ``mid123_entries`` stays the tested definition.
 
 Terminology used throughout the package:
 
@@ -42,7 +44,8 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from bisect import bisect
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 PATTERN_123 = (1, 2, 3)
@@ -103,10 +106,15 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
     >>> standardize((16, 19, 15, 6, 18, 11, 12, 13, 17, 3, 2, 1))
     (9, 12, 8, 4, 11, 5, 6, 7, 10, 3, 2, 1)
     """
-    rank = dict(zip(sorted(word), range(1, len(word) + 1)))
-    if len(rank) != len(word):
+    if len(set(word)) != len(word):
         raise ValueError(f"cannot standardize a word with duplicates: {word!r}")
-    return tuple(map(rank.__getitem__, word))
+    return _rank(word)
+
+
+def _rank(word: Sequence[int]) -> tuple[int, ...]:
+    # ``standardize`` for words known to be distinct: an entry's rank is the
+    # number of entries up to it.
+    return tuple(map(bisect, repeat(sorted(word)), word))
 
 
 def _ends_at(
@@ -195,6 +203,23 @@ def contains_123(word: Sequence[int]) -> bool:
     return False
 
 
+def _start_small_123_avoider(perm: Sequence[int]) -> bool:
+    # Is perm a start-small 123-avoiding permutation of [n]?  The scan of
+    # ``contains_123`` with the range and repeat tests of ``avoids_pair``.
+    n = len(perm)
+    lowest = best_mid = n + 1
+    placed = 0
+    for v in perm:
+        if not 0 < v < best_mid:  # best_mid <= n + 1 is n + 1 or a placed value
+            return False
+        if v > lowest:
+            best_mid = v
+        else:
+            lowest = v
+        placed |= 1 << v
+    return n > 0 and placed == (2 << n) - 2 and perm[0] != n
+
+
 def avoids(word: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     """True iff ``word`` contains none of the given patterns."""
     return not any(contains(word, q) for q in patterns)
@@ -202,12 +227,14 @@ def avoids(word: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
 
 def avoids_pair(perm: Sequence[int]) -> bool:
     """
-    True iff ``perm`` avoids both 1243 and 2134, in one left-to-right scan.
+    True iff ``perm`` is a permutation of [n] that avoids both 1243 and
+    2134, in one left-to-right scan.
 
-    The input must be a permutation of [n]: values are used as bit indices,
-    so they must be positive (and distinct); words are not accepted.  The
-    scan carries the prefix minimum ``lowest``, the smallest top of a rise
-    ``s12``, the smallest top of a descent ``m21``, the smallest entry
+    Values are bit indices, so each is range-tested before any shift; a
+    repeated one leaves a bit of ``placed`` unset, which the final test
+    sees.  Any other sequence of ints, the empty one included, gives False.
+    The scan carries the prefix minimum ``lowest``, the smallest top of a
+    rise ``s12``, the smallest top of a descent ``m21``, the smallest entry
     ``bad4`` above the top of an earlier descent (the 3 of a 213), and two
     int bitsets: the placed values, and the values whose placement would
     complete a 1243.  An occurrence of either pattern ends at the entry that
@@ -221,32 +248,40 @@ def avoids_pair(perm: Sequence[int]) -> bool:
       the union of those intervals.
 
     Placing v makes the smallest placed value above v, the lowest set bit
-    of ``placed >> v``, the top of a descent, so each step costs O(1) big-int
-    operations.  ``contains`` stays the independent oracle.
+    of ``placed`` above bit v, the top of a descent, so each step costs O(1)
+    big-int operations.  ``contains`` stays the independent oracle.
 
     >>> avoids_pair((11, 2, 12, 9, 7, 8, 4, 5, 6, 1, 10, 3))
     True
     >>> [avoids_pair(p) for p in [(1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)]]
     [False, False, True]
+    >>> [avoids_pair(w) for w in [(), (2, 3), (1, 1), (-1, 1)]]
+    [False, False, False, False]
     """
-    lowest = s12 = m21 = bad4 = len(perm) + 1
+    n = len(perm)
+    lowest = s12 = m21 = bad4 = n + 1
     placed = forbidden = 0
     for v in perm:
-        if v > bad4 or forbidden >> v & 1:
+        if not 0 < v < bad4:  # bad4 <= n + 1 is n + 1 or a placed value
+            return False
+        bit = 1 << v
+        if forbidden & bit:
             return False
         if v > m21:
-            bad4 = v  # v < bad4, which it did not exceed
-        above = placed >> v
+            bad4 = v  # v < bad4, which it did not reach
+        above = placed & -bit  # the placed values above v
         if above:
-            m21 = min(m21, v + (above & -above).bit_length() - 1)
+            top = (above & -above).bit_length() - 1
+            if top < m21:
+                m21 = top
         if v > s12:
-            forbidden |= (1 << v) - (2 << s12)  # s12 < u < v
+            forbidden |= bit - (2 << s12)  # s12 < u < v
         elif v > lowest:
             s12 = v
         else:
             lowest = v
-        placed |= 1 << v
-    return True
+        placed |= bit
+    return n > 0 and placed == (2 << n) - 2  # every value of 1..n placed
 
 
 def right_to_left_maxima(perm: Sequence[int]) -> set[int]:
@@ -306,18 +341,21 @@ def mid123_entries(perm: Sequence[int]) -> list[int]:
     return positions
 
 
-def _last_mid123(perm: Sequence[int]) -> int:
-    # The last of ``mid123_entries(perm)``, or 0 if there is none.  lows[t]
-    # is the smallest of perm[:t + 1]; high the largest entry after index t.
+def _last_mid123(perm: Sequence[int]) -> tuple[int, int, int, int]:
+    # (j, a, c, second): j the last of ``mid123_entries(perm)`` or 0, a the
+    # smallest entry before it, c and second the two largest after it (0 if
+    # none).  lows[t] is the smallest of perm[:t + 1].
     lows = list(accumulate(perm, min))
-    high = 0
+    high = second = 0
     for t in range(len(perm) - 1, 0, -1):
         v = perm[t]
         if lows[t - 1] < v < high:
-            return t + 1
+            return t + 1, lows[t - 1], high, second
         if v > high:
-            high = v
-    return 0
+            high, second = v, high
+        elif v > second:
+            second = v
+    return 0, 0, 0, 0
 
 
 def key_mid123_entries(perm: Sequence[int]) -> list[int]:

@@ -391,7 +391,7 @@ def _series_identity_failures(order: int) -> Iterator[str]:
     for n in range(1, min(8, order) + 1):
         counted = count_start_small_123_avoiders(n + 2)
         if c3[n] != counted:
-            yield f"[x^{n}]C^3 = {c3[n]} but [n+2] has {counted} start-small 123-avoiders"
+            yield f"[x^{n}]C^3 = {c3[n]} but [{n + 2}] has {counted} start-small 123-avoiders"
     if a != gf_elements(order):
         yield "x*C^3 != gf_elements"
 

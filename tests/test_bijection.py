@@ -21,9 +21,11 @@ from avoiders.enumeration import ClassDescriptor, enumerate_avoiders, enumerate_
 from avoiders.perms import (
     AVOIDED_PAIR,
     PATTERN_123,
+    _last_mid123,
     avoids,
     contains,
     contains_123,
+    is_permutation,
     is_start_small,
     key_mid123_entries,
     mid123_entries,
@@ -126,19 +128,71 @@ def test_recompose_rejects_bad_inputs():
 
 
 def test_valid_inputs_never_reach_contains(monkeypatch):
-    # Accepted inputs are validated by the one-pass avoids_pair scan alone;
-    # generic contains is only the reject path's pattern namer.
-    def spy(word, pattern):
-        raise AssertionError(f"contains({word!r}, {pattern!r}) on a valid input")
+    # Accepted inputs are validated by one scan each: avoids_pair for the
+    # avoiders, the element scan for the 123-avoiders.  The separate
+    # predicates only diagnose rejected input, so on valid input the one
+    # is_permutation call per rebuilt permutation is the recompose guard's.
+    def refuse(*args):
+        raise AssertionError(f"diagnosis predicate called on a valid input {args!r}")
 
-    monkeypatch.setattr(bijection_module, "contains", spy)
+    guarded = []
+
+    def guard(word):
+        guarded.append(word)
+        return is_permutation(word)
+
+    for name in ("contains", "contains_123"):
+        monkeypatch.setattr(bijection_module, name, refuse)
+    monkeypatch.setattr(bijection_module, "is_permutation", guard)
     for perm in (KEY_INPUT, DROP_INPUT):
         step = decompose(perm)
         assert inverse_params(*step.pair).j == step.j
+        assert not guarded
         assert recompose(*step.pair) == perm
+        assert guarded == [perm]
+        guarded.clear()
     for n in range(1, 8):
         for perm in start_small_avoiders(n):
-            assert phi_inverse(phi(perm)) == perm
+            elements = phi(perm)
+            assert not guarded
+            assert phi_inverse(elements) == perm
+            assert len(guarded) == len(elements) - 1
+            assert guarded[-1:] in ([], [perm])
+            guarded.clear()
+
+
+#: Words that are not permutations of [n], some of which would make a
+#: bit-shift scan shift by a negative count if it shifted before testing.
+MALFORMED = [(), (0,), (-1, 1), (1, 1), (2, 3), (1, 3, 2, 5), (3, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("word", MALFORMED)
+def test_malformed_words_are_named_for_every_role(word):
+    calls = [
+        ("input", lambda: decompose(word)),
+        ("input", lambda: phi(word)),
+        ("sigma1", lambda: inverse_params(word, (1, 2))),
+        ("sigma1", lambda: recompose(word, (1, 2))),
+        ("sigma2", lambda: inverse_params((1, 2), word)),
+        ("sigma2", lambda: recompose((1, 2), word)),
+        ("element 1", lambda: phi_inverse((word, (1, 2)))),
+        ("element 2", lambda: phi_inverse(((1, 2), word))),
+    ]
+    for role, call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{role} is not a permutation of 1..n: {word!r}"
+
+
+def test_decompose_core_refuses_two_entries_above_b():
+    # 1 2 4 3 splits at b = 2 with 4 and 3 both above it: the core's guard
+    # compares the second-largest entry after b with b.
+    perm = (1, 2, 4, 3)
+    with pytest.raises(RuntimeError) as excinfo:
+        bijection_module._decompose(perm, *_last_mid123(perm))
+    assert str(excinfo.value) == (
+        "expected exactly one entry above the last mid-123 entry, found [4, 3]"
+    )
 
 
 @pytest.mark.parametrize(

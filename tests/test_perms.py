@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoiders.bijection import phi_inverse
+from avoiders.enumeration import enumerate_avoiders
 from avoiders.perms import (
     AVOIDED_PAIR,
     _ends_at,
     _last_mid123,
+    _start_small_123_avoider,
     PATTERN_123,
     avoids,
     avoids_pair,
@@ -167,14 +169,19 @@ def test_avoids_pair_matches_generic(n):
         assert avoids_pair(perm) == avoids(perm, AVOIDED_PAIR), perm
 
 
-def test_avoids_pair_matches_generic_on_hard_cases():
-    # Avoiders of length up to about 50, folded by phi_inverse from random
-    # lists, and every permutation one transposition away from each: mostly
-    # near-misses, so both verdicts are well represented.
+def _random_avoiders():
+    # Start-small avoiders of length up to about 50, folded by phi_inverse
+    # from seeded random lists.
     rng = random.Random(20131243)
-    verdicts = {True: 0, False: 0}
     for _ in range(30):
-        perm = phi_inverse(tuple(_random_element(rng) for _ in range(rng.randint(1, 12))))
+        yield phi_inverse(tuple(_random_element(rng) for _ in range(rng.randint(1, 12))))
+
+
+def test_avoids_pair_matches_generic_on_hard_cases():
+    # Random avoiders and every permutation one transposition away from
+    # each: mostly near-misses, so both verdicts are well represented.
+    verdicts = {True: 0, False: 0}
+    for perm in _random_avoiders():
         cases = [perm]
         for i, j in itertools.combinations(range(len(perm)), 2):
             swapped = list(perm)
@@ -185,6 +192,26 @@ def test_avoids_pair_matches_generic_on_hard_cases():
             assert verdict == avoids(case, AVOIDED_PAIR), case
             verdicts[verdict] += 1
     assert min(verdicts.values()) >= 500, verdicts
+
+
+def _words(n):
+    # Every word of length n over -1..n+1: permutations of [n] and the
+    # near-misses out of range or with a repeat.
+    return itertools.product(range(-1, n + 2), repeat=n)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_fused_validators_match_the_predicates(n):
+    # The bijection's one-scan validators accept exactly what the separate
+    # predicates do: on every permutation up to n = 7, and on every word
+    # over -1..n+1 up to n = 4.
+    words = _words(n) if n <= 4 else itertools.permutations(range(1, n + 1))
+    for word in words:
+        valid = is_permutation(word) and is_start_small(word)
+        assert (avoids_pair(word) and is_start_small(word)) == (
+            valid and avoids(word, AVOIDED_PAIR)
+        ), word
+        assert _start_small_123_avoider(word) == (valid and not contains_123(word)), word
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +273,40 @@ def test_entry_classes_match_definitions():
         assert key_mid123_entries(perm) == keys, perm
 
 
+def _split_by_definition(perm):
+    # (j, a, c, second) as the bijection's split scan should return them:
+    # c and second are the two largest entries after j, 0 standing in for a
+    # missing second.
+    j = (mid123_entries(perm) or [0])[-1]
+    if not j:
+        return 0, 0, 0, 0
+    c, second = sorted(perm[j:] + (0,), reverse=True)[:2]
+    return j, min(perm[: j - 1]), c, second
+
+
 def test_last_mid123_is_the_last_mid123_entry():
-    # The bijection's private scan against the public list, including the
-    # empty permutation and two shapes with no mid-123 entry that make it
-    # scan everything.
+    # The bijection's private scan against the public list and the split
+    # data by definition, including the empty permutation and two shapes
+    # with no mid-123 entry that make it scan everything.
     n = 2000
     no_mids = [(*range(n - 1, 0, -1), n), (1, *range(n, 1, -1))]
     for perm in itertools.chain([()], _entry_class_cases(), no_mids):
-        assert _last_mid123(perm) == (mid123_entries(perm) or [0])[-1], perm
+        assert _last_mid123(perm) == _split_by_definition(perm), perm
+
+
+def test_split_of_an_avoider_has_one_entry_above_b():
+    # On avoiders, the split's c is the only later entry above b, which is
+    # what lets the bijection test the second-largest entry against b.
+    cases = itertools.chain(
+        *(enumerate_avoiders(n, AVOIDED_PAIR) for n in range(1, 9)), _random_avoiders()
+    )
+    for perm in cases:
+        j, a, c, second = _last_mid123(perm)
+        assert (j, a, c, second) == _split_by_definition(perm), perm
+        if j:
+            b = perm[j - 1]
+            assert [x for x in perm[j:] if x > b] == [c], perm
+            assert second < b, perm
 
 
 @pytest.mark.parametrize("n", range(1, 8))

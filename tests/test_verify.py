@@ -117,8 +117,8 @@ def test_broken_decomposition_fails_typing_check(monkeypatch):
 
     real = bijection_module._decompose
 
-    def doctored(perm, j):
-        sigma1, sigma2, *witnesses = real(perm, j)
+    def doctored(perm, *split):
+        sigma1, sigma2, *witnesses = real(perm, *split)
         return (sigma1, sigma2[::-1], *witnesses)
 
     monkeypatch.setattr(bijection_module, "_decompose", doctored)
@@ -165,7 +165,7 @@ def _no_123_classes(real):
 
 
 def _guard_trips(real):
-    def doctored(perm, j):
+    def doctored(perm, *split):
         raise RuntimeError("non-key case must drop at least one entry")
     return doctored
 
@@ -227,7 +227,7 @@ def _doctor(monkeypatch, binding, doctor):
          "check_series_identities", 10, "(1-x)F != G"),
         ("count_start_small_123_avoiders", lambda real: lambda n: real(n) + 1,
          "check_series_identities", 10,
-         "[x^1]C^3 = 3 but [n+2] has 4 start-small 123-avoiders"),
+         "[x^1]C^3 = 3 but [3] has 4 start-small 123-avoiders"),
         ("gf_elements", _bump_x3,
          "check_series_identities", 10, "x*C^3 != gf_elements"),
         *((binding, doctor, "check_memo_matches_series", 12, detail)
