@@ -39,7 +39,6 @@ from .perms import (
     avoids,
     avoids_pair,
     contains,
-    contains_123,
     format_perm,
     is_permutation,
     is_start_small,
@@ -74,7 +73,6 @@ __all__ = [
     "avoids_pair",
     "catalan_series",
     "contains",
-    "contains_123",
     "count_avoiders",
     "count_class",
     "count_pair_avoiders",

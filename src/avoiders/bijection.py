@@ -30,13 +30,14 @@ pi up to two placeholder slots which are then overwritten with a and c.
 Validation contract: each public entry point checks its inputs once, each
 in one scan (``perms.avoids_pair`` for an avoider, the element scan for a
 123-avoider), and raises ``ValueError`` naming the offending role.  Only a
-rejected input goes on to the separate predicates, ``is_permutation`` then
-``contains`` (1243 named first) or ``contains_123`` then start-small, which
-word the message.  The private cores (``_decompose``, ``_inverse_params``,
-``_recompose``) trust their inputs and the split data of ``_last_mid123``,
-keep only cheap ``RuntimeError`` guards and pass plain tuples; only
-``decompose`` and ``inverse_params`` build the ``DecompositionStep`` and
-``InverseParams`` dataclasses.  ``phi`` and ``phi_inverse`` feed each core's
+rejected input, of either class, reaches ``_reject``: ``is_permutation``,
+``contains`` per forbidden pattern (1243 first) and start-small word the
+message; an input passing all three means a faulty scan (``RuntimeError``).
+The private cores (``_decompose``, ``_inverse_params``, ``_recompose``)
+trust their inputs and the split data of ``_last_mid123``, keep only cheap
+``RuntimeError`` guards and pass plain tuples; only ``decompose`` and
+``inverse_params`` build the ``DecompositionStep`` and ``InverseParams``
+dataclasses.  ``phi`` and ``phi_inverse`` feed each core's
 output straight into the next core, which is sound because every step stays
 in its class: ``avoiders.verify`` checks exactly that (decomposition typing,
 both round trips) exhaustively at small lengths.
@@ -50,12 +51,12 @@ from dataclasses import dataclass
 
 from .perms import (
     AVOIDED_PAIR,
+    PATTERN_123,
     _last_mid123,
     _rank,
     _start_small_123_avoider,
     avoids_pair,
     contains,
-    contains_123,
     format_perm,
     is_permutation,
     is_start_small,
@@ -103,28 +104,24 @@ class InverseParams:
 
 
 def _require_avoider(perm: Perm, role: str) -> None:
-    if avoids_pair(perm) and is_start_small(perm):
-        return
-    # Only a rejected input is diagnosed; ``contains`` names the pattern.
-    if not is_permutation(perm):
-        raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
-    if not avoids_pair(perm):
-        for q in AVOIDED_PAIR:
-            if contains(perm, q):
-                raise ValueError(f"{role} contains the forbidden pattern {format_perm(q)}")
-        raise RuntimeError(f"avoids_pair and contains disagree on {perm!r}")
-    raise ValueError(f"{role} is not start-small: it begins with its largest entry")
+    if not (avoids_pair(perm) and is_start_small(perm)):
+        _reject(perm, role, AVOIDED_PAIR, "contains the forbidden pattern {}")
 
 
 def _require_element(perm: Perm, role: str) -> None:
-    if _start_small_123_avoider(perm):
-        return
+    if not _start_small_123_avoider(perm):
+        _reject(perm, role, (PATTERN_123,), "is not a 123-avoider")
+
+
+def _reject(perm: Perm, role: str, patterns: tuple[Perm, ...], holds: str) -> None:
+    # Always raises; ``holds`` words a pattern found, with ``{}`` for its name.
     if not is_permutation(perm):
         raise ValueError(f"{role} is not a permutation of 1..n: {perm!r}")
-    if contains_123(perm):
-        raise ValueError(f"{role} is not a 123-avoider")
+    for q in patterns:
+        if contains(perm, q):
+            raise ValueError(f"{role} " + holds.format(format_perm(q)))
     if is_start_small(perm):
-        raise RuntimeError(f"the element scan and contains_123 disagree on {perm!r}")
+        raise RuntimeError(f"the one-scan check and contains disagree on {role}: {perm!r}")
     raise ValueError(f"{role} is not start-small: it begins with its largest entry")
 
 

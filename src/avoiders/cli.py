@@ -11,11 +11,12 @@ reported as one ``internal error:`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bijection import format_perm_list, parse_perm_list, phi, phi_inverse
 from .enumeration import ClassDescriptor, count_class, enumerate_class
@@ -83,12 +84,24 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@contextlib.contextmanager
+def _uncapped_int_printing() -> Iterator[None]:
+    # Counts and coefficients outgrow Python's int-to-str digit cap (C_n near
+    # n = 7,150); it still guards int() on input.  0 is no cap (Python < 3.10.7).
+    old_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if old_cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old_cap:
+            sys.set_int_max_str_digits(old_cap)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     count = count_class(_descriptor(args))
-    if args.json:
-        print(json.dumps({"count": str(count)}))
-    else:
-        print(count)
+    with _uncapped_int_printing():
+        print(json.dumps({"count": str(count)}) if args.json else count)
     return 0
 
 
@@ -118,20 +131,12 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     series: PowerSeries = SERIES_BUILDERS[args.which](args.order)
-    # Coefficients outgrow Python's int-to-str digit cap (Catalan near order
-    # 7,150), so lift it while printing; 0 means no cap, as before Python 3.10.7.
-    old_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if old_cap:
-        sys.set_int_max_str_digits(0)
-    try:
+    with _uncapped_int_printing():
         if args.json:
             print(json.dumps({"coefficients": [str(c) for c in series.coeffs]}))
         else:
             for n, c in enumerate(series.coeffs):
                 print(f"{n}: {c}")
-    finally:
-        if old_cap:
-            sys.set_int_max_str_digits(old_cap)
     return 0
 
 

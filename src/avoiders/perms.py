@@ -18,9 +18,10 @@ bitsets decide at each appended entry whether it completes either pattern,
 in O(1) big-int operations per entry.  Its docstring states the two
 completion rules, which the pair enumerator and the memoized walks in
 ``enumeration`` also build on.  The bijection's entry points validate with
-it; ``contains`` stays the independent oracle it is tested against.  The
-entry classes below share one suffix-maximum scan, and each is then a single
-left-to-right pass.
+it; ``contains`` stays the independent oracle it is tested against.
+``mid123_entries`` and ``key_mid123_entries`` share one suffix-maximum scan,
+then a left-to-right pass each; ``right_to_left_maxima`` keeps its own loop
+(the tests define key entries by it) and ``_last_mid123`` scans leftward.
 
 The bijection's helpers are private, so that a tracer of the public
 functions bills them to their caller: ``_last_mid123`` finds the split and
@@ -178,34 +179,10 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     return m == 0 or any(_ends_at(word, end, pattern) for end in range(m - 1, len(word)))
 
 
-def contains_123(word: Sequence[int]) -> bool:
-    """
-    Linear-time containment test for the fixed pattern 123.
-
-    Scans once, tracking the prefix minimum and the smallest entry seen so
-    far that already has a smaller entry before it; any later entry above the
-    latter completes an ascending triple.
-
-    >>> contains_123((3, 4, 1, 2))
-    False
-    >>> contains_123((2, 1, 3, 4))
-    True
-    """
-    lowest = math.inf
-    best_mid = math.inf
-    for v in word:
-        if v > best_mid:
-            return True
-        if v > lowest and v < best_mid:
-            best_mid = v
-        if v < lowest:
-            lowest = v
-    return False
-
-
 def _start_small_123_avoider(perm: Sequence[int]) -> bool:
-    # Is perm a start-small 123-avoiding permutation of [n]?  The scan of
-    # ``contains_123`` with the range and repeat tests of ``avoids_pair``.
+    # Is perm a start-small 123-avoiding permutation of [n]?  One scan keeps
+    # the prefix minimum and the smallest top of a rise, which a later larger
+    # entry would make a 123; range and repeat tests as in ``avoids_pair``.
     n = len(perm)
     lowest = best_mid = n + 1
     placed = 0

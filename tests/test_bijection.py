@@ -24,7 +24,6 @@ from avoiders.perms import (
     _last_mid123,
     avoids,
     contains,
-    contains_123,
     is_permutation,
     is_start_small,
     key_mid123_entries,
@@ -141,8 +140,7 @@ def test_valid_inputs_never_reach_contains(monkeypatch):
         guarded.append(word)
         return is_permutation(word)
 
-    for name in ("contains", "contains_123"):
-        monkeypatch.setattr(bijection_module, name, refuse)
+    monkeypatch.setattr(bijection_module, "contains", refuse)
     monkeypatch.setattr(bijection_module, "is_permutation", guard)
     for perm in (KEY_INPUT, DROP_INPUT):
         step = decompose(perm)
@@ -182,6 +180,35 @@ def test_malformed_words_are_named_for_every_role(word):
         with pytest.raises(ValueError) as excinfo:
             call()
         assert str(excinfo.value) == f"{role} is not a permutation of 1..n: {word!r}"
+
+
+@pytest.mark.parametrize(
+    "scan, calls",
+    [
+        ("avoids_pair", [
+            ("input", lambda: decompose((1, 2))),
+            ("input", lambda: phi((1, 2))),
+            ("sigma1", lambda: inverse_params((1, 2), (1, 2))),
+            ("sigma1", lambda: recompose((1, 2), (1, 2))),
+            ("element 1", lambda: phi_inverse(((1, 2), (1, 2)))),
+        ]),
+        ("_start_small_123_avoider", [
+            ("sigma2", lambda: inverse_params((1, 2), (1, 2))),
+            ("sigma2", lambda: recompose((1, 2), (1, 2))),
+            ("element 2", lambda: phi_inverse(((1, 2), (1, 2)))),
+        ]),
+    ],
+)
+def test_scan_refusing_valid_input_is_an_internal_error(monkeypatch, scan, calls):
+    # A one-scan check that refuses what the independent predicates accept
+    # is a bug in the package, not bad input.
+    monkeypatch.setattr(bijection_module, scan, lambda perm: False)
+    for role, call in calls:
+        with pytest.raises(RuntimeError) as excinfo:
+            call()
+        assert str(excinfo.value) == (
+            f"the one-scan check and contains disagree on {role}: (1, 2)"
+        )
 
 
 def test_decompose_core_refuses_two_entries_above_b():
@@ -307,7 +334,7 @@ def _random_element(rng):
     m = rng.randint(2, 7)
     while True:
         perm = tuple(rng.sample(range(1, m + 1), m))
-        if is_start_small(perm) and not contains_123(perm):
+        if is_start_small(perm) and not contains(perm, PATTERN_123):
             return perm
 
 

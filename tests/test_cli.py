@@ -59,6 +59,28 @@ def test_count_json(capsys):
     assert json.loads(out) == {"count": "87"}
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_count_prints_past_int_str_digit_cap(capsys, monkeypatch, as_json):
+    # count --n N --patterns 123 passes 4,300 digits near N = 7,150.
+    import avoiders.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "count_class", lambda descriptor: 10**5000)
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = ["count", "--n", "5", "--patterns", "123"] + (["--json"] if as_json else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4300  # restored after the command
+    finally:
+        sys.set_int_max_str_digits(old_cap)
+    assert (code, err) == (0, "")
+    digits = "1" + "0" * 5000
+    assert out == (json.dumps({"count": digits}) if as_json else digits) + "\n"
+
+
 def test_count_invalid_descriptor_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "count", "--n", "5", "--patterns", "1243,2134", "--j", "3"
@@ -305,6 +327,25 @@ def test_phi_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: decompose(1 2 3) broke its contract: sigma1 length != j\n"
+
+
+@pytest.mark.parametrize(
+    "scan, argv, role",
+    [
+        ("avoids_pair", ["--forward", "1 2"], "input"),
+        ("avoids_pair", ["--inverse", "1 2 | 1 2"], "element 1"),
+        ("_start_small_123_avoider", ["--inverse", "1 2 | 1 2"], "element 2"),
+    ],
+)
+def test_phi_scan_refusing_valid_input_exits_3(capsys, monkeypatch, scan, argv, role):
+    import avoiders.bijection as bijection_module
+
+    monkeypatch.setattr(bijection_module, scan, lambda perm: False)
+    code, out, err = run_cli(capsys, "phi", *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"internal error: the one-scan check and contains disagree on {role}: (1, 2)\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import avoiders.bijection
 import avoiders.enumeration
 import avoiders.perms
 import avoiders.series
+from avoiders.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +41,17 @@ def test_readme_python_blocks():
         result = runner.run(test)
         assert result.failed == 0
         assert result.attempted > 0
+
+
+def test_readme_command_lines_give_their_stated_results(capsys):
+    # An ``avoiders`` line in a sh block whose comment begins with a digit
+    # states its stdout there, up to the first comma.
+    text = README.read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S)
+    stated = re.findall(r"^avoiders (.*?)\s+# (\d[^,\n]*)", "".join(blocks), re.M)
+    assert [result for _, result in stated] == [
+        "87", "4", "9", "1 2 | 1 2 | 1 2 | 1 2", "1 2 3 4 5",
+    ]
+    for command, result in stated:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == result + "\n", command

@@ -18,7 +18,6 @@ from avoiders.perms import (
     avoids,
     avoids_pair,
     contains,
-    contains_123,
     format_perm,
     is_permutation,
     is_start_small,
@@ -80,6 +79,9 @@ def test_contains_examples():
     worked = parse_perm("11 2 12 9 7 8 4 5 6 1 10 3")
     assert not contains(worked, (1, 2, 4, 3))
     assert not contains(worked, (2, 1, 3, 4))
+    # words that are not permutations of an interval
+    assert contains((6, 11, 40, 2), PATTERN_123)
+    assert not contains((40, 6, 11, 2), PATTERN_123)
 
 
 def test_contains_degenerate_patterns():
@@ -139,15 +141,6 @@ def test_ends_at_with_two_pinned_letters_matches_brute_force(n):
                     assert _ends_at(word, end, q, pinned=2) == (q in shapes), (
                         word, end, q,
                     )
-
-
-def test_contains_123_matches_generic():
-    for n in range(1, 7):
-        for perm in itertools.permutations(range(1, n + 1)):
-            assert contains_123(perm) == contains(perm, PATTERN_123)
-    # also on words that are not permutations of an interval
-    assert contains_123((6, 11, 40, 2))
-    assert not contains_123((40, 6, 11, 2))
 
 
 def test_contains_monotone_under_prefix_extension():
@@ -211,7 +204,9 @@ def test_fused_validators_match_the_predicates(n):
         assert (avoids_pair(word) and is_start_small(word)) == (
             valid and avoids(word, AVOIDED_PAIR)
         ), word
-        assert _start_small_123_avoider(word) == (valid and not contains_123(word)), word
+        assert _start_small_123_avoider(word) == (
+            valid and not contains(word, PATTERN_123)
+        ), word
 
 
 # ---------------------------------------------------------------------------
