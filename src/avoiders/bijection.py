@@ -27,20 +27,21 @@ and the longest increasing terminal run of sigma1 between them recover where
 a and c sat and what value filled the seam; the concatenation below rebuilds
 pi up to two placeholder slots which are then overwritten with a and c.
 
-Validation contract: each public entry point checks its inputs once, each
-in one scan (``perms.avoids_pair`` for an avoider, the element scan for a
-123-avoider), and raises ``ValueError`` naming the offending role.  Only a
-rejected input, of either class, reaches ``_reject``: ``is_permutation``,
-``contains`` per forbidden pattern (1243 first) and start-small word the
-message; an input passing all three means a faulty scan (``RuntimeError``).
-The private cores (``_decompose``, ``_inverse_params``, ``_recompose``)
-trust their inputs and the split data of ``_last_mid123``, keep only cheap
-``RuntimeError`` guards and pass plain tuples; only ``decompose`` and
+Validation contract: each public entry point takes lists as well as tuples,
+checks its inputs once, each in one scan (``perms.avoids_pair`` for an
+avoider, the element scan for a 123-avoider), and raises ``ValueError``
+naming the offending role.  Only a rejected input, of either class, reaches
+``_reject``: ``is_permutation``, ``contains`` per forbidden pattern (1243
+first) and start-small word the message; an input passing all three means a
+faulty scan (``RuntimeError``).  The private cores (``_decompose``,
+``_inverse_params``, ``_recompose``) trust their inputs and the split data
+of ``_last_mid123``, keep only cheap ``RuntimeError`` guards and pass the
+plain tuples each entry point makes of its input; only ``decompose`` and
 ``inverse_params`` build the ``DecompositionStep`` and ``InverseParams``
-dataclasses.  ``phi`` and ``phi_inverse`` feed each core's
-output straight into the next core, which is sound because every step stays
-in its class: ``avoiders.verify`` checks exactly that (decomposition typing,
-both round trips) exhaustively at small lengths.
+dataclasses.  ``phi`` and ``phi_inverse`` feed each core's output straight
+into the next core, which is sound because every step stays in its class:
+``avoiders.verify`` checks exactly that (decomposition typing, both round
+trips) exhaustively at small lengths.
 The postconditions of ``decompose`` are stated only there, in
 ``verify.check_decomposition_typing``; this module does not re-check them.
 """
@@ -130,6 +131,7 @@ def decompose(perm: Perm) -> DecompositionStep:
     Split a start-small {1243, 2134}-avoider with at least one key mid-123
     entry into the pair (sigma1, sigma2) described in the module docstring.
     """
+    perm = tuple(perm)
     _require_avoider(perm, "input")
     split = _last_mid123(perm)
     if not split[0]:
@@ -177,6 +179,7 @@ def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
     sigma1 must be a start-small {1243, 2134}-avoider and sigma2 a
     start-small 123-avoider; being start-small, both have length >= 2.
     """
+    sigma1, sigma2 = tuple(sigma1), tuple(sigma2)
     _require_avoider(sigma1, "sigma1")
     _require_element(sigma2, "sigma2")
     return InverseParams(*_inverse_params(sigma1, sigma2))
@@ -210,6 +213,7 @@ def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
     Rebuild the unique start-small {1243, 2134}-avoider that ``decompose``
     would split into (sigma1, sigma2).
     """
+    sigma1, sigma2 = tuple(sigma1), tuple(sigma2)
     _require_avoider(sigma1, "sigma1")
     _require_element(sigma2, "sigma2")
     return _recompose(sigma1, sigma2)
@@ -251,9 +255,9 @@ def phi(perm: Perm) -> tuple[Perm, ...]:
     >>> phi((3, 4, 1, 2))
     ((3, 4, 1, 2),)
     """
-    _require_avoider(perm, "input")
+    current = tuple(perm)
+    _require_avoider(current, "input")
     extracted = []
-    current = perm
     while (split := _last_mid123(current))[0]:
         current, sigma2 = _decompose(current, *split)[:2]
         extracted.append(sigma2)
@@ -275,6 +279,7 @@ def phi_inverse(elements: tuple[Perm, ...]) -> Perm:
     >>> phi_inverse(((1, 2), (1, 2), (1, 2), (1, 2)))
     (1, 2, 3, 4, 5)
     """
+    elements = tuple(map(tuple, elements))
     if not elements:
         raise ValueError("list must be nonempty")
     _require_avoider(elements[0], "element 1")

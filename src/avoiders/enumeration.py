@@ -28,15 +28,16 @@ separate transcription of the pair rule, so that the enumerator stays an
 independent check on it; a step function shared by both also slows the
 walk.  ``count_pair_avoiders`` sums it, and a loop of prefix sums over the
 states of a smaller walk counts the {123} class in O(n^2) time.
-``count_class`` uses them for every descriptor without ``j`` whose
-normalized pattern set is ``AVOIDED_PAIR`` (any start-small or ``k``
-filter) or {123} (any start-small filter, no ``k``).  Every other count,
+``count_class`` uses them for every descriptor whose pattern set is
+``AVOIDED_PAIR`` (any start-small or ``k`` filter, no ``j``) or {123} (any
+filter: a ``k`` >= 1 class of 123-avoiders is empty).  Every other count,
 ``count_avoiders`` and ``count_start_small_123_avoiders`` included, streams
 the enumerator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,16 +60,6 @@ from .perms import (
 PAIR_WALK_MAX_N = 100
 
 
-def _normalize_patterns(
-    patterns: Iterable[Sequence[int]],
-) -> tuple[tuple[int, ...], ...]:
-    normalized = sorted({tuple(q) for q in patterns})
-    for q in normalized:
-        if not is_permutation(q):
-            raise ValueError(f"pattern {q!r} is not a permutation of 1..{len(q)}")
-    return tuple(normalized)
-
-
 def enumerate_avoiders(
     n: int, patterns: Iterable[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
@@ -79,9 +70,7 @@ def enumerate_avoiders(
     >>> list(enumerate_avoiders(3, [(1, 2, 3)]))
     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    if n < 1:
-        raise ValueError("length n must be >= 1")
-    pats = _normalize_patterns(patterns)
+    pats = ClassDescriptor(n, patterns).patterns
     if set(AVOIDED_PAIR) <= set(pats):
         rest = [q for q in pats if q not in AVOIDED_PAIR]
         yield from _live_avoiders(n, _pair_children, (n + 1,) * 3, rest)
@@ -95,9 +84,7 @@ def naive_avoiders(
     n: int, patterns: Iterable[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
     """Debug path: filter all n! permutations with the generic containment test."""
-    if n < 1:
-        raise ValueError("length n must be >= 1")
-    pats = _normalize_patterns(patterns)
+    pats = ClassDescriptor(n, patterns).patterns
     for perm in itertools.permutations(range(1, n + 1)):
         if avoids(perm, pats):
             yield perm
@@ -132,8 +119,8 @@ def count_pair_avoiders_by_keys(
     The walk recurses once per position, so n is limited to
     ``PAIR_WALK_MAX_N`` (100), well inside Python's default recursion limit
     of 1000; a larger n raises ``ValueError``.  Cost grows fast long before
-    that: n = 40 already needs 202,652 memo states, and the number of states
-    grows about as n^4.
+    that: n = 40 already needs 202,652 memo states with k >= 2, and their
+    number grows about as n^4.
 
     >>> count_pair_avoiders_by_keys(5)
     (42, 34, 10, 1, 0, 0)
@@ -171,15 +158,11 @@ def count_pair_avoiders_by_keys(
     # ``width`` bits per coefficient (no coefficient exceeds n!), so that a
     # key entry shifts its child's count by ``width``.
     width = math.factorial(n).bit_length()
-    memo: dict[tuple[int, int, int, int, int, int], int] = {}
 
+    @functools.cache
     def count(k: int, low: int, s12: int, m21: int, nonempty: int, last: int) -> int:
         if k <= 1:
             return 1
-        key = (k, low, s12, m21, nonempty, last)
-        total = memo.get(key)
-        if total is not None:
-            return total
         total = 0
         for i in range(1, min(k, s12 + 1) + 1):
             if m21 < i:
@@ -200,7 +183,6 @@ def count_pair_avoiders_by_keys(
                 total += child << width if last < i else child
             else:  # v is the largest unused value: a right-to-left maximum
                 total += count(k - 1, low, i - 1, child_m21, child_nonempty, low)
-        memo[key] = total
         return total
 
     total = count(n, n, n, n, 0, n)
@@ -326,7 +308,8 @@ class ClassDescriptor:
     A finite avoidance class: permutations of [n] avoiding ``patterns``,
     optionally restricted to start-small ones, to those with exactly ``k``
     key mid-123 entries, and to those whose last mid-123 entry sits at
-    position ``j``.
+    position ``j``.  This is the one place a class is checked: ``patterns``,
+    any iterable of sequences, is stored as a sorted tuple of distinct tuples.
     """
 
     n: int
@@ -338,6 +321,11 @@ class ClassDescriptor:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("class length n must be >= 1")
+        patterns = tuple(sorted({tuple(q) for q in self.patterns}))
+        for q in patterns:
+            if not is_permutation(q):
+                raise ValueError(f"pattern {q!r} is not a permutation of 1..{len(q)}")
+        object.__setattr__(self, "patterns", patterns)
         if self.j is not None:
             if self.k is None:
                 raise ValueError("descriptor gives j without k")
@@ -365,22 +353,21 @@ def count_class(descriptor: ClassDescriptor) -> int:
     """
     Exact cardinality of the described class.
 
-    Without a ``j`` filter, two pattern sets are counted by walks instead of
-    listing their members: the {1243, 2134} pair (normalized
-    patterns exactly ``AVOIDED_PAIR``), with or without start-small and
-    ``k``, by ``count_pair_avoiders_by_keys``, and {123}, with or without
-    start-small but with no ``k``.  Every other class is counted by
-    streaming ``enumerate_class``.
+    Two pattern sets are counted without listing their members: the
+    {1243, 2134} pair (patterns exactly ``AVOIDED_PAIR``) without ``j``,
+    with or without start-small and ``k``, by ``count_pair_avoiders_by_keys``,
+    and {123} with any filter: no 123-avoider has a mid-123 entry, so with
+    ``k`` >= 1 the class is empty and otherwise it is the 123 walk's.  Every
+    other class is counted by streaming ``enumerate_class``.
     """
-    n, k = descriptor.n, descriptor.k
-    patterns = _normalize_patterns(descriptor.patterns)
+    n, k, patterns = descriptor.n, descriptor.k, descriptor.patterns
     if descriptor.j is None and patterns == AVOIDED_PAIR:
         by_keys = count_pair_avoiders_by_keys(n, descriptor.start_small_only)
         if k is None:
             return sum(by_keys)
         return by_keys[k] if k < len(by_keys) else 0
-    if descriptor.j is None and k is None and patterns == (PATTERN_123,):
-        return _count_123_avoiders(n, descriptor.start_small_only)
+    if patterns == (PATTERN_123,):  # a descriptor with j has k >= 1
+        return 0 if k else _count_123_avoiders(n, descriptor.start_small_only)
     return sum(1 for _ in enumerate_class(descriptor))
 
 

@@ -21,6 +21,7 @@ postconditions of ``bijection.decompose`` are written only in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -265,8 +266,11 @@ def check_pair_roundtrip(max_total_len: int) -> CheckResult:
 def _typing_failures(max_n: int) -> Iterator[str]:
     # Many inputs share a sigma1 or a sigma2: judge each one once, sigma1's
     # pair avoidance and key count, sigma2's 123 containment.
-    judged: dict[Perm, tuple[bool, int]] = {}
-    holds_123: dict[Perm, bool] = {}
+    @functools.cache
+    def judge(sigma1: Perm) -> tuple[bool, int]:
+        return avoids(sigma1, AVOIDED_PAIR), len(key_mid123_entries(sigma1))
+
+    holds_123 = functools.cache(lambda sigma2: contains(sigma2, PATTERN_123))
     for n in range(1, max_n + 1):
         for perm in _once(_start_small, n, AVOIDED_PAIR):
             k = len(key_mid123_entries(perm))
@@ -278,20 +282,14 @@ def _typing_failures(max_n: int) -> Iterator[str]:
                 yield str(exc)
                 continue
             sigma1, sigma2 = step.pair
-            if sigma1 not in judged:
-                judged[sigma1] = (
-                    avoids(sigma1, AVOIDED_PAIR), len(key_mid123_entries(sigma1))
-                )
-            if sigma2 not in holds_123:
-                holds_123[sigma2] = contains(sigma2, PATTERN_123)
-            avoider, keys = judged[sigma1]
+            avoider, keys = judge(sigma1)
             postconditions = (
                 ("sigma1 length != j", len(sigma1) == step.j),
                 ("sigma2 length != n + 1 - j", len(sigma2) == n + 1 - step.j),
                 ("sigma1 not start-small", is_start_small(sigma1)),
                 ("sigma2 not start-small", is_start_small(sigma2)),
                 ("sigma1 not an avoider", avoider),
-                ("sigma2 contains 123", not holds_123[sigma2]),
+                ("sigma2 contains 123", not holds_123(sigma2)),
                 ("sigma1 key count != k - 1", keys == k - 1),
             )
             problems = [text for text, holds in postconditions if not holds]

@@ -268,6 +268,31 @@ def test_phi_inverse_examples():
     assert phi_inverse((DROP_SIGMA1, DROP_SIGMA2)) == DROP_INPUT
 
 
+def test_entry_points_take_lists_and_return_tuples():
+    def all_tuples(value):
+        return type(value) is tuple and all(
+            type(x) is int or all_tuples(x) for x in value
+        )
+
+    step = decompose(list(KEY_INPUT))
+    assert step == decompose(KEY_INPUT)
+    assert all_tuples(step.pair)
+    lists = [list(sigma) for sigma in step.pair]
+    assert inverse_params(*lists) == inverse_params(*step.pair)
+    assert recompose(*lists) == KEY_INPUT and all_tuples(recompose(*lists))
+    for perm in ([1, 2, 3], [3, 4, 1, 2], list(DROP_INPUT)):
+        elements = phi(perm)
+        assert elements == phi(tuple(perm)) and all_tuples(elements)
+        back = phi_inverse([list(e) for e in elements])
+        assert back == tuple(perm) and all_tuples(back)
+    assert phi_inverse(([2, 1, 3],)) == (2, 1, 3)
+    # a rejected list is quoted as the tuple the entry point made of it
+    with pytest.raises(ValueError, match=r"input is not a permutation of 1..n: \(1, 3\)"):
+        phi([1, 3])
+    with pytest.raises(ValueError, match=r"sigma2 is not a permutation of 1..n: \(1, 3\)"):
+        recompose([2, 1, 3], [1, 3])
+
+
 def test_phi_inverse_names_offending_index():
     with pytest.raises(ValueError, match="element 2"):
         phi_inverse(((1, 2), (1, 2, 3)))

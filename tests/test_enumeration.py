@@ -259,9 +259,9 @@ def test_pattern_normalization():
 
 
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="class length n must be >= 1"):
         list(enumerate_avoiders(0, AVOIDED_PAIR))
-    with pytest.raises(ValueError, match="length n must be >= 1"):
+    with pytest.raises(ValueError, match="class length n must be >= 1"):
         list(naive_avoiders(0, AVOIDED_PAIR))
     with pytest.raises(ValueError, match="pattern"):
         list(enumerate_avoiders(3, [(1, 3)]))
@@ -325,24 +325,26 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
         (ClassDescriptor(7, (PATTERN_123,)), 429, ("123", 7, False)),
         (ClassDescriptor(7, (PATTERN_123,) * 2, start_small_only=True), 297,
          ("123", 7, True)),
+        # no 123-avoider has a mid-123 entry: k = 0 is the whole class, and a
+        # larger k (j needs one) is empty, answered with neither walk
+        (ClassDescriptor(6, (PATTERN_123,), k=0), 132, ("123", 6, False)),
+        (ClassDescriptor(6, (PATTERN_123,), k=1), 0, None),
+        (ClassDescriptor(6, (PATTERN_123,), start_small_only=True, k=1, j=3), 0, None),
     ]
     for descriptor, size, walk in walked:
         assert count_class(descriptor) == size
-        assert (walks, listed) == ([walk], []), descriptor
+        assert (walks, listed) == ([walk] if walk else [], []), descriptor
         assert size == sum(1 for _ in real_enumerate(descriptor))
         walks.clear()
     listed_only = [
         (ClassDescriptor(6, AVOIDED_PAIR, k=1, j=3), 36),
         (ClassDescriptor(6, AVOIDED_PAIR + ((1, 2),)), 1),
         (ClassDescriptor(6, (AVOIDED_PAIR[0],)), 513),
-        (ClassDescriptor(6, (PATTERN_123,), k=0), 132),
     ]
     for descriptor, size in listed_only:
         assert count_class(descriptor) == size
         assert (walks, listed) == ([], [descriptor]), descriptor
         listed.clear()
-    with pytest.raises(ValueError, match=r"pattern \(1, 3\) is not a permutation"):
-        count_class(ClassDescriptor(3, AVOIDED_PAIR + ((1, 3),)))
 
 
 def _pair_avoiders_by_keys(n):
@@ -447,6 +449,26 @@ def test_descriptor_validation():
         ClassDescriptor(5, AVOIDED_PAIR, k=-1)
     with pytest.raises(ValueError):
         ClassDescriptor(0, AVOIDED_PAIR)
+    # a bad pattern is refused when the class is built, not when it is used
+    with pytest.raises(ValueError, match=r"pattern \(1, 3\) is not a permutation of 1..2"):
+        ClassDescriptor(4, ((1, 3),))
+
+
+def test_descriptor_built_from_an_iterator_keeps_its_class():
+    descriptor = ClassDescriptor(5, iter(AVOIDED_PAIR))
+    assert [count_class(descriptor) for _ in range(3)] == [87, 87, 87]
+    assert descriptor.patterns == AVOIDED_PAIR
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [[list(q) for q in AVOIDED_PAIR], AVOIDED_PAIR[::-1], AVOIDED_PAIR * 2],
+    ids=["lists", "reversed", "repeated"],
+)
+def test_descriptor_equality_ignores_how_patterns_are_given(patterns):
+    descriptor = ClassDescriptor(5, patterns)
+    assert descriptor == ClassDescriptor(5, AVOIDED_PAIR)
+    assert hash(descriptor) == hash(ClassDescriptor(5, AVOIDED_PAIR))
 
 
 def test_enumerate_class_filters_consistently():
