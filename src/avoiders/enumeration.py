@@ -339,6 +339,8 @@ class ClassDescriptor:
 
 def enumerate_class(descriptor: ClassDescriptor) -> Iterator[tuple[int, ...]]:
     """Stream the members of the described class in lexicographic order."""
+    if descriptor.k and not avoids(PATTERN_123, descriptor.patterns):
+        return  # a pattern lies inside 123, so no member has a mid-123 entry
     for perm in enumerate_avoiders(descriptor.n, descriptor.patterns):
         if descriptor.start_small_only and not is_start_small(perm):
             break  # in lexicographic order, every later one starts with n too

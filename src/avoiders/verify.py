@@ -5,8 +5,10 @@ Every check is a stream of failure strings over its cases, and one driver,
 ``_result``, turns the stream into a ``CheckResult``: a pass/fail flag and, on
 failure, the first counterexample or an expected-vs-actual diff.  The driver
 stops the stream at its first failure, so no case after it is checked.  The
-bijection checks sweep complete avoidance classes; ``_routes`` holds each
-route (enumeration, the ``count`` walks, the closed form) to its series.
+bijection checks sweep complete avoidance classes, and the class-product
+check takes both factors of each cell from ``count_class``, the code behind
+``avoiders count``; ``_routes`` holds each route (enumeration, the ``count``
+walks, the closed form) to its series.
 ``run_checks`` bundles everything for the ``verify`` CLI command; the test
 suite calls the individual functions with the bounds it wants.  Within one
 ``run_checks`` call each start-small class and each ``gf_full`` and
@@ -21,6 +23,7 @@ postconditions of ``bijection.decompose`` are written only in
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -309,34 +312,20 @@ def check_decomposition_typing(max_n: int) -> CheckResult:
     return _result("decomposition_typing", scope, _typing_failures(max_n))
 
 
-def _class_sizes(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    by_k: dict[int, int] = {}
-    by_kj: dict[tuple[int, int], int] = {}
-    for perm in _once(_start_small, n, AVOIDED_PAIR):
-        k = len(key_mid123_entries(perm))
-        by_k[k] = by_k.get(k, 0) + 1
-        if k >= 1:
-            j = mid123_entries(perm)[-1]
-            by_kj[(k, j)] = by_kj.get((k, j), 0) + 1
-    return by_k, by_kj
-
-
 def _class_product_failures(max_n: int) -> Iterator[str]:
-    sizes = {n: _class_sizes(n) for n in range(1, max_n + 1)}
-    # The right factor's length n + 1 - j runs over 2 .. max_n - 1.
-    rights = {m: len(_once(_start_small, m, (PATTERN_123,))) for m in range(2, max_n)}
+    count = functools.cache(count_class)
     for n in range(1, max_n + 1):
-        by_kj = sizes[n][1]
+        cells = collections.Counter(
+            (len(keys), mid123_entries(perm)[-1])
+            for perm in _once(_start_small, n, AVOIDED_PAIR)
+            if (keys := key_mid123_entries(perm))
+        )
         for k in range(1, n - 1):
             for j in range(k + 1, n):
-                lhs = by_kj.get((k, j), 0)
-                left_factor = sizes[j][0].get(k - 1, 0)
-                right_factor = rights[n + 1 - j]
-                if lhs != left_factor * right_factor:
-                    yield (
-                        f"n={n}, k={k}, j={j}: class size {lhs} != "
-                        f"{left_factor} * {right_factor}"
-                    )
+                left = count(ClassDescriptor(j, AVOIDED_PAIR, True, k - 1))
+                right = count(ClassDescriptor(n + 1 - j, (PATTERN_123,), True))
+                if cells[k, j] != left * right:
+                    yield f"n={n}, k={k}, j={j}: class size {cells[k, j]} != {left} * {right}"
 
 
 def check_class_product_identity(max_n: int) -> CheckResult:

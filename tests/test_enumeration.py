@@ -1,5 +1,6 @@
 """Generation and counting of avoidance classes, against independent oracles."""
 
+import inspect
 import itertools
 import math
 import random
@@ -251,6 +252,41 @@ def test_generator_enters_exactly_the_live_prefixes(monkeypatch, rule, patterns,
     assert calls == _live_prefix_count(7, patterns) == live
 
 
+@pytest.mark.parametrize(
+    "patterns",
+    [(PATTERN_123,), (PATTERN_123, (4, 3, 2, 1)), ((1, 2),), ((1, 2), AVOIDED_PAIR[0])],
+    ids=str,
+)
+def test_keyed_class_with_a_pattern_inside_123_is_empty_at_once(monkeypatch, patterns):
+    # A pattern that lies inside 123 leaves no member a mid-123 entry, so a
+    # class with k >= 1 (and any j) is listed without enumerating anything.
+    import avoiders.enumeration as enumeration_module
+
+    called = []
+    real_enumerate = enumeration_module.enumerate_avoiders
+
+    def enumerate_spy(n, patterns):
+        called.append(n)
+        return real_enumerate(n, patterns)
+
+    monkeypatch.setattr(enumeration_module, "enumerate_avoiders", enumerate_spy)
+    assert inspect.isgeneratorfunction(enumerate_class)
+    for n in range(1, 8):
+        keyed = [ClassDescriptor(n, patterns, start_small_only=s, k=k)
+                 for s in (False, True) for k in (1, 2, 3)]
+        keyed += [ClassDescriptor(n, patterns, k=1, j=j) for j in range(2, n)]
+        for descriptor in keyed:
+            assert list(enumerate_class(descriptor)) == [
+                perm for perm in naive_avoiders(n, patterns)
+                if len(key_mid123_entries(perm)) == descriptor.k
+            ] == []
+    assert called == []
+    # k = 0 is the whole class, which is listed
+    whole = ClassDescriptor(6, patterns, k=0)
+    assert list(enumerate_class(whole)) == list(naive_avoiders(6, patterns))
+    assert called == [6]
+
+
 def test_pattern_normalization():
     # duplicates and order do not matter
     a = list(enumerate_avoiders(5, [(1, 2, 4, 3), (2, 1, 3, 4), (1, 2, 4, 3)]))
@@ -322,6 +358,8 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
          ("pair", 6, True)),
         (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True, k=9), 0,
          ("pair", 6, True)),
+        # k = n + 1, the first k past the walk's last slice
+        (ClassDescriptor(6, AVOIDED_PAIR, k=7), 0, ("pair", 6, False)),
         (ClassDescriptor(7, (PATTERN_123,)), 429, ("123", 7, False)),
         (ClassDescriptor(7, (PATTERN_123,) * 2, start_small_only=True), 297,
          ("123", 7, True)),

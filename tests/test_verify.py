@@ -160,7 +160,15 @@ def _sigma2_is_sigma1(real):
 
 def _no_123_classes(real):
     def doctored(descriptor):
-        return () if descriptor.patterns == (verify_module.PATTERN_123,) else real(descriptor)
+        return 0 if descriptor.patterns == (verify_module.PATTERN_123,) else real(descriptor)
+    return doctored
+
+
+def _swap_slices_0_and_1(real):
+    # Every sum over k stays, so the memo rows cannot see it.
+    def doctored(n, start_small_only=False):
+        by_keys = real(n, start_small_only)
+        return (by_keys[1], by_keys[0], *by_keys[2:])
     return doctored
 
 
@@ -209,8 +217,10 @@ def _doctor(monkeypatch, binding, doctor):
          "check_pair_roundtrip", 5, "(1 2, 1 3 2) -> 1 3 4 2 -> (1 2, 1 2)"),
         ("bijection._decompose", _guard_trips, "check_decomposition_typing", 5,
          "non-key case must drop at least one entry"),
-        ("enumerate_class", _no_123_classes,
+        ("count_class", _no_123_classes,
          "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 1 * 0"),
+        ("enumeration.count_pair_avoiders_by_keys", _swap_slices_0_and_1,
+         "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 0 * 1"),
         ("decompose", _sigma2_is_sigma1, "check_golden_examples", None,
          "key-case split gave ((8, 1, 9, 6, 4, 5, 2, 3, 7), (8, 1, 9, 6, 4, 5, 2, 3, 7))"),
         ("decompose", lambda real: lambda perm: dataclasses.replace(real(perm), j=0),
@@ -253,6 +263,17 @@ def test_doctored_count_path_fails_verify(monkeypatch, capsys, binding, doctor, 
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].split(None, 3) == ["memo_matches_series", "n<=12", "FAIL", detail]
     assert lines[-1] == "overall: FAIL"
+
+
+def test_key_slices_swapped_fail_verify(monkeypatch, capsys):
+    # The walk's per-k counts, which ``avoiders count --k`` prints, are held
+    # to the enumerated cells by the class-product check.
+    _doctor(monkeypatch, "enumeration.count_pair_avoiders_by_keys", _swap_slices_0_and_1)
+    assert main(["verify", "--max-n", "3", "--order", "5"]) == 1
+    failed = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()
+              if " FAIL " in line]
+    assert failed == [["class_product_identity", "n<=3", "FAIL",
+                       "n=3, k=1, j=2: class size 1 != 0 * 1"]]
 
 
 def test_every_result_name_is_a_check_function():
