@@ -141,11 +141,10 @@ def count_pair_avoiders_by_keys(
     #             which exists iff i >= gap(s12) + 2;
     #   for 2134, every unused value above v once m21 < v,
     #             which exists iff i < k.
-    # The state is k, the gaps of prefix_min, s12 and m21, and ``nonempty``:
-    # bit g is set iff gap g holds a placed value, for the gaps below m21's,
-    # since the new m21 is the first nonempty gap at or above v's.  Removing
-    # u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and v itself
-    # lands in gap i - 1.
+    # The state is k and the gaps of prefix_min, s12 and m21; the new m21 is
+    # the descent-top lemma's, stated in the ``perms.avoids_pair`` docstring.
+    # Removing u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and
+    # v itself lands in gap i - 1.
     #
     # Key mid-123 entries take one more coordinate, ``last``, the gap of the
     # previously placed value.  v is a mid-123 entry iff low < i < k (a
@@ -160,36 +159,29 @@ def count_pair_avoiders_by_keys(
     width = math.factorial(n).bit_length()
 
     @functools.cache
-    def count(k: int, low: int, s12: int, m21: int, nonempty: int, last: int) -> int:
+    def count(k: int, low: int, s12: int, m21: int, last: int) -> int:
         if k <= 1:
             return 1
         total = 0
         for i in range(1, min(k, s12 + 1) + 1):
-            if m21 < i:
-                if i < k:
-                    continue
-                child_m21, child_nonempty = m21, nonempty
-            else:
-                g = i
-                while g < m21 and not nonempty >> g & 1:
-                    g += 1
-                child_m21 = g - 1
-                merged = nonempty & ((1 << (i - 1)) - 1) | 1 << (i - 1)
-                child_nonempty = merged & ((1 << child_m21) - 1)
+            if m21 < i < k:
+                continue
+            above = low if low >= i else s12 if s12 >= i else m21
+            child_m21 = m21 if m21 < i else min(m21, above) - 1
             if low >= i:  # v is the new prefix minimum; s12 stays
-                total += count(k - 1, i - 1, s12 - 1, child_m21, child_nonempty, i - 1)
+                total += count(k - 1, i - 1, s12 - 1, child_m21, i - 1)
             elif i < k:  # a mid-123 entry, and the new s12
-                child = count(k - 1, low, i - 1, child_m21, child_nonempty, i - 1)
+                child = count(k - 1, low, i - 1, child_m21, i - 1)
                 total += child << width if last < i else child
             else:  # v is the largest unused value: a right-to-left maximum
-                total += count(k - 1, low, i - 1, child_m21, child_nonempty, low)
+                total += count(k - 1, low, i - 1, child_m21, low)
         return total
 
-    total = count(n, n, n, n, 0, n)
+    total = count(n, n, n, n, n)
     if start_small_only and n >= 1:
         # Those starting with n: the first step's branch i = k, whose child
         # is the root of this walk for n - 1.
-        total -= count(n - 1, n - 1, n - 1, n - 1, 0, n - 1)
+        total -= count(n - 1, n - 1, n - 1, n - 1, n - 1)
     mask = (1 << width) - 1
     return tuple(total >> (width * k) & mask for k in range(n + 1))
 
@@ -269,15 +261,14 @@ def _pair_children(
     # forbidden yet, and a child is live iff placing v forbids nothing:
     # v > s12 only as the smallest unused value above s12, and v > m21 only
     # as the largest unused value.  The new m21 is the smallest placed value
-    # above v, the first value after v's run of unused values, if below m21.
+    # above v if below m21, which the same docstring's descent-top lemma reads
+    # off prefix_min and s12.
     prefix_min, s12, m21 = state
     top = unused[-1]
     live = []
     for i, v in enumerate(unused):
         if v < m21 or v == top:
-            above, j = v + 1, i + 1
-            while above < m21 and j < len(unused) and unused[j] == above:
-                above, j = above + 1, j + 1
+            above = prefix_min if v < prefix_min else s12 if v < s12 else m21
             new_s12 = v if prefix_min < v < s12 else s12
             live.append((i, (min(prefix_min, v), new_s12, min(above, m21))))
         if v > s12:  # the smallest unused value above s12 was the last one

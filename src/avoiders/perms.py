@@ -16,9 +16,11 @@ The pattern pair {1243, 2134} also has a one-pass scan, ``avoids_pair``,
 that refuses non-permutations too: a few prefix statistics and two int
 bitsets decide at each appended entry whether it completes either pattern,
 in O(1) big-int operations per entry.  Its docstring states the two
-completion rules, which the pair enumerator and the memoized walks in
-``enumeration`` also build on.  The bijection's entry points validate with
-it; ``contains`` stays the independent oracle it is tested against.
+completion rules, and the descent-top lemma that reads the new smallest
+descent top off two statistics instead of searching the placed values; the
+pair enumerator and the memoized pair walk in ``enumeration`` build on all
+three.  The bijection's entry points validate with it; ``contains`` stays
+the independent oracle it is tested against.
 ``mid123_entries`` and ``key_mid123_entries`` share one suffix-maximum scan,
 then a left-to-right pass each; ``right_to_left_maxima`` keeps its own loop
 (the tests define key entries by it) and ``_last_mid123`` scans leftward.
@@ -224,9 +226,17 @@ def avoids_pair(perm: Sequence[int]) -> bool:
       x is the 4 and a rise below v before it the 12.  The second bitset is
       the union of those intervals.
 
-    Placing v makes the smallest placed value above v, the lowest set bit
-    of ``placed`` above bit v, the top of a descent, so each step costs O(1)
-    big-int operations.  ``contains`` stays the independent oracle.
+    Placing v makes the smallest placed value above v the top of a descent,
+    and the descent-top lemma finds it: while no unused value is forbidden,
+    the new ``m21`` is min(``m21``, ``lowest`` if v < ``lowest`` else
+    ``s12`` if v < ``s12`` else ``m21``).  Proof: placed values below
+    ``m21`` top no descent, so they rise left to right; the second of them
+    is ``s12``; and the 1243 rule leaves no unused value between ``s12`` and
+    any later one.  On a prefix with a forbidden unused value, ``m21`` can
+    only read too high, which never refuses an avoider, and the forbidden
+    value refuses the input when it arrives; on every permutation of length
+    <= 9 the scan even refuses at the same entry as one that searches for
+    ``m21``.  ``contains`` stays the independent oracle.
 
     >>> avoids_pair((11, 2, 12, 9, 7, 8, 4, 5, 6, 1, 10, 3))
     True
@@ -246,17 +256,13 @@ def avoids_pair(perm: Sequence[int]) -> bool:
             return False
         if v > m21:
             bad4 = v  # v < bad4, which it did not reach
-        above = placed & -bit  # the placed values above v
-        if above:
-            top = (above & -above).bit_length() - 1
-            if top < m21:
-                m21 = top
+        # The lemma's three cases: m21 stays, or drops to s12 or to lowest.
         if v > s12:
             forbidden |= bit - (2 << s12)  # s12 < u < v
         elif v > lowest:
-            s12 = v
+            m21, s12 = min(m21, s12), v
         else:
-            lowest = v
+            m21, lowest = min(m21, lowest), v
         placed |= bit
     return n > 0 and placed == (2 << n) - 2  # every value of 1..n placed
 

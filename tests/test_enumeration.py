@@ -1,9 +1,11 @@
 """Generation and counting of avoidance classes, against independent oracles."""
 
+import functools
 import inspect
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -414,7 +416,7 @@ def test_key_walk_matches_lagrange_form():
     # phi sends a start-small avoider of [n] with k keys to a list of k + 1
     # start-small 123-avoiders, counted by [x^(n-1)] (x C^3)^(k+1); Lagrange
     # inversion gives (3k+3)/(2n+k-1) * binom(2n+k-1, n-k-2).
-    for n in range(2, 19):
+    for n in (*range(2, 19), 30):
         walked = count_pair_avoiders_by_keys(n, start_small_only=True)
         lagrange = tuple(
             (3 * k + 3) * math.comb(2 * n + k - 1, n - k - 2) // (2 * n + k - 1)
@@ -422,6 +424,28 @@ def test_key_walk_matches_lagrange_form():
         ) + (0, 0)  # k + 1 elements of length >= 2 need n + k >= 2k + 2
         assert walked == lagrange, n
         assert sum(walked) == count_pair_avoiders(n) - count_pair_avoiders(n - 1)
+
+
+def test_key_walk_state_space(monkeypatch):
+    # The figures the docstring and README give: 682 memo states with k >= 2
+    # at n = 10 and 63,012 at n = 30.
+    import avoiders.enumeration as enumeration_module
+
+    states = set()
+
+    def cache(walk):
+        def spy(*state):
+            states.add(state)
+            return walk(*state)
+
+        return functools.cache(spy)
+
+    spying = types.SimpleNamespace(cache=cache)
+    monkeypatch.setattr(enumeration_module, "functools", spying)
+    for n, size in ((10, 682), (30, 63012)):
+        states.clear()
+        count_pair_avoiders_by_keys(n)
+        assert sum(1 for state in states if state[0] >= 2) == size, n
 
 
 def test_key_walk_small_lengths():

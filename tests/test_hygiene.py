@@ -3,6 +3,7 @@
 a comment or docstring names something that exists."""
 
 import ast
+import builtins
 import functools
 import importlib
 import re
@@ -57,20 +58,23 @@ def test_all_is_exactly_what_init_imports():
     assert set(exported) == _imported_names(tree)
 
 
-# A double-backticked dotted name or private name, as comments and
-# docstrings cite code: ``perms.avoids_pair``, ``_ends_at``.
+# A double-backticked name, bare or dotted, as comments and docstrings cite
+# code: ``perms.avoids_pair``, ``_ends_at``, ``lowest``.
 CODE_REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.\w+)*)``")
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
 def _definitions(tree):
-    """Every name a def, class or assignment binds, anywhere in the module."""
-    names = set()
+    """Every name a def, class, assignment, argument or import binds,
+    anywhere in the module."""
+    names = _imported_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
     return names
 
 
@@ -84,7 +88,11 @@ def _code_references(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_code_references_in_comments_resolve(path):
+    # A bare name must be bound somewhere in the package, or be a module or
+    # a builtin; so must a dotted private one, and a dotted one headed by a
+    # module must resolve as an attribute path.
     defined = set().union(*(_definitions(_parse(p)) for p in SRC.glob("*.py")))
+    defined |= {p.stem for p in SRC.glob("*.py")} | set(dir(builtins))
     stale = []
     for lineno, ref in _code_references(path):
         head, _, attrs = ref.partition(".")
@@ -94,7 +102,7 @@ def test_code_references_in_comments_resolve(path):
                 functools.reduce(getattr, attrs.split("."), module)
             except AttributeError:
                 stale.append((lineno, ref))
-        elif ref.startswith("_") and not ref.startswith("__") and ref not in defined:
+        elif (not attrs or ref.startswith("_")) and ref not in defined:
             stale.append((lineno, ref))
     assert not stale, f"{path.name} cites code that does not exist: {stale}"
 
@@ -103,4 +111,4 @@ def test_code_reference_scan_sees_both_kinds():
     # The scan must keep finding the references it guards, or the check
     # above would pass on nothing.
     refs = {ref for path in SRC.glob("*.py") for _, ref in _code_references(path)}
-    assert {"perms.avoids_pair", "_ends_at"} <= refs
+    assert {"perms.avoids_pair", "_ends_at", "lowest"} <= refs

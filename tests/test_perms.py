@@ -15,6 +15,7 @@ from avoiders.perms import (
     _last_mid123,
     _start_small_123_avoider,
     PATTERN_123,
+    PATTERN_1243,
     avoids,
     avoids_pair,
     contains,
@@ -207,6 +208,43 @@ def test_fused_validators_match_the_predicates(n):
         assert _start_small_123_avoider(word) == (
             valid and not contains(word, PATTERN_123)
         ), word
+
+
+def _descent_top_cases(n):
+    # (prefix, v, live, new m21, the lemma's new m21) for every unused v after
+    # every prefix of [n], from naive statistics with n + 1 for "none".  A
+    # prefix is live when no unused value completes a 1243 after it.
+    for size in range(n):
+        for prefix in itertools.permutations(range(1, n + 1), size):
+            unused = sorted(set(range(1, n + 1)) - set(prefix))
+            live = not any(contains(prefix + (u,), PATTERN_1243) for u in unused)
+            pairs = list(itertools.combinations(prefix, 2))
+            lowest = min(prefix, default=n + 1)
+            s12 = min((y for x, y in pairs if x < y), default=n + 1)
+            m21 = min((x for x, y in pairs if x > y), default=n + 1)
+            for v in unused:
+                above = min((x for x in prefix if x > v), default=n + 1)
+                lemma = lowest if v < lowest else s12 if v < s12 else m21
+                yield prefix, v, live, min(above, m21), min(lemma, m21)
+
+
+@pytest.mark.parametrize(
+    "n, cases", [(1, 1), (2, 4), (3, 15), (4, 63), (5, 300), (6, 1575), (7, 8876)]
+)
+def test_descent_top_lemma_on_every_live_prefix(n, cases):
+    # The lemma of the avoids_pair docstring, which the pair walk and the
+    # pair enumerator also apply, on every (live prefix, unused v) case.
+    live = [case for case in _descent_top_cases(n) if case[2]]
+    for prefix, v, _, new_m21, lemma in live:
+        assert new_m21 == lemma, (prefix, v)
+    assert len(live) == cases
+
+
+def test_descent_top_lemma_needs_a_live_prefix():
+    # (1, 2, 4) forbids 3: 4 is the smallest placed value above 3, but the
+    # lemma, whose proof needs 3 placed, reads "none".
+    cases = {case[:2]: case[2:] for case in _descent_top_cases(4)}
+    assert cases[(1, 2, 4), 3] == (False, 4, 5)
 
 
 # ---------------------------------------------------------------------------
