@@ -136,13 +136,11 @@ def count_pair_avoiders_by_keys(
     # The statistics of ``_pair_children``, each recorded as a gap: with
     # k unused values u_1 < ... < u_k, gap g holds the placed values between
     # u_g and u_{g+1} (u_0 = 0, u_{k+1} = infinity), and infinity is gap k.
-    # The generator's child rules, in gaps: appending v = u_i forbids
-    #   for 1243, every unused u_j with s12 < u_j < v,
-    #             which exists iff i >= gap(s12) + 2;
-    #   for 2134, every unused value above v once m21 < v,
-    #             which exists iff i < k.
-    # The state is k and the gaps of prefix_min, s12 and m21; the new m21 is
-    # the descent-top lemma's, stated in the ``perms.avoids_pair`` docstring.
+    # The pair's child rule and descent-top lemma, as stated in the
+    # ``perms.avoids_pair`` docstring, in gaps: appending v = u_i forbids an
+    # unused value for 1243 iff i >= gap(s12) + 2, and for 2134 iff
+    # m21 < i < k.
+    # The state is k and the gaps of prefix_min, s12 and m21.
     # Removing u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and
     # v itself lands in gap i - 1.
     #
@@ -249,20 +247,12 @@ def _live_avoiders(
 def _pair_children(
     state: tuple[int, int, int], unused: list[int]
 ) -> list[tuple[int, tuple[int, int, int]]]:
-    # Appending v completes a 1243 or a 2134 by the two rules written out
-    # once, in the ``perms.avoids_pair`` docstring.  A live prefix needs
-    # only three of that scan's statistics, with n + 1 for "none yet":
-    #   prefix_min = the scan's ``lowest``,
-    #   s12 = smallest top of a rise in the prefix so far,
-    #   m21 = smallest top of a descent in the prefix so far.
-    # Placing v forbids, for 1243, every unused value between s12 and v (it
-    # would play the 3 below v's 4), and for 2134, once m21 < v makes v a 3,
-    # every unused value above v.  The prefix is live, so no unused value is
-    # forbidden yet, and a child is live iff placing v forbids nothing:
-    # v > s12 only as the smallest unused value above s12, and v > m21 only
-    # as the largest unused value.  The new m21 is the smallest placed value
-    # above v if below m21, which the same docstring's descent-top lemma reads
-    # off prefix_min and s12.
+    # The pair's child rule, as the ``perms.avoids_pair`` docstring states
+    # it, on three of that scan's statistics, with n + 1 for "none yet":
+    # prefix_min (its ``lowest``), s12 and m21.  The prefix is live, so a
+    # child is live iff placing v forbids nothing: v > s12 only as the
+    # smallest unused value above s12, and v > m21 only as the largest
+    # unused value.  The new m21 is the same docstring's descent-top lemma.
     prefix_min, s12, m21 = state
     top = unused[-1]
     live = []

@@ -13,14 +13,15 @@ generic enumerator pins two, the appended value and the newest entry, as
 the prefix's parent passed the same test; ``contains`` pins one.
 
 The pattern pair {1243, 2134} also has a one-pass scan, ``avoids_pair``,
-that refuses non-permutations too: a few prefix statistics and two int
-bitsets decide at each appended entry whether it completes either pattern,
-in O(1) big-int operations per entry.  Its docstring states the two
-completion rules, and the descent-top lemma that reads the new smallest
-descent top off two statistics instead of searching the placed values; the
-pair enumerator and the memoized pair walk in ``enumeration`` build on all
-three.  The bijection's entry points validate with it; ``contains`` stays
-the independent oracle it is tested against.
+that refuses non-permutations too: three prefix statistics and one int
+bitset of the unused values tell, in O(1) big-int operations per entry,
+whether a prefix leaves an unused value that would complete either pattern,
+and the scan refuses at the first prefix that does.  Its docstring states
+the two forbidding rules, the child rule they give, and the descent-top
+lemma that reads the new smallest descent top off two statistics; the pair
+enumerator and the memoized pair walk in ``enumeration`` cite it.  The
+bijection's entry points validate with it; ``contains`` stays the
+independent oracle it is tested against.
 ``mid123_entries`` and ``key_mid123_entries`` share one suffix-maximum scan,
 then a left-to-right pass each; ``right_to_left_maxima`` keeps its own loop
 (the tests define key entries by it) and ``_last_mid123`` scans leftward.
@@ -184,7 +185,8 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
 def _start_small_123_avoider(perm: Sequence[int]) -> bool:
     # Is perm a start-small 123-avoiding permutation of [n]?  One scan keeps
     # the prefix minimum and the smallest top of a rise, which a later larger
-    # entry would make a 123; range and repeat tests as in ``avoids_pair``.
+    # entry would make a 123.  Each value is range-tested before its shift,
+    # and a repeated one leaves a bit of ``placed`` unset for the final test.
     n = len(perm)
     lowest = best_mid = n + 1
     placed = 0
@@ -207,36 +209,34 @@ def avoids(word: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
 def avoids_pair(perm: Sequence[int]) -> bool:
     """
     True iff ``perm`` is a permutation of [n] that avoids both 1243 and
-    2134, in one left-to-right scan.
+    2134, in one left-to-right scan that refuses at the first dead prefix.
 
-    Values are bit indices, so each is range-tested before any shift; a
-    repeated one leaves a bit of ``placed`` unset, which the final test
-    sees.  Any other sequence of ints, the empty one included, gives False.
-    The scan carries the prefix minimum ``lowest``, the smallest top of a
-    rise ``s12``, the smallest top of a descent ``m21``, the smallest entry
-    ``bad4`` above the top of an earlier descent (the 3 of a 213), and two
-    int bitsets: the placed values, and the values whose placement would
-    complete a 1243.  An occurrence of either pattern ends at the entry that
-    completes it, so the scan checks two rules as it appends each value v:
+    Values are bit indices, so each is range-tested before any shift.  The
+    scan carries the prefix minimum ``lowest``, the smallest tops of a rise
+    ``s12`` and of a descent ``m21`` (n + 1 for none yet), and the bitset
+    ``unused`` of the values of 1..n not yet placed, each entry toggling
+    its bit: n entries clear all n bits only if no value repeats.  Any
+    other sequence of ints, the empty one included, gives False.
+    Appending v forbids
 
-    - v completes a 2134 iff v > ``bad4``: some placed x < v is the 3 of a
-      213, and v is the 4;
-    - v completes a 1243 iff v lies strictly between ``s12_at[x]`` and x for
-      some placed x, where ``s12_at[x]`` is ``s12`` just before x was placed:
-      x is the 4 and a rise below v before it the 12.  The second bitset is
-      the union of those intervals.
+    - for 1243, every unused u with ``s12`` < u < v: a rise, v as the 4,
+      u as the 3;
+    - for 2134, once ``m21`` < v, every unused u > v: a descent, v as the
+      3, u as the 4.
+
+    A forbidden value completes its pattern wherever it goes later, and
+    every occurrence ends at a value forbidden before it arrives, so the
+    child rule is exact: a prefix is live iff it leaves no forbidden value
+    unused.  The scan, like the pair enumerator and the pair walk in
+    ``enumeration``, passes only live prefixes.
 
     Placing v makes the smallest placed value above v the top of a descent,
-    and the descent-top lemma finds it: while no unused value is forbidden,
-    the new ``m21`` is min(``m21``, ``lowest`` if v < ``lowest`` else
-    ``s12`` if v < ``s12`` else ``m21``).  Proof: placed values below
-    ``m21`` top no descent, so they rise left to right; the second of them
-    is ``s12``; and the 1243 rule leaves no unused value between ``s12`` and
-    any later one.  On a prefix with a forbidden unused value, ``m21`` can
-    only read too high, which never refuses an avoider, and the forbidden
-    value refuses the input when it arrives; on every permutation of length
-    <= 9 the scan even refuses at the same entry as one that searches for
-    ``m21``.  ``contains`` stays the independent oracle.
+    and on a live prefix the descent-top lemma finds it: the new ``m21`` is
+    min(``m21``, ``lowest`` if v < ``lowest`` else ``s12`` if v < ``s12``
+    else ``m21``).  Proof: placed values below ``m21`` top no descent, so
+    they rise left to right; the second of them is ``s12``; and the 1243
+    rule leaves no unused value between ``s12`` and any later one.
+    ``contains`` stays the independent oracle.
 
     >>> avoids_pair((11, 2, 12, 9, 7, 8, 4, 5, 6, 1, 10, 3))
     True
@@ -246,25 +246,24 @@ def avoids_pair(perm: Sequence[int]) -> bool:
     [False, False, False, False]
     """
     n = len(perm)
-    lowest = s12 = m21 = bad4 = n + 1
-    placed = forbidden = 0
+    lowest = s12 = m21 = n + 1
+    unused = (2 << n) - 2
     for v in perm:
-        if not 0 < v < bad4:  # bad4 <= n + 1 is n + 1 or a placed value
+        if not 0 < v <= n:
             return False
         bit = 1 << v
-        if forbidden & bit:
+        unused ^= bit
+        if v > m21 and unused > bit:  # 2134
             return False
-        if v > m21:
-            bad4 = v  # v < bad4, which it did not reach
         # The lemma's three cases: m21 stays, or drops to s12 or to lowest.
         if v > s12:
-            forbidden |= bit - (2 << s12)  # s12 < u < v
+            if unused & (bit - (2 << s12)):  # 1243
+                return False
         elif v > lowest:
             m21, s12 = min(m21, s12), v
         else:
             m21, lowest = min(m21, lowest), v
-        placed |= bit
-    return n > 0 and placed == (2 << n) - 2  # every value of 1..n placed
+    return n > 0 and not unused
 
 
 def right_to_left_maxima(perm: Sequence[int]) -> set[int]:
@@ -370,13 +369,13 @@ def key_mid123_entries(perm: Sequence[int]) -> list[int]:
 
 def is_start_small(perm: Sequence[int]) -> bool:
     """
-    True iff the permutation does not start with its largest entry.
+    True iff the permutation does not start with its largest entry.  The
+    empty permutation has no entries to start with, so it is start-small, as
+    it counts in the series G and in ``count_pair_avoiders_by_keys(0, True)``.
 
     >>> is_start_small((3, 4, 1, 2))
     True
-    >>> is_start_small((2, 1))
-    False
-    >>> is_start_small((1,))
-    False
+    >>> [is_start_small(p) for p in [(2, 1), (1,), ()]]
+    [False, False, True]
     """
-    return perm[0] != len(perm)
+    return not perm or perm[0] != len(perm)

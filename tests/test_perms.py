@@ -1,7 +1,9 @@
 """Entry-level predicates: standardization, containment, entry classes."""
 
+import functools
 import itertools
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,39 @@ def test_avoids_pair_matches_generic_on_hard_cases():
     assert min(verdicts.values()) >= 500, verdicts
 
 
+class _CountingReads(Sequence):
+    """A permutation that counts how many of its entries have been read."""
+
+    def __init__(self, entries):
+        self.entries, self.reads = entries, 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, index):
+        entry = self.entries[index]
+        self.reads += 1
+        return entry
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_avoids_pair_refuses_at_the_first_dead_prefix(n):
+    # The scan reads exactly up to the shortest prefix after which some
+    # unused value completes 1243 or 2134, or all n entries of an avoider.
+    values = set(range(1, n + 1))
+
+    @functools.cache
+    def dead(prefix):
+        unused = values - set(prefix)
+        return any(contains(prefix + (u,), q) for u in unused for q in AVOIDED_PAIR)
+
+    for perm in itertools.permutations(range(1, n + 1)):
+        first_dead = next((k for k in range(n) if dead(perm[:k])), n)
+        recorded = _CountingReads(perm)
+        assert avoids_pair(recorded) == (first_dead == n), perm
+        assert recorded.reads == first_dead, perm
+
+
 def _words(n):
     # Every word of length n over -1..n+1: permutations of [n] and the
     # near-misses out of range or with a repeat.
@@ -198,8 +233,8 @@ def _words(n):
 def test_fused_validators_match_the_predicates(n):
     # The bijection's one-scan validators accept exactly what the separate
     # predicates do: on every permutation up to n = 7, and on every word
-    # over -1..n+1 up to n = 4.
-    words = _words(n) if n <= 4 else itertools.permutations(range(1, n + 1))
+    # over -1..n+1 up to n = 5.
+    words = _words(n) if n <= 5 else itertools.permutations(range(1, n + 1))
     for word in words:
         valid = is_permutation(word) and is_start_small(word)
         assert (avoids_pair(word) and is_start_small(word)) == (
@@ -366,6 +401,7 @@ def test_no_key_entries_implies_no_mid_entries(n):
 
 def test_is_start_small():
     assert is_start_small((3, 4, 1, 2))
+    assert is_start_small(())
     assert not is_start_small((1,))
     assert not is_start_small((2, 1))
     assert is_start_small((1, 2))
