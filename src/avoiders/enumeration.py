@@ -17,8 +17,28 @@ unused values only the first is tried: no placed value lies between them,
 so the matcher gives all one answer.  The node's parent passed the same test
 for a superset of those values, so below the root such an occurrence also
 uses the newest entry: the matcher pins the pattern's last two letters to
-the two.  The naive filter over all n! permutations with ``contains`` is
-kept as an independent debug oracle.
+the two, and a value is tried only against the patterns whose last two
+letters are ordered as it is against the newest entry.  The naive filter
+over all n! permutations with ``contains`` is kept as an independent debug
+oracle.
+
+A live prefix's completions depend only on its gap state: the number k of
+unused values, and the gap each statistic of the rule's state falls in
+among the sorted unused values.  A child rule reads values only by
+comparing them, and takes minima of statistics, so it acts alike on any two
+prefixes with one gap state.  So for a class with no patterns left to test
+(the pair, {123} and the empty set) a prefix with 2 to ``_BLOCK_K`` = 4
+unused values opens no node: it emits its gap state's *block*, the
+completions stored as getters of positions in the sorted unused values, so
+that a leaf is one getter call and one tuple join.  A block is listed once
+per call, by running the same rule on the canonical order-isomorphic
+instance: unused values 2, 4, ..., 2k, and a statistic in gap g as 2g + 1.
+A pair block holds at most f(4) = 22 completions.  Building costs the same
+at any n, so larger blocks pay off only at larger n: for the pair, 4 is the
+fastest bound at n = 8 and 6 at n = 10.  The blocks run the value-level
+rule itself, not the pair walk's translation of it into gaps, so the
+enumerator stays an independent check on that walk.  Like the walks'
+memos, blocks are kept for one call.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a memoized walk over the pair
@@ -37,11 +57,13 @@ the enumerator.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perms import (
     AVOIDED_PAIR,
@@ -59,6 +81,10 @@ from .perms import (
 #: once per position.
 PAIR_WALK_MAX_N = 100
 
+#: Most unused values a prefix may have to take its completions from a block
+#: (see the module docstring).
+_BLOCK_K = 4
+
 
 def enumerate_avoiders(
     n: int, patterns: Iterable[Sequence[int]] = ()
@@ -75,9 +101,9 @@ def enumerate_avoiders(
         rest = [q for q in pats if q not in AVOIDED_PAIR]
         yield from _live_avoiders(n, _pair_children, (n + 1,) * 3, rest)
     elif pats == (PATTERN_123,):
-        yield from _live_avoiders(n, _children_123, n + 1, ())
+        yield from _live_avoiders(n, _children_123, (n + 1,), ())
     else:
-        yield from _live_avoiders(n, _all_children, None, pats)
+        yield from _live_avoiders(n, _all_children, (), pats)
 
 
 def naive_avoiders(
@@ -202,17 +228,26 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
 
 
 def _live_avoiders(
-    n: int, children: Callable, root: Any, patterns: Sequence[Sequence[int]]
+    n: int, children: Callable, root: tuple, patterns: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
     # The one loop behind ``enumerate_avoiders``.  ``children(state,
-    # unused)`` is a class's child rule: from the prefix's state and sorted
-    # unused values it returns the live children as (index into ``unused``,
-    # child state), by increasing value.  ``stack`` holds each open prefix's
-    # unused values and an iterator over those children; the prefix at depth
-    # d is ``prefix[:d]``.  Only the first of a run of consecutive unused
-    # values is tried against ``patterns``: no entry lies between them.  A
-    # live prefix with one unused value u yields (*prefix, u) at once: the
-    # rule keeps u from completing its own patterns, and this check the rest.
+    # unused)`` is a class's child rule: from the prefix's state, a tuple of
+    # values, and its sorted unused values it returns the live children as
+    # (index into ``unused``, child state), by increasing value.  ``stack``
+    # holds each open prefix's unused values and an iterator over those
+    # children; the prefix at depth d is ``prefix[:d]``.  Only the first of a
+    # run of consecutive unused values is tried against ``patterns``, and
+    # below the root only against those whose last two letters are ordered
+    # as it is against the newest entry (see the module docstring).  A live
+    # prefix with one unused value u yields (*prefix, u) at once: the rule
+    # keeps u from completing its own patterns, and this check the rest.
+    # With no patterns to check, a prefix with 2..``_BLOCK_K`` unused values
+    # yields its gap state's block instead of opening a node.
+    sides = {
+        rises: [q for q in patterns if len(q) >= 2 and (q[-2] < q[-1]) == rises]
+        for rises in (False, True)
+    }
+    blocks: dict[tuple[int, ...], list[Callable]] = {}  # for this call only
     unused, state = list(range(1, n + 1)), root
     prefix, stack = [], []
     while True:
@@ -220,15 +255,20 @@ def _live_avoiders(
         if patterns:
             end, pinned = len(prefix), 2 if prefix else 1  # see the module docstring
             for v in unused:
-                if v != below + 1:  # the first of its run
+                asked = sides[v > prefix[-1]] if prefix else patterns
+                if asked and v != below + 1:  # the first of its run
                     prefix.append(v)
-                    live = not any(_ends_at(prefix, end, q, pinned) for q in patterns)
+                    live = not any(_ends_at(prefix, end, q, pinned) for q in asked)
                     prefix.pop()
                     if not live:
                         break
                 below = v
         if live and len(unused) == 1:
             yield (*prefix, unused[0])
+        elif live and not patterns and len(unused) <= _BLOCK_K:
+            head = tuple(prefix)
+            for tail in _block(children, state, unused, blocks):
+                yield head + tail(unused)
         elif live:
             stack.append((unused, iter(children(state, unused))))
         while stack:
@@ -242,6 +282,31 @@ def _live_avoiders(
             stack.pop()
         else:
             return
+
+
+def _block(
+    children: Callable, state: tuple, unused: list[int], blocks: dict
+) -> list[Callable]:
+    # The completions of the gap state of (state, unused) under the rule
+    # ``children``, as getters of positions in ``unused``, by increasing
+    # value; ``blocks`` caches them by gap state.  A block is built on the
+    # canonical instance (see the module docstring), and a child's
+    # completions are its own block's, read through the positions left.
+    k = len(unused)
+    key = (k, *[bisect.bisect_left(unused, s) for s in state])
+    getters = blocks.get(key)
+    if getters is None:
+        getters = blocks[key] = []
+        canonical = list(range(2, 2 * k + 1, 2))
+        for i, child in children(tuple(2 * g + 1 for g in key[1:]), canonical):
+            rest = [*range(i), *range(i + 1, k)]
+            others = canonical[:i] + canonical[i + 1 :]
+            if k == 2:
+                tails = [rest]
+            else:
+                tails = [t(rest) for t in _block(children, child, others, blocks)]
+            getters += [operator.itemgetter(i, *tail) for tail in tails]
+    return getters
 
 
 def _pair_children(
@@ -266,21 +331,24 @@ def _pair_children(
     return live
 
 
-def _children_123(prefix_min: int, unused: list[int]) -> list[tuple[int, int]]:
+def _children_123(
+    state: tuple[int], unused: list[int]
+) -> list[tuple[int, tuple[int]]]:
     # Appending v completes a 123 iff the prefix has a rise topping out below
     # v.  The prefix is live, so no unused value lies above the smallest rise
-    # top, and placing v keeps it so iff v is a new prefix minimum (one of
-    # the first prefix_min - 1 unused values) or the largest unused value:
-    # any other v tops a new rise with a larger unused value still to come.
-    live = [(i, i + 1) for i in range(prefix_min - 1)]
-    if unused[-1] > prefix_min:
-        live.append((len(unused) - 1, prefix_min))
+    # top, and placing v keeps it so iff v is a new prefix minimum or the
+    # largest unused value: any other v tops a new rise with a larger unused
+    # value still to come.  The state is the prefix minimum, n + 1 at first.
+    lower = bisect.bisect_left(unused, state[0])
+    live = [(i, (unused[i],)) for i in range(lower)]
+    if lower < len(unused):  # the largest unused value is above the minimum
+        live.append((len(unused) - 1, state))
     return live
 
 
-def _all_children(state: None, unused: list[int]) -> list[tuple[int, None]]:
+def _all_children(state: tuple[()], unused: list[int]) -> list[tuple[int, tuple[()]]]:
     # No rule: every unused value is entered.
-    return [(i, None) for i in range(len(unused))]
+    return [(i, ()) for i in range(len(unused))]
 
 
 @dataclass(frozen=True)

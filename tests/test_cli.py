@@ -231,6 +231,12 @@ ENUMERATE_SHA256 = {
     "--n 7 --patterns 1342,3124 --json": (
         "79a3933d2c6754db54f124b05b03d8b15647446721f684cbfb9ef483fc6dd7bd", 1459,
     ),
+    "--n 10 --patterns 1243,2134": (
+        "82f4d9305e4fec7b666ade6be573392f9cef067ab0d7932b27c3b65f0a290c29", 105632,
+    ),
+    "--n 11 --patterns 123": (
+        "025306f2bececa47791a816d45a6bc1d965e549a178e3d37fa8b5fc1959b6e0d", 58786,
+    ),
 }
 
 

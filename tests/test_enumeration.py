@@ -1,5 +1,6 @@
 """Generation and counting of avoidance classes, against independent oracles."""
 
+import bisect
 import functools
 import inspect
 import itertools
@@ -11,7 +12,9 @@ import pytest
 
 from avoiders.enumeration import (
     PAIR_WALK_MAX_N,
+    _BLOCK_K,
     ClassDescriptor,
+    _block,
     count_avoiders,
     count_class,
     count_pair_avoiders,
@@ -168,6 +171,22 @@ def _run_heads(n, prefix):
     return [v for i, v in enumerate(unused) if i == 0 or unused[i - 1] != v - 1]
 
 
+def _screened_asks(n, prefix, checked):
+    # The (value, pattern) asks a live node makes: the first value of each
+    # run, then each pattern in order, below the root only those whose last
+    # two letters are ordered as the value is against the newest entry,
+    # until an ask that ``contains`` shows completes its pattern.
+    asks = []
+    for u in _run_heads(n, prefix):
+        for q in checked:
+            if prefix and (prefix[-1] < u) != (q[-2] < q[-1]):
+                continue
+            asks.append((u, q))
+            if contains(prefix + (u,), q):
+                return asks
+    return asks
+
+
 @pytest.mark.parametrize(
     "patterns",
     [AVOIDED_PAIR + ((4, 3, 2, 1),), ((1, 3, 4, 2), (3, 1, 2, 4)), ((1, 3, 2),),
@@ -177,68 +196,115 @@ def _run_heads(n, prefix):
 def test_liveness_check_asks_once_per_run_of_unused_values(monkeypatch, patterns):
     # Unused values with no placed value between them are ordered alike
     # against every prefix entry, so a node asks the matcher about the first
-    # of each run only: never about two consecutive integers, and about
-    # every run's first value, in order, unless one of them kills the node.
+    # of each run only.  Below the root an occurrence ends with the newest
+    # entry and the value, so a pattern whose last two letters are ordered
+    # the other way is not asked.  Every node that asks anything makes
+    # exactly the screened asks, and a node that leads to a member makes
+    # all of them.
     import avoiders.enumeration as enumeration_module
 
-    tried = {}
+    asked = {}
     real_ends_at = enumeration_module._ends_at
 
     def ends_at_spy(word, end, pattern, *pinned):
-        values = tried.setdefault(tuple(word[:end]), [])
-        if word[end] not in values:
-            values.append(word[end])
+        asked.setdefault(tuple(word[:end]), []).append((word[end], tuple(pattern)))
         return real_ends_at(word, end, pattern, *pinned)
 
     monkeypatch.setattr(enumeration_module, "_ends_at", ends_at_spy)
     n = 7
     members = list(enumerate_avoiders(n, patterns))
     assert members == list(naive_avoiders(n, patterns))
+    by_rule = set(AVOIDED_PAIR) if set(AVOIDED_PAIR) <= set(patterns) else set()
+    checked = sorted(set(patterns) - by_rule)
     completed = {perm[:length] for perm in members for length in range(n)}
-    assert completed <= tried.keys()
-    for prefix, values in tried.items():
-        assert not any(v + 1 in values for v in values), prefix
-        heads = _run_heads(n, prefix)
-        assert values == heads[: len(values)], prefix
-        if prefix in completed:
-            assert values == heads, prefix
+    for prefix in completed | asked.keys():
+        assert asked.get(prefix, []) == _screened_asks(n, prefix, checked), prefix
 
 
-def _live_prefix_count(n, patterns):
-    # Prefixes of length at most n - 2 to which every unused value can be
-    # appended without completing a pattern, by brute force with ``contains``.
+def _live_prefixes(n, patterns, longest):
+    # Prefixes of length at most ``longest``, shorter first and each length
+    # in lexicographic order, to which every unused value can be appended without completing
+    # a pattern, by brute force with ``contains``.  Every extension of a dead
+    # prefix is dead, so only live ones are extended.
     values = range(1, n + 1)
-    return sum(
-        1
-        for length in range(n - 1)
-        for prefix in itertools.permutations(values, length)
-        if not any(
-            contains(prefix + (u,), q)
-            for u in values
-            if u not in prefix
-            for q in patterns
-        )
+    frontier = [()]
+    for _ in range(longest + 1):
+        live = [
+            prefix for prefix in frontier
+            if not any(
+                contains(prefix + (u,), q)
+                for u in values
+                if u not in prefix
+                for q in patterns
+            )
+        ]
+        yield from live
+        frontier = [prefix + (u,) for prefix in live for u in values if u not in prefix]
+
+
+def _gap_state(state, unused):
+    # The number of unused values and the gap of each statistic among them.
+    return (len(unused), *[bisect.bisect_left(unused, s) for s in state])
+
+
+def _child_gap_states(kids, unused):
+    # Each child of a rule's answer as its index and its gap state.
+    return [(i, _gap_state(child, unused[:i] + unused[i + 1 :])) for i, child in kids]
+
+
+def _pair_statistics(prefix, n):
+    # The pair rule's state by its definition: the prefix minimum and the
+    # smallest tops of a rise and of a descent, n + 1 for none.
+    pairs = list(itertools.combinations(prefix, 2))
+    return (
+        min(prefix, default=n + 1),
+        min((b for a, b in pairs if a < b), default=n + 1),
+        min((a for a, b in pairs if a > b), default=n + 1),
     )
 
 
+def _prefix_minimum(prefix, n):
+    return (min(prefix, default=n + 1),)
+
+
+def _rule_asks(n, patterns, statistics):
+    # Brute force: every live prefix with more than ``_BLOCK_K`` unused
+    # values, and one per gap state of the live prefixes with 2 to
+    # ``_BLOCK_K``; without ``statistics`` (no blocks) every live prefix with
+    # at least two unused values.
+    live = list(_live_prefixes(n, patterns, n - 2))
+    if statistics is None:
+        return len(live)
+    states = set()
+    for prefix in live:
+        unused = [v for v in range(1, n + 1) if v not in prefix]
+        if len(unused) <= _BLOCK_K:
+            states.add(_gap_state(statistics(prefix, n), unused))
+    return sum(1 for prefix in live if n - len(prefix) > _BLOCK_K) + len(states)
+
+
 @pytest.mark.parametrize(
-    "rule, patterns, live",
+    "rule, patterns, statistics, asks",
     [
-        ("_pair_children", AVOIDED_PAIR, 1671),
-        ("_children_123", (PATTERN_123,), 572),
-        ("_pair_children", AVOIDED_PAIR + ((4, 3, 2, 1),), 878),
-        ("_all_children", ((1, 3, 4, 2), (3, 1, 2, 4)), 1628),
+        ("_pair_children", AVOIDED_PAIR, _pair_statistics, 149),
+        ("_children_123", (PATTERN_123,), _prefix_minimum, 47),
+        ("_pair_children", AVOIDED_PAIR + ((4, 3, 2, 1),), None, 878),
+        ("_all_children", ((1, 3, 4, 2), (3, 1, 2, 4)), None, 1628),
     ],
     ids=["pair", "123", "pair+4321", "generic"],
 )
-def test_generator_enters_exactly_the_live_prefixes(monkeypatch, rule, patterns, live):
-    # The rule is asked once per entered prefix that no other pattern has
-    # killed and that has at least two unused values, so a rule that entered
-    # dead prefixes would be asked more often, even though the same
-    # permutations would come out.  A live prefix of length n - 1 has exactly
-    # one completion and is emitted without asking the rule, so each count
-    # is the number of live prefixes shorter than n (3,130, 1,001, 1,211 and
-    # 3,087) less the size of the class at n = 7 (1,459, 429, 333 and 1,459).
+def test_generator_enters_exactly_the_live_prefixes(
+    monkeypatch, rule, patterns, statistics, asks
+):
+    # The rule is asked once per opened node, one that is live and has at
+    # least two unused values, so a rule that entered dead prefixes would be
+    # asked more often, even though the same permutations would come out.  A
+    # live prefix of length n - 1 has exactly one completion and is emitted
+    # without asking the rule.  With matcher patterns that makes the count
+    # the number of live prefixes shorter than n (1,211 and 3,087) less the
+    # size of the class at n = 7 (333 and 1,459).  With none, a live prefix
+    # with 2 to ``_BLOCK_K`` unused values opens no node, and the rule is
+    # asked once per gap state among them, to build its block.
     import avoiders.enumeration as enumeration_module
 
     real_rule = getattr(enumeration_module, rule)
@@ -251,7 +317,73 @@ def test_generator_enters_exactly_the_live_prefixes(monkeypatch, rule, patterns,
 
     monkeypatch.setattr(enumeration_module, rule, rule_spy)
     assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
-    assert calls == _live_prefix_count(7, patterns) == live
+    assert calls == _rule_asks(7, patterns, statistics) == asks
+
+
+@pytest.mark.parametrize(
+    "rule, patterns, statistics",
+    [
+        ("_pair_children", AVOIDED_PAIR, _pair_statistics),
+        ("_children_123", (PATTERN_123,), _prefix_minimum),
+    ],
+    ids=["pair", "123"],
+)
+def test_blocks_list_the_brute_force_completions(rule, patterns, statistics):
+    # For every live prefix with 2 to ``_BLOCK_K`` unused values, its gap
+    # state's block, taken from one cache shared by all lengths, lists its
+    # completions in order; and the rule's children on the real values map
+    # through the order isomorphism onto those on the canonical instance.
+    import avoiders.enumeration as enumeration_module
+
+    children, blocks = getattr(enumeration_module, rule), {}
+    for n in range(2, 9):
+        live = list(_live_prefixes(n, patterns, n - 1))
+        completions = {}
+        for prefix in (p for p in live if len(p) == n - 1):
+            (last,) = set(range(1, n + 1)) - set(prefix)
+            for length in range(max(0, n - _BLOCK_K), n - 1):
+                completions.setdefault(prefix[:length], []).append(prefix + (last,))
+        for prefix in live:
+            unused = [v for v in range(1, n + 1) if v not in prefix]
+            if not 2 <= len(unused) <= _BLOCK_K:
+                continue
+            state = statistics(prefix, n)
+            block = _block(children, state, unused, blocks)
+            assert [prefix + tail(unused) for tail in block] == completions.get(
+                prefix, []
+            ), prefix
+            k = len(unused)
+            canonical = list(range(2, 2 * k + 1, 2))
+            canonical_state = tuple(2 * g + 1 for g in _gap_state(state, unused)[1:])
+            assert _child_gap_states(children(state, unused), unused) == (
+                _child_gap_states(children(canonical_state, canonical), canonical)
+            ), prefix
+
+
+@pytest.mark.parametrize(
+    "rule, patterns, size",
+    [("_pair_children", AVOIDED_PAIR, 6056), ("_children_123", (PATTERN_123,), 1430)],
+    ids=["pair", "123"],
+)
+def test_blocks_do_not_outlive_a_call(monkeypatch, rule, patterns, size):
+    # Each call builds its blocks again, so it asks the rule as often.
+    import avoiders.enumeration as enumeration_module
+
+    real_rule = getattr(enumeration_module, rule)
+    calls = 0
+
+    def rule_spy(state, unused):
+        nonlocal calls
+        calls += 1
+        return real_rule(state, unused)
+
+    monkeypatch.setattr(enumeration_module, rule, rule_spy)
+    asked = []
+    for _ in range(2):
+        calls = 0
+        assert sum(1 for _ in enumerate_avoiders(8, patterns)) == size
+        asked.append(calls)
+    assert asked[0] == asked[1] > 0
 
 
 @pytest.mark.parametrize(
