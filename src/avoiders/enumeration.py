@@ -8,19 +8,19 @@ no completion, and a live prefix with one unused value has exactly one.
 Emission is in lexicographic one-line order, streamed, never materialized.
 
 Each class gives the generator a child rule, which names the unused values
-that keep a prefix live.  Sets that contain both 1243 and 2134 get the pair
-rule and {123} its own, threshold tests on a few prefix statistics; other
-sets get the rule that enters every value.  Patterns no rule covers are
-tested with ``perms._ends_at``, the matcher behind ``contains``; a node is
-left at the first unused value that completes one.  Of a run of consecutive
-unused values only the first is tried: no placed value lies between them,
-so the matcher gives all one answer.  The node's parent passed the same test
-for a superset of those values, so below the root such an occurrence also
-uses the newest entry: the matcher pins the pattern's last two letters to
-the two, and a value is tried only against the patterns whose last two
-letters are ordered as it is against the newest entry.  The naive filter
-over all n! permutations with ``contains`` is kept as an independent debug
-oracle.
+that keep a prefix live.  A set takes the first rule whose patterns it
+holds: the pair rule if it holds 1243 and 2134, else the 123 rule if it
+holds 123 (both threshold tests on a few prefix statistics), else the rule
+that enters every value.  The set's other patterns are tested with
+``perms._ends_at``, the matcher behind ``contains``; a node is left at the
+first unused value that completes one.  Of a run of consecutive unused
+values only the first is tried: no placed value lies between them, so the
+matcher gives all one answer.  The node's parent passed the same test for a
+superset of those values, so below the root such an occurrence also uses
+the newest entry: the matcher pins the pattern's last two letters to the
+two, and a value is tried only against the patterns whose last two letters
+are ordered as it is against the newest entry.  The naive filter over all
+n! permutations with ``contains`` is kept as an independent debug oracle.
 
 A live prefix's completions depend only on its gap state: the number k of
 unused values, and the gap each statistic of the rule's state falls in
@@ -50,9 +50,8 @@ walk.  ``count_pair_avoiders`` sums it, and a loop of prefix sums over the
 states of a smaller walk counts the {123} class in O(n^2) time.
 ``count_class`` uses them for every descriptor whose pattern set is
 ``AVOIDED_PAIR`` (any start-small or ``k`` filter, no ``j``) or {123} (any
-filter: a ``k`` >= 1 class of 123-avoiders is empty).  Every other count,
-``count_avoiders`` and ``count_start_small_123_avoiders`` included, streams
-the enumerator.
+filter but ``k`` >= 1).  Every other count, ``count_avoiders`` and
+``count_start_small_123_avoiders`` included, streams the enumerator.
 """
 
 from __future__ import annotations
@@ -97,13 +96,13 @@ def enumerate_avoiders(
     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     pats = ClassDescriptor(n, patterns).patterns
-    if set(AVOIDED_PAIR) <= set(pats):
-        rest = [q for q in pats if q not in AVOIDED_PAIR]
-        yield from _live_avoiders(n, _pair_children, (n + 1,) * 3, rest)
-    elif pats == (PATTERN_123,):
-        yield from _live_avoiders(n, _children_123, (n + 1,), ())
-    else:
-        yield from _live_avoiders(n, _all_children, (), pats)
+    rules = [  # (patterns it covers, child rule, root state), first match wins
+        (AVOIDED_PAIR, _pair_children, (n + 1,) * 3),
+        ((PATTERN_123,), _children_123, (n + 1,)),
+        ((), _all_children, ()),
+    ]
+    covered, children, root = next(r for r in rules if set(r[0]) <= set(pats))
+    yield from _live_avoiders(n, children, root, [q for q in pats if q not in covered])
 
 
 def naive_avoiders(
@@ -235,14 +234,11 @@ def _live_avoiders(
     # values, and its sorted unused values it returns the live children as
     # (index into ``unused``, child state), by increasing value.  ``stack``
     # holds each open prefix's unused values and an iterator over those
-    # children; the prefix at depth d is ``prefix[:d]``.  Only the first of a
-    # run of consecutive unused values is tried against ``patterns``, and
-    # below the root only against those whose last two letters are ordered
-    # as it is against the newest entry (see the module docstring).  A live
-    # prefix with one unused value u yields (*prefix, u) at once: the rule
-    # keeps u from completing its own patterns, and this check the rest.
-    # With no patterns to check, a prefix with 2..``_BLOCK_K`` unused values
-    # yields its gap state's block instead of opening a node.
+    # children; the prefix at depth d is ``prefix[:d]``.  A live prefix with
+    # one unused value u yields (*prefix, u) at once: the rule keeps u from
+    # completing its own patterns, and the check against ``patterns`` the
+    # rest.  The run heads, the pinned letters and the blocks are as in the
+    # module docstring.
     sides = {
         rises: [q for q in patterns if len(q) >= 2 and (q[-2] < q[-1]) == rises]
         for rises in (False, True)
@@ -407,9 +403,9 @@ def count_class(descriptor: ClassDescriptor) -> int:
     Two pattern sets are counted without listing their members: the
     {1243, 2134} pair (patterns exactly ``AVOIDED_PAIR``) without ``j``,
     with or without start-small and ``k``, by ``count_pair_avoiders_by_keys``,
-    and {123} with any filter: no 123-avoider has a mid-123 entry, so with
-    ``k`` >= 1 the class is empty and otherwise it is the 123 walk's.  Every
-    other class is counted by streaming ``enumerate_class``.
+    and {123} with any filter but ``k`` >= 1, by the 123 walk.  Every other
+    class is counted by streaming ``enumerate_class``, which ends a keyed
+    class with a pattern inside 123 at once.
     """
     n, k, patterns = descriptor.n, descriptor.k, descriptor.patterns
     if descriptor.j is None and patterns == AVOIDED_PAIR:
@@ -417,8 +413,8 @@ def count_class(descriptor: ClassDescriptor) -> int:
         if k is None:
             return sum(by_keys)
         return by_keys[k] if k < len(by_keys) else 0
-    if patterns == (PATTERN_123,):  # a descriptor with j has k >= 1
-        return 0 if k else _count_123_avoiders(n, descriptor.start_small_only)
+    if patterns == (PATTERN_123,) and not k:  # a descriptor with j has k >= 1
+        return _count_123_avoiders(n, descriptor.start_small_only)
     return sum(1 for _ in enumerate_class(descriptor))
 
 

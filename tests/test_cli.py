@@ -237,6 +237,9 @@ ENUMERATE_SHA256 = {
     "--n 11 --patterns 123": (
         "025306f2bececa47791a816d45a6bc1d965e549a178e3d37fa8b5fc1959b6e0d", 58786,
     ),
+    "--n 10 --patterns 123,3412": (
+        "8d6b666f9985dd0809b5cd06f073c8223c22ffb09856aa395d80636553f2ec76", 1862,
+    ),
 }
 
 

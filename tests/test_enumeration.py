@@ -134,6 +134,7 @@ ORACLE_PATTERN_SETS = [
     (PATTERN_123,),
     AVOIDED_PAIR,
     *(AVOIDED_PAIR + (q,) for q in _patterns_up_to(4)),
+    *((PATTERN_123, q) for q in _patterns_up_to(4) if q != PATTERN_123),
     *_random_pattern_sets(40, seed=20131),
     *_sets_with_length_5_pattern(10, seed=5),
 ]
@@ -149,20 +150,38 @@ def test_generators_match_naive_filter_in_order(patterns):
         ), n
 
 
-def test_pair_generator_tests_only_the_other_patterns(monkeypatch):
+@pytest.mark.parametrize(
+    "rule, patterns",
+    [
+        ("_pair_children", [(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]]),
+        ("_children_123", [PATTERN_123, (3, 4, 1, 2)]),
+        ("_children_123", [PATTERN_123, (4, 3, 2, 1), (2, 1, 4, 3)]),
+    ],
+    ids=["pair+4321", "123+3412", "123+4321+2143"],
+)
+def test_rule_generator_tests_only_the_other_patterns(monkeypatch, rule, patterns):
+    # A set runs the first rule whose patterns it holds, the pair's before
+    # 123's, and the matcher is asked only about the set's other patterns.
     import avoiders.enumeration as enumeration_module
 
-    asked = set()
+    asked, rule_calls = set(), 0
     real_ends_at = enumeration_module._ends_at
+    real_rule = getattr(enumeration_module, rule)
 
     def ends_at_spy(word, end, pattern, *pinned):
         asked.add(tuple(pattern))
         return real_ends_at(word, end, pattern, *pinned)
 
+    def rule_spy(state, unused):
+        nonlocal rule_calls
+        rule_calls += 1
+        return real_rule(state, unused)
+
     monkeypatch.setattr(enumeration_module, "_ends_at", ends_at_spy)
-    patterns = [(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]]
-    assert sum(1 for _ in enumerate_avoiders(7, patterns)) == 333
-    assert asked == {(4, 3, 2, 1)}
+    monkeypatch.setattr(enumeration_module, rule, rule_spy)
+    assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
+    assert rule_calls > 0
+    assert asked == set(patterns) - {PATTERN_123, *AVOIDED_PAIR}
 
 
 def _run_heads(n, prefix):
@@ -497,21 +516,22 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
         (ClassDescriptor(7, (PATTERN_123,)), 429, ("123", 7, False)),
         (ClassDescriptor(7, (PATTERN_123,) * 2, start_small_only=True), 297,
          ("123", 7, True)),
-        # no 123-avoider has a mid-123 entry: k = 0 is the whole class, and a
-        # larger k (j needs one) is empty, answered with neither walk
+        # no 123-avoider has a mid-123 entry, so k = 0 is the whole class
         (ClassDescriptor(6, (PATTERN_123,), k=0), 132, ("123", 6, False)),
-        (ClassDescriptor(6, (PATTERN_123,), k=1), 0, None),
-        (ClassDescriptor(6, (PATTERN_123,), start_small_only=True, k=1, j=3), 0, None),
     ]
     for descriptor, size, walk in walked:
         assert count_class(descriptor) == size
-        assert (walks, listed) == ([walk] if walk else [], []), descriptor
+        assert (walks, listed) == ([walk], []), descriptor
         assert size == sum(1 for _ in real_enumerate(descriptor))
         walks.clear()
     listed_only = [
         (ClassDescriptor(6, AVOIDED_PAIR, k=1, j=3), 36),
         (ClassDescriptor(6, AVOIDED_PAIR + ((1, 2),)), 1),
         (ClassDescriptor(6, (AVOIDED_PAIR[0],)), 513),
+        # a keyed {123} class (j needs k >= 1) is empty: ``enumerate_class``
+        # returns at once for it, listing nothing
+        (ClassDescriptor(6, (PATTERN_123,), k=1), 0),
+        (ClassDescriptor(6, (PATTERN_123,), start_small_only=True, k=1, j=3), 0),
     ]
     for descriptor, size in listed_only:
         assert count_class(descriptor) == size
