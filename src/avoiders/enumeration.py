@@ -8,10 +8,10 @@ no completion, and a live prefix with one unused value has exactly one.
 Emission is in lexicographic one-line order, streamed, never materialized.
 
 Each class gives the generator a child rule, which names the unused values
-that keep a prefix live.  A set takes the first rule whose patterns it
-holds: the pair rule if it holds 1243 and 2134, else the 123 rule if it
-holds 123 (both threshold tests on a few prefix statistics), else the rule
-that enters every value.  The set's other patterns are tested with
+that keep a prefix live by a threshold test on a few prefix statistics.  A
+set runs every rule whose patterns it holds (the pair rule for 1243 and 2134,
+a rule on the patience-sorting pile tops for each 12...m or m...1, m >= 2)
+and keeps a child iff all keep it.  The set's other patterns are tested with
 ``perms._ends_at``, the matcher behind ``contains``; a node is left at the
 first unused value that completes one.  Of a run of consecutive unused
 values only the first is tried: no placed value lies between them, so the
@@ -25,20 +25,21 @@ n! permutations with ``contains`` is kept as an independent debug oracle.
 A live prefix's completions depend only on its gap state: the number k of
 unused values, and the gap each statistic of the rule's state falls in
 among the sorted unused values.  A child rule reads values only by
-comparing them, and takes minima of statistics, so it acts alike on any two
-prefixes with one gap state.  So for a class with no patterns left to test
-(the pair, {123} and the empty set) a prefix with 2 to ``_BLOCK_K`` = 4
-unused values opens no node: it emits its gap state's *block*, the
-completions stored as getters of positions in the sorted unused values, so
-that a leaf is one getter call and one tuple join.  A block is listed once
-per call, by running the same rule on the canonical order-isomorphic
-instance: unused values 2, 4, ..., 2k, and a statistic in gap g as 2g + 1.
-A pair block holds at most f(4) = 22 completions.  Building costs the same
-at any n, so larger blocks pay off only at larger n: for the pair, 4 is the
-fastest bound at n = 8 and 6 at n = 10.  The blocks run the value-level
-rule itself, not the pair walk's translation of it into gaps, so the
-enumerator stays an independent check on that walk.  Like the walks'
-memos, blocks are kept for one call.
+comparing them, and takes minima or maxima of statistics, so it acts alike
+on any two prefixes with one gap state.  So for a class with no patterns
+left to test (as the pair, {123} or {1243, 2134, 4321}) a prefix with 2 to
+``_BLOCK_K`` = 4 unused values opens no node: it emits its gap state's
+*block*, the completions stored as getters of positions in the sorted
+unused values, so that a leaf is one getter call and one tuple join.  A
+block is listed once per call, by running the same rule on the canonical
+order-isomorphic instance: unused values 2, 4, ..., 2k, and a statistic in
+gap g as 2g + 1 (a falling rule's 0 for none is in gap 0).  A pair block
+holds at most f(4) = 22 completions.  Building costs the same at any n, so
+larger blocks pay off only at larger n: for the pair, 4 is the fastest
+bound at n = 8 and 6 at n = 10.  The blocks run the value-level rule itself,
+not the pair walk's translation of it into gaps, so the enumerator stays an
+independent check on that walk.  Like the walks' memos, blocks are kept for
+one call.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a memoized walk over the pair
@@ -70,6 +71,7 @@ from .perms import (
     _ends_at,
     _last_mid123,
     avoids,
+    contains,
     is_permutation,
     is_start_small,
     key_mid123_entries,
@@ -95,23 +97,17 @@ def enumerate_avoiders(
     >>> list(enumerate_avoiders(3, [(1, 2, 3)]))
     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    pats = ClassDescriptor(n, patterns).patterns
-    rules = [  # (patterns it covers, child rule, root state), first match wins
-        (AVOIDED_PAIR, _pair_children, (n + 1,) * 3),
-        ((PATTERN_123,), _children_123, (n + 1,)),
-        ((), _all_children, ()),
-    ]
-    covered, children, root = next(r for r in rules if set(r[0]) <= set(pats))
-    yield from _live_avoiders(n, children, root, [q for q in pats if q not in covered])
+    yield from _live_avoiders(n, *_class_rule(n, ClassDescriptor(n, patterns).patterns))
 
 
 def naive_avoiders(
     n: int, patterns: Iterable[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
     """Debug path: filter all n! permutations with the generic containment test."""
-    pats = ClassDescriptor(n, patterns).patterns
+    given = [tuple(q) for q in patterns]
+    ClassDescriptor(n, given)  # checks n and the patterns; every one is tested
     for perm in itertools.permutations(range(1, n + 1)):
-        if avoids(perm, pats):
+        if avoids(perm, given):
             yield perm
 
 
@@ -210,7 +206,7 @@ def count_pair_avoiders_by_keys(
 
 
 def _count_123_avoiders(n: int, start_small_only: bool) -> int:
-    # The walk of ``_children_123`` over gaps as in
+    # The walk of the rising ``_monotone_children`` for 123 over gaps as in
     # ``count_pair_avoiders_by_keys``: placing v = u_i keeps the prefix live
     # iff v becomes the new prefix minimum (i <= low) or is the largest
     # unused value (i = k), so with c(k, low) the completions of a state
@@ -224,6 +220,25 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
         row = list(itertools.accumulate(row))
         row.append(row[-1])
     return row[-1] - last if start_small_only else row[-1]
+
+
+def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
+    # A normalized set's child rule, root state and patterns left for the matcher.
+    rules, others = [], list(patterns)  # (child rule, root state)
+    if set(AVOIDED_PAIR) <= set(patterns):
+        rules.append((_pair_children, (n + 1,) * 3))
+        others = [q for q in others if q not in AVOIDED_PAIR]
+    for q in patterns:
+        m, rising = len(q), q[0] < q[-1]
+        if m >= 2 and q == tuple(range(1, m + 1) if rising else range(m, 0, -1)):
+            rules.append((functools.partial(_monotone_children, rising),
+                          (n + 1 if rising else 0,) * (m - 2)))
+            others.remove(q)
+    if len(rules) > 1:
+        root = sum((root for _, root in rules), ())
+        rules = [(functools.partial(_composed_children, rules), root)]
+    children, root = rules[0] if rules else (_all_children, ())
+    return children, root, others
 
 
 def _live_avoiders(
@@ -327,19 +342,41 @@ def _pair_children(
     return live
 
 
-def _children_123(
-    state: tuple[int], unused: list[int]
-) -> list[tuple[int, tuple[int]]]:
-    # Appending v completes a 123 iff the prefix has a rise topping out below
-    # v.  The prefix is live, so no unused value lies above the smallest rise
-    # top, and placing v keeps it so iff v is a new prefix minimum or the
-    # largest unused value: any other v tops a new rise with a larger unused
-    # value still to come.  The state is the prefix minimum, n + 1 at first.
-    lower = bisect.bisect_left(unused, state[0])
-    live = [(i, (unused[i],)) for i in range(lower)]
-    if lower < len(unused):  # the largest unused value is above the minimum
-        live.append((len(unused) - 1, state))
+def _monotone_children(rising: bool, state: tuple, unused: list[int]) -> list[tuple]:
+    # The rule of 12...m (``rising``) or m...1, m >= 2, on the prefix's first
+    # m - 2 patience-pile tops: the smallest (rising) or largest last value of
+    # a monotone run of each length, n + 1 or 0 for none.  v tops the first
+    # pile whose top it undercuts.  The prefix is live, so no unused value
+    # lands past pile m - 1, and v keeps it so iff v lands on one of the first
+    # m - 2 piles or is the largest (rising) or smallest unused value.
+    if rising:
+        live, hi = [], 0
+        for j, top in enumerate(state):
+            lo, hi = hi, bisect.bisect_left(unused, top, hi)
+            head, tail = state[:j], state[j + 1 :]
+            live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
+        if hi < len(unused):  # the largest lands on pile m - 1
+            live.append((len(unused) - 1, state))
+        return live
+    k = len(unused)
+    hi = bisect.bisect_left(unused, state[-1]) if state else k
+    live = [(0, state)] if hi else []  # the smallest lands on pile m - 1
+    for j in reversed(range(len(state))):  # the values between tops j and j - 1
+        lo, hi = hi, bisect.bisect_left(unused, state[j - 1], hi) if j else k
+        head, tail = state[:j], state[j + 1 :]
+        live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
     return live
+
+
+def _composed_children(rules: list, state: tuple, unused: list[int]) -> list[tuple]:
+    # The children every rule keeps, each rule reading the part of ``state``
+    # as long as its root state; the child states are joined in rule order.
+    (rule, root), *rest = rules
+    kids, start = dict(rule(state[: len(root)], unused)), len(root)
+    for rule, root in rest:
+        part, start = state[start : start + len(root)], start + len(root)
+        kids = {i: kids[i] + s for i, s in rule(part, unused) if i in kids}
+    return list(kids.items())
 
 
 def _all_children(state: tuple[()], unused: list[int]) -> list[tuple[int, tuple[()]]]:
@@ -354,7 +391,8 @@ class ClassDescriptor:
     optionally restricted to start-small ones, to those with exactly ``k``
     key mid-123 entries, and to those whose last mid-123 entry sits at
     position ``j``.  This is the one place a class is checked: ``patterns``,
-    any iterable of sequences, is stored as a sorted tuple of distinct tuples.
+    any iterable of sequences, is stored as a sorted tuple of distinct tuples,
+    less every pattern that contains another one of them.
     """
 
     n: int
@@ -370,7 +408,10 @@ class ClassDescriptor:
         for q in patterns:
             if not is_permutation(q):
                 raise ValueError(f"pattern {q!r} is not a permutation of 1..{len(q)}")
-        object.__setattr__(self, "patterns", patterns)
+        # A pattern that contains a shorter one of the set adds no constraint.
+        redundant = {q for q in patterns for p in patterns
+                     if len(p) < len(q) and contains(q, p)}
+        object.__setattr__(self, "patterns", tuple(q for q in patterns if q not in redundant))
         if self.j is not None:
             if self.k is None:
                 raise ValueError("descriptor gives j without k")

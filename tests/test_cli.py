@@ -240,6 +240,12 @@ ENUMERATE_SHA256 = {
     "--n 10 --patterns 123,3412": (
         "8d6b666f9985dd0809b5cd06f073c8223c22ffb09856aa395d80636553f2ec76", 1862,
     ),
+    "--n 9 --patterns 1243,2134,4321": (
+        "c96e8a73fa0478037187a349e3c3d818091354d604ae260faba03e74ca50d86f", 792,
+    ),
+    "--n 9 --patterns 4321": (
+        "bceb9e4e472095897992ca3e65e1ed185b54f2613753bc1b007b674f93db0e28", 94359,
+    ),
 }
 
 

@@ -15,6 +15,7 @@ from avoiders.enumeration import (
     _BLOCK_K,
     ClassDescriptor,
     _block,
+    _class_rule,
     count_avoiders,
     count_class,
     count_pair_avoiders,
@@ -124,6 +125,19 @@ def _sets_with_length_5_pattern(count, seed):
     ]
 
 
+#: 12...m and m...1 for m = 2..5, the patterns with a monotone rule.
+MONOTONE = [
+    q for m in range(2, 6) for q in (tuple(range(1, m + 1)), tuple(range(m, 0, -1)))
+]
+
+
+def _covered(patterns):
+    # The patterns a set's rules cover: the pair if it holds both, and every
+    # monotone one.
+    pair = set(AVOIDED_PAIR) if set(AVOIDED_PAIR) <= set(patterns) else set()
+    return pair | {q for q in patterns if q in MONOTONE}
+
+
 ORACLE_PATTERN_SETS = [
     # At n = 1 and 2, (1,) kills the root and (1, 2) and (2, 1) a one-value
     # leaf, alone (the generic rule) and beside the pair (the pair rule).
@@ -138,6 +152,18 @@ ORACLE_PATTERN_SETS = [
     *_random_pattern_sets(40, seed=20131),
     *_sets_with_length_5_pattern(10, seed=5),
 ]
+# 12...m and m...1 alone, beside the pair and beside 123, {123, 321} (empty
+# from n = 5) and {1234, 4321}; rows already above are not repeated.
+ORACLE_PATTERN_SETS += [
+    s for s in (
+        *((q,) for q in MONOTONE),
+        *(AVOIDED_PAIR + (q,) for q in MONOTONE),
+        *((PATTERN_123, q) for q in MONOTONE if q != PATTERN_123),
+        (PATTERN_123, (3, 2, 1)),
+        ((1, 2, 3, 4), (4, 3, 2, 1)),
+    )
+    if s not in ORACLE_PATTERN_SETS
+]
 
 
 @pytest.mark.parametrize("patterns", ORACLE_PATTERN_SETS, ids=str)
@@ -150,38 +176,50 @@ def test_generators_match_naive_filter_in_order(patterns):
         ), n
 
 
+RULES = ("_pair_children", "_monotone_children", "_composed_children", "_all_children")
+
+
 @pytest.mark.parametrize(
-    "rule, patterns",
+    "patterns, rules",
     [
-        ("_pair_children", [(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]]),
-        ("_children_123", [PATTERN_123, (3, 4, 1, 2)]),
-        ("_children_123", [PATTERN_123, (4, 3, 2, 1), (2, 1, 4, 3)]),
+        ([(1, 4, 3, 2), AVOIDED_PAIR[1], AVOIDED_PAIR[0]], {"_pair_children"}),
+        ([PATTERN_123, (3, 4, 1, 2)], {"_monotone_children"}),
+        ([PATTERN_123, (4, 3, 2, 1), (2, 1, 4, 3)],
+         {"_monotone_children", "_composed_children"}),
+        ([(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]],
+         {"_pair_children", "_monotone_children", "_composed_children"}),
+        ([(1, 3, 4, 2), (3, 1, 2, 4)], {"_all_children"}),
     ],
-    ids=["pair+4321", "123+3412", "123+4321+2143"],
+    ids=["pair+1432", "123+3412", "123+4321+2143", "pair+4321", "generic"],
 )
-def test_rule_generator_tests_only_the_other_patterns(monkeypatch, rule, patterns):
-    # A set runs the first rule whose patterns it holds, the pair's before
-    # 123's, and the matcher is asked only about the set's other patterns.
+def test_rule_generator_tests_only_the_other_patterns(monkeypatch, patterns, rules):
+    # A set runs every rule whose patterns it holds, the pair's and one per
+    # monotone pattern, composed if there are several, and the matcher is
+    # asked only about the set's other patterns: pair + 4321 asks nothing.
     import avoiders.enumeration as enumeration_module
 
-    asked, rule_calls = set(), 0
+    asked, called = set(), set()
     real_ends_at = enumeration_module._ends_at
-    real_rule = getattr(enumeration_module, rule)
 
     def ends_at_spy(word, end, pattern, *pinned):
         asked.add(tuple(pattern))
         return real_ends_at(word, end, pattern, *pinned)
 
-    def rule_spy(state, unused):
-        nonlocal rule_calls
-        rule_calls += 1
-        return real_rule(state, unused)
+    def spy(name):
+        real_rule = getattr(enumeration_module, name)
+
+        def rule_spy(*args):
+            called.add(name)
+            return real_rule(*args)
+
+        return rule_spy
 
     monkeypatch.setattr(enumeration_module, "_ends_at", ends_at_spy)
-    monkeypatch.setattr(enumeration_module, rule, rule_spy)
+    for name in RULES:
+        monkeypatch.setattr(enumeration_module, name, spy(name))
     assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
-    assert rule_calls > 0
-    assert asked == set(patterns) - {PATTERN_123, *AVOIDED_PAIR}
+    assert called == rules
+    assert asked == set(patterns) - _covered(patterns)
 
 
 def _run_heads(n, prefix):
@@ -208,8 +246,8 @@ def _screened_asks(n, prefix, checked):
 
 @pytest.mark.parametrize(
     "patterns",
-    [AVOIDED_PAIR + ((4, 3, 2, 1),), ((1, 3, 4, 2), (3, 1, 2, 4)), ((1, 3, 2),),
-     ((2, 1, 4, 3), (1, 3, 2, 4))],
+    [AVOIDED_PAIR + ((1, 4, 3, 2),), ((1, 3, 4, 2), (3, 1, 2, 4)), ((1, 3, 2),),
+     ((2, 1, 4, 3), (1, 3, 2, 4)), AVOIDED_PAIR + ((4, 3, 2, 1),)],
     ids=str,
 )
 def test_liveness_check_asks_once_per_run_of_unused_values(monkeypatch, patterns):
@@ -219,7 +257,8 @@ def test_liveness_check_asks_once_per_run_of_unused_values(monkeypatch, patterns
     # entry and the value, so a pattern whose last two letters are ordered
     # the other way is not asked.  Every node that asks anything makes
     # exactly the screened asks, and a node that leads to a member makes
-    # all of them.
+    # all of them.  Patterns a rule covers are not asked about: pair + 4321
+    # asks nothing.
     import avoiders.enumeration as enumeration_module
 
     asked = {}
@@ -233,8 +272,7 @@ def test_liveness_check_asks_once_per_run_of_unused_values(monkeypatch, patterns
     n = 7
     members = list(enumerate_avoiders(n, patterns))
     assert members == list(naive_avoiders(n, patterns))
-    by_rule = set(AVOIDED_PAIR) if set(AVOIDED_PAIR) <= set(patterns) else set()
-    checked = sorted(set(patterns) - by_rule)
+    checked = sorted(set(patterns) - _covered(patterns))
     completed = {perm[:length] for perm in members for length in range(n)}
     for prefix in completed | asked.keys():
         assert asked.get(prefix, []) == _screened_asks(n, prefix, checked), prefix
@@ -282,8 +320,25 @@ def _pair_statistics(prefix, n):
     )
 
 
-def _prefix_minimum(prefix, n):
-    return (min(prefix, default=n + 1),)
+def _pile_tops(pattern):
+    # The monotone rule's state by its definition: for 12...m, the smallest
+    # last value of an increasing run of each length 1..m - 2, n + 1 for
+    # none; for m...1, the largest last value of a decreasing run, 0 for none.
+    rising = pattern[0] < pattern[-1]
+
+    def statistics(prefix, n):
+        def top(length):
+            lasts = [run[-1] for run in itertools.combinations(prefix, length)
+                     if list(run) == sorted(run, reverse=not rising)]
+            return min(lasts, default=n + 1) if rising else max(lasts, default=0)
+
+        return tuple(top(length) for length in range(1, len(pattern) - 1))
+
+    return statistics
+
+
+def _pair_and_4321_statistics(prefix, n):
+    return _pair_statistics(prefix, n) + _pile_tops((4, 3, 2, 1))(prefix, n)
 
 
 def _rule_asks(n, patterns, statistics):
@@ -306,11 +361,13 @@ def _rule_asks(n, patterns, statistics):
     "rule, patterns, statistics, asks",
     [
         ("_pair_children", AVOIDED_PAIR, _pair_statistics, 149),
-        ("_children_123", (PATTERN_123,), _prefix_minimum, 47),
-        ("_pair_children", AVOIDED_PAIR + ((4, 3, 2, 1),), None, 878),
+        ("_monotone_children", (PATTERN_123,), _pile_tops(PATTERN_123), 47),
+        ("_pair_children", AVOIDED_PAIR + ((4, 3, 2, 1),), _pair_and_4321_statistics,
+         264),
+        ("_monotone_children", ((4, 3, 2, 1),), _pile_tops((4, 3, 2, 1)), 81),
         ("_all_children", ((1, 3, 4, 2), (3, 1, 2, 4)), None, 1628),
     ],
-    ids=["pair", "123", "pair+4321", "generic"],
+    ids=["pair", "123", "pair+4321", "4321", "generic"],
 )
 def test_generator_enters_exactly_the_live_prefixes(
     monkeypatch, rule, patterns, statistics, asks
@@ -320,41 +377,49 @@ def test_generator_enters_exactly_the_live_prefixes(
     # asked more often, even though the same permutations would come out.  A
     # live prefix of length n - 1 has exactly one completion and is emitted
     # without asking the rule.  With matcher patterns that makes the count
-    # the number of live prefixes shorter than n (1,211 and 3,087) less the
-    # size of the class at n = 7 (333 and 1,459).  With none, a live prefix
-    # with 2 to ``_BLOCK_K`` unused values opens no node, and the rule is
-    # asked once per gap state among them, to build its block.
+    # the number of live prefixes shorter than n (3,087) less the size of
+    # the class at n = 7 (1,459).  With none, a live prefix with 2 to
+    # ``_BLOCK_K`` unused values opens no node, and the rule is asked once
+    # per gap state among them, to build its block; a composed rule asks
+    # each of its rules once per node, and its gap state is that of all
+    # their statistics.
     import avoiders.enumeration as enumeration_module
 
     real_rule = getattr(enumeration_module, rule)
     calls = 0
 
-    def rule_spy(state, unused):
+    def rule_spy(*args):
         nonlocal calls
         calls += 1
-        return real_rule(state, unused)
+        return real_rule(*args)
 
     monkeypatch.setattr(enumeration_module, rule, rule_spy)
     assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
     assert calls == _rule_asks(7, patterns, statistics) == asks
 
 
+BLOCK_RULES = [  # (patterns covered by rules alone, their statistics, class size at 8)
+    (AVOIDED_PAIR, _pair_statistics, 6056),
+    ((PATTERN_123,), _pile_tops(PATTERN_123), 1430),
+    (((1, 2, 3, 4),), _pile_tops((1, 2, 3, 4)), 15767),
+    (((3, 2, 1),), _pile_tops((3, 2, 1)), 1430),
+    (((4, 3, 2, 1),), _pile_tops((4, 3, 2, 1)), 15767),
+    (AVOIDED_PAIR + ((4, 3, 2, 1),), _pair_and_4321_statistics, 538),
+]
+BLOCK_RULE_IDS = ["pair", "123", "1234", "321", "4321", "pair+4321"]
+
+
 @pytest.mark.parametrize(
-    "rule, patterns, statistics",
-    [
-        ("_pair_children", AVOIDED_PAIR, _pair_statistics),
-        ("_children_123", (PATTERN_123,), _prefix_minimum),
-    ],
-    ids=["pair", "123"],
+    "patterns, statistics", [row[:2] for row in BLOCK_RULES], ids=BLOCK_RULE_IDS
 )
-def test_blocks_list_the_brute_force_completions(rule, patterns, statistics):
+def test_blocks_list_the_brute_force_completions(patterns, statistics):
     # For every live prefix with 2 to ``_BLOCK_K`` unused values, its gap
     # state's block, taken from one cache shared by all lengths, lists its
     # completions in order; and the rule's children on the real values map
     # through the order isomorphism onto those on the canonical instance.
-    import avoiders.enumeration as enumeration_module
-
-    children, blocks = getattr(enumeration_module, rule), {}
+    children, _, others = _class_rule(2, patterns)
+    assert others == []
+    blocks = {}
     for n in range(2, 9):
         live = list(_live_prefixes(n, patterns, n - 1))
         completions = {}
@@ -380,23 +445,24 @@ def test_blocks_list_the_brute_force_completions(rule, patterns, statistics):
 
 
 @pytest.mark.parametrize(
-    "rule, patterns, size",
-    [("_pair_children", AVOIDED_PAIR, 6056), ("_children_123", (PATTERN_123,), 1430)],
-    ids=["pair", "123"],
+    "patterns, size", [row[::2] for row in BLOCK_RULES], ids=BLOCK_RULE_IDS
 )
-def test_blocks_do_not_outlive_a_call(monkeypatch, rule, patterns, size):
-    # Each call builds its blocks again, so it asks the rule as often.
+def test_blocks_do_not_outlive_a_call(monkeypatch, patterns, size):
+    # Each call builds its blocks again, so it asks the rules as often.
     import avoiders.enumeration as enumeration_module
 
-    real_rule = getattr(enumeration_module, rule)
     calls = 0
 
-    def rule_spy(state, unused):
-        nonlocal calls
-        calls += 1
-        return real_rule(state, unused)
+    def spy(real_rule):
+        def rule_spy(*args):
+            nonlocal calls
+            calls += 1
+            return real_rule(*args)
 
-    monkeypatch.setattr(enumeration_module, rule, rule_spy)
+        return rule_spy
+
+    for name in ("_pair_children", "_monotone_children"):
+        monkeypatch.setattr(enumeration_module, name, spy(getattr(enumeration_module, name)))
     asked = []
     for _ in range(2):
         calls = 0
@@ -445,6 +511,43 @@ def test_pattern_normalization():
     a = list(enumerate_avoiders(5, [(1, 2, 4, 3), (2, 1, 3, 4), (1, 2, 4, 3)]))
     b = list(enumerate_avoiders(5, [(2, 1, 3, 4), (1, 2, 4, 3)]))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "patterns", [(PATTERN_123, (1, 3, 2, 4)), (PATTERN_123, *AVOIDED_PAIR)], ids=str
+)
+def test_a_pattern_containing_another_is_dropped(monkeypatch, patterns):
+    # Each set is exactly the {123} class, so it is listed by the 123 rule
+    # alone, with its blocks and no matcher, and counted as that class;
+    # both against a filter with ``contains`` over every given pattern.
+    import avoiders.enumeration as enumeration_module
+
+    asked = []
+    monkeypatch.setattr(enumeration_module, "_ends_at", lambda *args: asked.append(args))
+    assert ClassDescriptor(5, patterns).patterns == (PATTERN_123,)
+    for n in range(1, 8):
+        members = [
+            perm for perm in itertools.permutations(range(1, n + 1))
+            if not any(contains(perm, q) for q in patterns)
+        ]
+        assert list(enumerate_avoiders(n, patterns)) == members, n
+        assert count_class(ClassDescriptor(n, patterns)) == len(members), n
+    assert asked == []
+
+
+def test_naive_filter_tests_every_given_pattern(monkeypatch):
+    # The oracle filters with the patterns as given, not as the descriptor
+    # keeps them, so the oracle rows that hold a redundant pattern check the
+    # drop.
+    import avoiders.enumeration as enumeration_module
+
+    seen, avoids = [], enumeration_module.avoids
+    monkeypatch.setattr(
+        enumeration_module, "avoids", lambda perm, pats: seen.append(pats) or avoids(perm, pats)
+    )
+    assert len(list(naive_avoiders(4, [PATTERN_123, (1, 3, 2, 4)]))) == 14
+    assert len(seen) == 24
+    assert all(pats == [PATTERN_123, (1, 3, 2, 4)] for pats in seen)
 
 
 def test_invalid_inputs():
@@ -518,6 +621,10 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
          ("123", 7, True)),
         # no 123-avoider has a mid-123 entry, so k = 0 is the whole class
         (ClassDescriptor(6, (PATTERN_123,), k=0), 132, ("123", 6, False)),
+        # a pattern that contains 123 adds nothing, so these are {123}
+        (ClassDescriptor(7, (PATTERN_123, (1, 3, 2, 4))), 429, ("123", 7, False)),
+        (ClassDescriptor(7, (PATTERN_123, *AVOIDED_PAIR), start_small_only=True), 297,
+         ("123", 7, True)),
     ]
     for descriptor, size, walk in walked:
         assert count_class(descriptor) == size
