@@ -19,7 +19,7 @@ import sys
 from typing import Iterator, Sequence
 
 from .bijection import format_perm_list, parse_perm_list, phi, phi_inverse
-from .enumeration import ClassDescriptor, count_class, enumerate_class
+from .enumeration import ClassDescriptor, _class_chunks, count_class
 from .perms import format_perm, is_permutation, parse_perm
 from .series import (
     PowerSeries,
@@ -106,10 +106,19 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    # One template renders every member as ``json.dumps``/``format_perm`` would.
-    slots = ["%d"] * args.n
-    line = f"[{', '.join(slots)}]\n" if args.json else " ".join(slots) + "\n"
-    sys.stdout.writelines(line % perm for perm in enumerate_class(_descriptor(args)))
+    # Each member printed as ``json.dumps``/``format_perm`` would, by chunk
+    # (``enumeration._class_chunks``): the head once per chunk, each distinct
+    # tails tuple once per call, and one write per chunk.
+    sep, start, end = (", ", "[", "]\n") if args.json else (" ", "", "\n")
+    heads = [start + ("%d" + sep) * size for size in range(args.n + 1)]
+    formatted: dict[tuple, list[str]] = {}
+    for head, tails in _class_chunks(_descriptor(args)):
+        lines = formatted.get(tails)
+        if lines is None:
+            line = sep.join(["%d"] * len(tails[0])) + end
+            lines = formatted[tails] = [line % tail for tail in tails]
+        lead = heads[len(head)] % head
+        sys.stdout.write(lead + lead.join(lines))
     return 0
 
 

@@ -170,15 +170,18 @@ def _naive_listing(n, patterns):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_count_and_enumerate_match_naive_route(capsys, monkeypatch, n):
     # The streaming brute-force route: the class streams from the filter
-    # over all n! permutations, and count sums that stream.
+    # over all n! permutations, each member a chunk of its own, and count
+    # sums that stream.
     import avoiders.cli as cli_module
     import avoiders.enumeration as enumeration_module
 
     def naive_route():
         monkeypatch.setattr(
             enumeration_module,
-            "enumerate_avoiders",
-            lambda n, patterns: iter(_naive_listing(n, tuple(patterns))),
+            "_live_avoiders",
+            lambda n, patterns: (
+                (perm[:-1], (perm[-1:],)) for perm in _naive_listing(n, tuple(patterns))
+            ),
         )
         monkeypatch.setattr(
             cli_module,
@@ -246,6 +249,23 @@ ENUMERATE_SHA256 = {
     "--n 9 --patterns 4321": (
         "bceb9e4e472095897992ca3e65e1ed185b54f2613753bc1b007b674f93db0e28", 94359,
     ),
+    # recorded before `enumerate` wrote its output by chunk
+    "--n 10 --patterns 1243,2134 --json": (
+        "a3d09534e992fe4bf7e500700be5d9bd6118899eaa81f57c1610e79969622f77", 105632,
+    ),
+    "--n 8 --patterns 1243,2134 --start-small --k 1": (
+        "185c1b862c8b4f33ce09926332795c0ea9711c9dd0a7bba23c04db42f5d96623", 1638,
+    ),
+    "--n 8 --patterns 1243,2134 --start-small --k 1 --json": (
+        "ba31303448d9d2dea12ec60396d38851ebd42f8258bccd8f5e157821fe20092e", 1638,
+    ),
+    # the whole class is the root's block, and the root is a leaf
+    "--n 4 --patterns 1243,2134": (
+        "43d8a352139b372325b8dcb153b75fd38e6140b4b66f9e2ca3a39fb95d13f61c", 22,
+    ),
+    "--n 1": (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", 1,
+    ),
 }
 
 
@@ -260,11 +280,12 @@ def test_enumerate_golden_digest(capsys, args):
 
 def test_enumerate_streams_into_a_broken_pipe(monkeypatch):
     # The third write fails as a closed pipe would; the command must stop
-    # there with exit 0, having pulled at most one member per write, not
-    # the 442,916 of the whole class.
+    # there with exit 0, having pulled at most one chunk of members per
+    # write, not the 442,916 members of the whole class.
     import avoiders.cli as cli_module
+    import avoiders.enumeration as enumeration_module
 
-    class ClosedAfterTwoLines(io.TextIOBase):
+    class ClosedAfterTwoWrites(io.TextIOBase):
         writes = 0
 
         def write(self, text):
@@ -275,14 +296,14 @@ def test_enumerate_streams_into_a_broken_pipe(monkeypatch):
 
     yielded = 0
 
-    def enumerate_spy(descriptor):
+    def chunks_spy(descriptor):
         nonlocal yielded
-        for perm in enumerate_class(descriptor):
+        for chunk in enumeration_module._class_chunks(descriptor):
             yielded += 1
-            yield perm
+            yield chunk
 
-    monkeypatch.setattr(cli_module, "enumerate_class", enumerate_spy)
-    monkeypatch.setattr(sys, "stdout", ClosedAfterTwoLines())
+    monkeypatch.setattr(cli_module, "_class_chunks", chunks_spy)
+    monkeypatch.setattr(sys, "stdout", ClosedAfterTwoWrites())
     assert main(["enumerate", "--n", "11", "--patterns", "1243,2134"]) == 0
     assert 1 <= yielded <= 3
 

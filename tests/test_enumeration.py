@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from avoiders.enumeration import (
     ClassDescriptor,
     _block,
     _class_rule,
+    _count_by_gap_state,
     count_avoiders,
     count_class,
     count_pair_avoiders,
@@ -33,7 +35,7 @@ from avoiders.perms import (
     key_mid123_entries,
     mid123_entries,
 )
-from avoiders.series import catalan_series, gf_full
+from avoiders.series import catalan_series, gf_full, kotesovec_series
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -432,7 +434,7 @@ def test_blocks_list_the_brute_force_completions(patterns, statistics):
             if not 2 <= len(unused) <= _BLOCK_K:
                 continue
             state = statistics(prefix, n)
-            block = _block(children, state, unused, blocks)
+            block = _block(children, _gap_state(state, unused), blocks)
             assert [prefix + tail(unused) for tail in block] == completions.get(
                 prefix, []
             ), prefix
@@ -482,13 +484,13 @@ def test_keyed_class_with_a_pattern_inside_123_is_empty_at_once(monkeypatch, pat
     import avoiders.enumeration as enumeration_module
 
     called = []
-    real_enumerate = enumeration_module.enumerate_avoiders
+    real_enumerate = enumeration_module._live_avoiders  # the one listing loop
 
     def enumerate_spy(n, patterns):
         called.append(n)
         return real_enumerate(n, patterns)
 
-    monkeypatch.setattr(enumeration_module, "enumerate_avoiders", enumerate_spy)
+    monkeypatch.setattr(enumeration_module, "_live_avoiders", enumerate_spy)
     assert inspect.isgeneratorfunction(enumerate_class)
     for n in range(1, 8):
         keyed = [ClassDescriptor(n, patterns, start_small_only=s, k=k)
@@ -584,6 +586,7 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
 
     walks = []
     listed = []
+    counted = []
     real_pair_walk = enumeration_module.count_pair_avoiders_by_keys
     real_123_walk = enumeration_module._count_123_avoiders
     real_enumerate = enumeration_module.enumerate_class
@@ -600,7 +603,14 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
         listed.append(descriptor)
         return real_enumerate(descriptor)
 
+    real_counter = enumeration_module._count_by_gap_state
+
+    def counter(n, children, root, start_small_only):
+        counted.append((n, start_small_only))
+        return real_counter(n, children, root, start_small_only)
+
     monkeypatch.setattr(enumeration_module, "count_pair_avoiders_by_keys", pair_walk)
+    monkeypatch.setattr(enumeration_module, "_count_by_gap_state", counter)
     monkeypatch.setattr(enumeration_module, "_count_123_avoiders", walk_123)
     monkeypatch.setattr(enumeration_module, "enumerate_class", enumerate_spy)
     # pattern order and repeats do not matter: the normalized set decides
@@ -628,13 +638,27 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
     ]
     for descriptor, size, walk in walked:
         assert count_class(descriptor) == size
-        assert (walks, listed) == ([walk], []), descriptor
+        assert (walks, listed, counted) == ([walk], [], []), descriptor
         assert size == sum(1 for _ in real_enumerate(descriptor))
         walks.clear()
+    # a set the rules cover whole, with no k, is counted by gap state; the
+    # pair beside 12 is {12}, since both pair patterns contain 12
+    by_gap_state = [
+        (ClassDescriptor(6, AVOIDED_PAIR + ((1, 2),)), 1, (6, False)),
+        (ClassDescriptor(7, AVOIDED_PAIR + ((4, 3, 2, 1),)), 333, (7, False)),
+        (ClassDescriptor(7, ((4, 3, 2, 1),), start_small_only=True), 2629, (7, True)),
+        (ClassDescriptor(6, ()), 720, (6, False)),
+    ]
+    for descriptor, size, call in by_gap_state:
+        assert count_class(descriptor) == size
+        assert (walks, listed, counted) == ([], [], [call]), descriptor
+        assert size == sum(1 for _ in real_enumerate(descriptor))
+        counted.clear()
     listed_only = [
         (ClassDescriptor(6, AVOIDED_PAIR, k=1, j=3), 36),
-        (ClassDescriptor(6, AVOIDED_PAIR + ((1, 2),)), 1),
         (ClassDescriptor(6, (AVOIDED_PAIR[0],)), 513),
+        # the rules cover this set, but k is a filter the counter lacks
+        (ClassDescriptor(6, AVOIDED_PAIR + ((4, 3, 2, 1),), k=1), 74),
         # a keyed {123} class (j needs k >= 1) is empty: ``enumerate_class``
         # returns at once for it, listing nothing
         (ClassDescriptor(6, (PATTERN_123,), k=1), 0),
@@ -642,8 +666,74 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
     ]
     for descriptor, size in listed_only:
         assert count_class(descriptor) == size
-        assert (walks, listed) == ([], [descriptor]), descriptor
+        assert (walks, listed, counted) == ([], [descriptor], []), descriptor
         listed.clear()
+
+
+# ---------------------------------------------------------------------------
+# the counter by gap state
+
+
+def _counted_by_gap_state(n, patterns, start_small_only=False):
+    children, root, others = _class_rule(n, ClassDescriptor(n, patterns).patterns)
+    assert others == []
+    return _count_by_gap_state(n, children, root, start_small_only)
+
+
+#: The rows of ``ORACLE_PATTERN_SETS`` that the rules cover whole.
+RULE_COVERED_SETS = [
+    s for s in ORACLE_PATTERN_SETS if not _class_rule(1, ClassDescriptor(1, s).patterns)[2]
+]
+
+
+@pytest.mark.parametrize("patterns", RULE_COVERED_SETS, ids=str)
+def test_counter_matches_naive_filter(patterns):
+    # Plain and start-small, against the filter over all n! permutations.
+    for n in range(1, 8):
+        members = list(naive_avoiders(n, patterns))
+        assert _counted_by_gap_state(n, patterns) == len(members), n
+        start_small = sum(1 for perm in members if perm[0] != n)
+        assert _counted_by_gap_state(n, patterns, True) == start_small, n
+
+
+def _gessel_1234(n):
+    # Gessel's closed form for the 1234-avoiders of [n], OEIS A005802
+    # (Gessel, "Symmetric functions and P-recursiveness", 1990), summed in
+    # exact rationals: its terms need not be integers.
+    return 2 * sum(
+        Fraction(
+            math.comb(2 * k, k) * math.comb(n, k) ** 2
+            * (3 * k * k + 2 * k + 1 - n - 2 * k * n),
+            (k + 1) ** 2 * (k + 2) * (n - k + 1),
+        )
+        for k in range(n + 1)
+    )
+
+
+def test_count_class_meets_gessels_formula():
+    # {1234} and {4321} are counted by gap state, through the monotone rule,
+    # far past what listing reaches.
+    for n in range(1, 21):
+        closed_form = _gessel_1234(n)
+        for pattern in ((1, 2, 3, 4), (4, 3, 2, 1)):
+            assert count_class(ClassDescriptor(n, (pattern,))) == closed_form, n
+    assert closed_form == 162958355218089
+
+
+def test_counter_runs_the_pair_and_123_rules_to_their_series():
+    # ``count_class`` walks these two classes; run on their rules directly,
+    # the counter checks the enumerator's own rules past listing's reach.
+    # Those starting with n are n before a member of the class of n - 1.
+    pair = kotesovec_series(14).coeffs
+    for n in range(1, 15):
+        assert _counted_by_gap_state(n, AVOIDED_PAIR) == pair[n], n
+        assert _counted_by_gap_state(n, AVOIDED_PAIR, True) == pair[n] - pair[n - 1], n
+    catalan = catalan_series(30).coeffs
+    for n in range(1, 31):
+        assert _counted_by_gap_state(n, (PATTERN_123,)) == catalan[n], n
+        assert _counted_by_gap_state(n, (PATTERN_123,), True) == (
+            catalan[n] - catalan[n - 1]
+        ), n
 
 
 def _pair_avoiders_by_keys(n):
