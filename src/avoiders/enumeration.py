@@ -28,22 +28,29 @@ among the sorted unused values.  A child rule reads values only by
 comparing them, and takes minima or maxima of statistics, so it acts alike
 on any two prefixes with one gap state and on their canonical
 order-isomorphic instance: unused values 2, 4, ..., 2k, and a statistic in
-gap g as 2g + 1 (a falling rule's 0 for none is in gap 0).  So for a class
-with no patterns left to test (as the pair, {123} or {1243, 2134, 4321}) a
-prefix with 2 to ``_BLOCK_K`` = 4 unused values opens no node: its
-completions are its gap state's *block*, built once per call on the
-canonical instance as getters of positions in the sorted unused values.
-The generator yields chunks, a prefix and its block's tails, each tails
-tuple made once per unused values and state.  A pair block holds at most
-f(4) = 22 completions.  Building costs the same at any n, so larger blocks
-pay off only at larger n: for the pair, 4 is the fastest bound at n = 8 and
-6 at n = 10.  The blocks run the value-level rule itself, not the pair
-walk's translation of it into gaps, so the enumerator stays an independent
-check on that walk.  Counting is the same recursion with integers in place
-of blocks, the counting side of Zeilberger's enumeration schemes
+gap g as 2g + 1 (a falling rule's 0 for none is in gap 0).  So each rule
+answers once per call per gap state of its own, on that instance, and the
+generator carries gap states: a node takes its children's from the answer,
+and only the root's is worked out from values.  Composed rules keep the
+children every rule keeps, by index, and a composed gap state holds one
+per rule, so {1243, 2134, 4321} at n = 8 asks the pair rule 253 times and
+the 4321 rule 92 times, though the two meet in 509 gap states.  For a
+class with no patterns left to test (as the pair, {123} or
+{1243, 2134, 4321}) a prefix with 2 to ``_BLOCK_K`` = 4 unused values
+opens no node: its completions are its gap state's *block*, built once per
+call as getters of positions in the sorted unused values.  The generator
+yields chunks, a prefix and its block's tails, each tails tuple made once
+per unused values and gap state.  A pair block holds at most f(4) = 22
+completions.  Building costs the same at any n, so larger blocks pay off
+only at larger n: for the pair, 4 is the fastest bound at n = 8 and 6 at
+n = 10.  The blocks run the value-level rule itself, not the pair walk's
+translation of it into gaps, so the enumerator stays an independent check
+on that walk.  Counting runs forward over the same answers: the number of
+live prefixes in each gap state, level by level from the root, summed at
+the last level, the counting side of Zeilberger's enumeration schemes
 ("Enumeration schemes and, more importantly, their automatic generation",
 1998); with it ``count_class`` counts {4321} at n = 20, 1.6e14 members, in
-about 0.03 s.
+about 0.02 s.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a memoized walk over the pair
@@ -51,11 +58,14 @@ rule's prefix statistics, each kept only as the gap it falls in between
 consecutive unused values, plus the gap of the previous entry.  It is a
 separate transcription of the pair rule, so that the enumerator stays an
 independent check on it; a step function shared by both also slows the
-walk.  ``count_pair_avoiders`` sums it, and a loop of prefix sums over the
-states of a smaller walk counts the {123} class in O(n^2) time.  Both beat
-the count by gap state.  ``count_class`` documents which count it runs;
-``count_avoiders`` and ``count_start_small_123_avoiders`` always list.
-Like the walks' memos, blocks, tails and counts are kept for one call.
+walk.  ``count_pair_avoiders`` and the plain pair counts of ``count_class``
+run the same walk with no key marker, which stores every previous entry's
+gap as the prefix minimum's, so fewer states differ (253 against 273 at
+n = 8).  A loop of prefix sums over the states of a smaller walk counts the
+{123} class in O(n^2) time.  Both walks beat the count by gap state.
+``count_class`` documents which count it runs; ``count_avoiders`` and
+``count_start_small_123_avoiders`` always list.  Every memo, the walks',
+the rules' answers, blocks, tails and counts, lives for one call.
 """
 
 from __future__ import annotations
@@ -126,7 +136,7 @@ def count_pair_avoiders(n: int) -> int:
     >>> [count_pair_avoiders(n) for n in range(8)]
     [1, 1, 2, 6, 22, 87, 354, 1459]
     """
-    return sum(count_pair_avoiders_by_keys(n))
+    return _pair_walk(n, start_small_only=False, keyed=False)
 
 
 def count_pair_avoiders_by_keys(
@@ -150,6 +160,16 @@ def count_pair_avoiders_by_keys(
     >>> count_pair_avoiders_by_keys(5, start_small_only=True)
     (28, 27, 9, 1, 0, 0)
     """
+    total = _pair_walk(n, start_small_only, keyed=True)
+    width = math.factorial(n).bit_length()  # as the walk packs it
+    mask = (1 << width) - 1
+    return tuple(total >> (width * k) & mask for k in range(n + 1))
+
+
+def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int:
+    # The {1243, 2134}-avoiders of [n], start-small ones only if asked, with
+    # ``keyed`` as a polynomial in a marker for key mid-123 entries packed
+    # into one int, as below; without it as a plain count.
     if n < 0:
         raise ValueError("length n must be >= 0")
     if n > PAIR_WALK_MAX_N:
@@ -165,7 +185,9 @@ def count_pair_avoiders_by_keys(
     # m21 < i < k.
     # The state is k and the gaps of prefix_min, s12 and m21.
     # Removing u_i merges gaps i - 1 and i, so gap g >= i becomes g - 1 and
-    # v itself lands in gap i - 1.
+    # v itself lands in gap i - 1.  A descent top exceeds the value after
+    # it, so m21 >= low, and the lemma's new m21 is low's when v is the new
+    # prefix minimum, else the smaller of m21 and s12 if s12 is above v.
     #
     # Key mid-123 entries take one more coordinate, ``last``, the gap of the
     # previously placed value.  v is a mid-123 entry iff low < i < k (a
@@ -176,8 +198,9 @@ def count_pair_avoiders_by_keys(
     # stored as low; what remains is always the gap of s12.  A state's count
     # is a polynomial in a marker for key entries, packed into one int with
     # ``width`` bits per coefficient (no coefficient exceeds n!), so that a
-    # key entry shifts its child's count by ``width``.
-    width = math.factorial(n).bit_length()
+    # key entry shifts its child's count by ``width``.  With no marker the
+    # width is 0 and every last is stored as low, so fewer states differ.
+    width = math.factorial(n).bit_length() if keyed else 0
 
     @functools.cache
     def count(k: int, low: int, s12: int, m21: int, last: int) -> int:
@@ -185,17 +208,14 @@ def count_pair_avoiders_by_keys(
             return 1
         total = 0
         for i in range(1, min(k, s12 + 1) + 1):
-            if m21 < i < k:
-                continue
-            above = low if low >= i else s12 if s12 >= i else m21
-            child_m21 = m21 if m21 < i else min(m21, above) - 1
             if low >= i:  # v is the new prefix minimum; s12 stays
-                total += count(k - 1, i - 1, s12 - 1, child_m21, i - 1)
-            elif i < k:  # a mid-123 entry, and the new s12
-                child = count(k - 1, low, i - 1, child_m21, i - 1)
+                total += count(k - 1, i - 1, s12 - 1, low - 1, i - 1)
+            elif i == k:  # v is the largest unused value: a right-to-left maximum
+                total += count(k - 1, low, i - 1, m21 if m21 < i else i - 1, low)
+            elif m21 >= i:  # a mid-123 entry, and the new s12
+                child_m21 = (s12 if i <= s12 < m21 else m21) - 1
+                child = count(k - 1, low, i - 1, child_m21, i - 1 if width else low)
                 total += child << width if last < i else child
-            else:  # v is the largest unused value: a right-to-left maximum
-                total += count(k - 1, low, i - 1, child_m21, low)
         return total
 
     total = count(n, n, n, n, n)
@@ -203,8 +223,7 @@ def count_pair_avoiders_by_keys(
         # Those starting with n: the first step's branch i = k, whose child
         # is the root of this walk for n - 1.
         total -= count(n - 1, n - 1, n - 1, n - 1, n - 1)
-    mask = (1 << width) - 1
-    return tuple(total >> (width * k) & mask for k in range(n + 1))
+    return total
 
 
 def _count_123_avoiders(n: int, start_small_only: bool) -> int:
@@ -224,8 +243,9 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
     return row[-1] - last if start_small_only else row[-1]
 
 
-def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
-    # A normalized set's child rule, root state and patterns left for the matcher.
+def _value_rules(n: int, patterns: tuple) -> tuple[list[tuple], list[tuple]]:
+    # A normalized set's child rules, each with its root state, and the
+    # patterns left for the matcher.
     rules, others = [], list(patterns)  # (child rule, root state)
     if set(AVOIDED_PAIR) <= set(patterns):
         rules.append((_pair_children, (n + 1,) * 3))
@@ -236,33 +256,47 @@ def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
             rules.append((functools.partial(_monotone_children, rising),
                           (n + 1 if rising else 0,) * (m - 2)))
             others.remove(q)
-    if len(rules) > 1:
-        root = sum((root for _, root in rules), ())
-        rules = [(functools.partial(_composed_children, rules), root)]
-    children, root = rules[0] if rules else (_all_children, ())
-    return children, root, others
+    return rules or [(_all_children, ())], others
+
+
+def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
+    # A normalized set's children on gap states, its root gap state and the
+    # patterns left for the matcher.  ``children(key)`` maps the index of
+    # each live child of gap state ``key``, by increasing value, to the
+    # child's gap state.  Each rule answers once per gap state of its own
+    # for the caller's call; rules compose two at a time, on pairs of gap
+    # states, keeping the indices both keep.
+    rules, others = _value_rules(n, patterns)
+    parts = [  # at the root each statistic is none yet: gap n, or 0 if falling
+        (functools.cache(functools.partial(_child_keys, rule)),
+         (n, *[min(s, n) for s in root]))
+        for rule, root in rules
+    ]
+    children, key = parts[0]
+    for answer, root in parts[1:]:
+        children, key = functools.partial(_composed_keys, children, answer), (key, root)
+    return children, key, others
 
 
 def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
     # The one loop behind ``enumerate_class``, over a normalized set: the
     # members in order, as chunks (head, tails), each standing for head +
-    # tail for every tail.  ``children(state, unused)`` is a class's child
-    # rule: from the prefix's state, a tuple of values, and its sorted unused
-    # values it returns the live children as (index into ``unused``, child
-    # state), by increasing value.  ``stack`` holds each open prefix's
-    # unused values and an iterator over those children; the prefix at depth
-    # d is ``prefix[:d]``.  A live prefix with one unused value u is the
-    # chunk of one tail (u,): the rule keeps u from completing its own
-    # patterns, and the check against ``patterns`` the rest.  The run heads,
-    # the pinned letters, the blocks and their tails are as in the module
-    # docstring; ``blocks`` and ``made`` hold them for this call only.
-    children, state, patterns = _class_rule(n, patterns)
+    # tail for every tail.  ``children`` is the class's rule on gap states,
+    # from ``_class_rule``.  ``stack`` holds each open prefix's unused values
+    # and an iterator over its children; the prefix at depth d is
+    # ``prefix[:d]`` and ``key`` the gap state of the newest one.  A live
+    # prefix with one unused value u is the chunk of one tail (u,): the rule
+    # keeps u from completing its own patterns, and the check against
+    # ``patterns`` the rest.  The run heads, the pinned letters, the blocks
+    # and their tails are as in the module docstring; ``blocks`` and
+    # ``made`` hold them for this call only.
+    children, key, patterns = _class_rule(n, patterns)
     sides = {
         rises: [q for q in patterns if len(q) >= 2 and (q[-2] < q[-1]) == rises]
         for rises in (False, True)
     }
     blocks: dict[tuple, list[Callable]] = {}  # by gap state
-    made: dict[tuple, tuple] = {}  # tails by (unused values, state)
+    made: dict[tuple, tuple] = {}  # tails by (unused values, gap state)
     unused = list(range(1, n + 1))
     prefix, stack = [], []
     while True:
@@ -281,20 +315,20 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
         if live and len(unused) == 1:
             yield tuple(prefix), ((unused[0],),)
         elif live and not patterns and len(unused) <= _BLOCK_K:
-            key = (tuple(unused), state)
-            tails = made.get(key)
+            here = (tuple(unused), key)
+            tails = made.get(here)
             if tails is None:
-                block = _block(children, _gap_key(state, unused), blocks)
-                tails = made[key] = tuple(tail(unused) for tail in block)
+                block = _block(children, key, len(unused), blocks)
+                tails = made[here] = tuple(tail(unused) for tail in block)
             if tails:
                 yield tuple(prefix), tails
         elif live:
-            stack.append((unused, iter(children(state, unused))))
+            stack.append((unused, iter(children(key).items())))
         while stack:
             parent, kids = stack[-1]
             child = next(kids, None)
             if child is not None:
-                i, state = child
+                i, key = child
                 unused = parent.copy()
                 prefix[len(stack) - 1 :] = [unused.pop(i)]
                 break
@@ -303,38 +337,40 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
             return
 
 
-def _gap_key(state: tuple, unused: Sequence[int]) -> tuple[int, ...]:
-    # The gap state of (state, unused): k, then the gap of each statistic.
-    return (len(unused), *[bisect.bisect_left(unused, s) for s in state])
-
-
-def _child_keys(children: Callable, key: tuple[int, ...]) -> list[tuple]:
-    # The live children of gap state ``key`` under the rule ``children`` as
-    # (index, gap state), by increasing value, from the canonical instance:
-    # after placing v = 2i + 2, a child statistic x has gap
-    # (x - 1) // 2 - (x > v).  A range stands in for the unused list.
+def _child_keys(children: Callable, key: tuple[int, ...]) -> dict[int, tuple]:
+    # The live children of gap state ``key`` under the value-level rule
+    # ``children``, by increasing value: each one's index to its gap state,
+    # from the canonical instance.  After placing v = 2i + 2, a child
+    # statistic x has gap (x - 1) // 2 - (x > v).  A range stands in for the
+    # unused list.
     k, state = key[0], tuple([2 * g + 1 for g in key[1:]])
-    return [
-        (i, (k - 1, *[(x - 1) // 2 - (x > 2 * i + 2) for x in child]))
+    return {
+        i: (k - 1, *[(x - 1) // 2 - (x > 2 * i + 2) for x in child])
         for i, child in children(state, range(2, 2 * k + 1, 2))
-    ]
+    }
 
 
-def _block(children: Callable, key: tuple[int, ...], blocks: dict) -> list[Callable]:
-    # The completions of gap state ``key`` (2 <= k) under the rule
-    # ``children``, as getters of positions in the sorted unused values, by
-    # increasing value; ``blocks`` caches them by gap state.  A child's
-    # completions are its own block's, read through the positions left.
+def _composed_keys(first: Callable, second: Callable, key: tuple) -> dict[int, tuple]:
+    # The children both rules keep, each with the pair of their gap states.
+    top, part = key
+    kept = second(part)
+    return {i: (child, kept[i]) for i, child in first(top).items() if i in kept}
+
+
+def _block(children: Callable, key: tuple, k: int, blocks: dict) -> list[Callable]:
+    # The completions of gap state ``key`` with k >= 2 unused values under
+    # the class's ``children``, as getters of positions in the sorted unused
+    # values, by increasing value; ``blocks`` caches them by gap state.  A
+    # child's completions are its own block's, read through the positions left.
     getters = blocks.get(key)
     if getters is None:
         getters = blocks[key] = []
-        k = key[0]
-        for i, child in _child_keys(children, key):
+        for i, child in children(key).items():
             rest = [*range(i), *range(i + 1, k)]
             if k == 2:
                 tails = [rest]
             else:
-                tails = [t(rest) for t in _block(children, child, blocks)]
+                tails = [t(rest) for t in _block(children, child, k - 1, blocks)]
             getters += [operator.itemgetter(i, *tail) for tail in tails]
     return getters
 
@@ -342,21 +378,19 @@ def _block(children: Callable, key: tuple[int, ...], blocks: dict) -> list[Calla
 def _count_by_gap_state(
     n: int, children: Callable, root: tuple, start_small_only: bool
 ) -> int:
-    # The size of a class whose rules cover all its patterns: a gap state
-    # with no unused value counts 1, any other the sum of its children's.
-    # States are found level by level down from the root and counted back
-    # up, so no recursion bounds n.  Start-small drops the root's child n.
-    top = _gap_key(root, range(1, n + 1))
-    kids, level = {}, {top}  # for this call only
-    for _ in range(n):
-        for key in level:
-            kids[key] = _child_keys(children, key)
-        level = {child for key in level for _, child in kids[key]}
-    counts = dict.fromkeys(level, 1)
-    for key in reversed(kids):  # after each of its children
-        counts[key] = sum(counts[child] for _, child in kids[key])
-    dropped = [child for i, child in kids[top] if start_small_only and i == n - 1]
-    return counts[top] - sum(counts[child] for child in dropped)
+    # The size of a class whose rules cover all its patterns: the number of
+    # live prefixes in each gap state, level by level down from the root to
+    # the members, which have no unused value.  No recursion bounds n.
+    # Start-small skips the root's child that places n.
+    level = {root: 1}
+    for depth in range(n):
+        below: dict[tuple, int] = {}
+        for key, count in level.items():
+            for i, child in children(key).items():
+                if depth or i < n - 1 or not start_small_only:
+                    below[child] = below.get(child, 0) + count
+        level = below
+    return sum(level.values())
 
 
 def _pair_children(
@@ -367,15 +401,19 @@ def _pair_children(
     # prefix_min (its ``lowest``), s12 and m21.  The prefix is live, so a
     # child is live iff placing v forbids nothing: v > s12 only as the
     # smallest unused value above s12, and v > m21 only as the largest
-    # unused value.  The new m21 is the same docstring's descent-top lemma.
+    # unused value.  The new m21 is the same docstring's descent-top lemma:
+    # the smallest of m21 and the least statistic above v.
     prefix_min, s12, m21 = state
     top = unused[-1]
     live = []
     for i, v in enumerate(unused):
         if v < m21 or v == top:
-            above = prefix_min if v < prefix_min else s12 if v < s12 else m21
-            new_s12 = v if prefix_min < v < s12 else s12
-            live.append((i, (min(prefix_min, v), new_s12, min(above, m21))))
+            if v < prefix_min:
+                live.append((i, (v, s12, prefix_min if prefix_min < m21 else m21)))
+            elif v < s12:
+                live.append((i, (prefix_min, v, s12 if s12 < m21 else m21)))
+            else:
+                live.append((i, state))
         if v > s12:  # the smallest unused value above s12 was the last one
             break
     return live
@@ -405,17 +443,6 @@ def _monotone_children(rising: bool, state: tuple, unused: list[int]) -> list[tu
         head, tail = state[:j], state[j + 1 :]
         live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
     return live
-
-
-def _composed_children(rules: list, state: tuple, unused: list[int]) -> list[tuple]:
-    # The children every rule keeps, each rule reading the part of ``state``
-    # as long as its root state; the child states are joined in rule order.
-    (rule, root), *rest = rules
-    kids, start = dict(rule(state[: len(root)], unused)), len(root)
-    for rule, root in rest:
-        part, start = state[start : start + len(root)], start + len(root)
-        kids = {i: kids[i] + s for i, s in rule(part, unused) if i in kids}
-    return list(kids.items())
 
 
 def _all_children(state: tuple[()], unused: list[int]) -> list[tuple[int, tuple[()]]]:
@@ -497,17 +524,19 @@ def count_class(descriptor: ClassDescriptor) -> int:
 
     Two pattern sets are counted by their own walks: the {1243, 2134} pair
     (patterns exactly ``AVOIDED_PAIR``) without ``j``, with or without
-    start-small and ``k``, by ``count_pair_avoiders_by_keys``, and {123}
-    with any filter but ``k`` >= 1, by the 123 walk.  Every other set that
-    the enumerator's rules cover whole is counted by gap state when there
-    is no ``k``.  The rest is counted by streaming ``enumerate_class``,
-    which ends a keyed class with a pattern inside 123 at once.
+    start-small, by the pair walk (with ``k`` through
+    ``count_pair_avoiders_by_keys``, without it with no key marker), and
+    {123} with any filter but ``k`` >= 1, by the 123 walk.  Every other set
+    that the enumerator's rules cover whole is counted by gap state when
+    there is no ``k``, each rule answering once per gap state of its own.
+    The rest is counted by streaming ``enumerate_class``, which ends a keyed
+    class with a pattern inside 123 at once.
     """
     n, k, patterns = descriptor.n, descriptor.k, descriptor.patterns
     if descriptor.j is None and patterns == AVOIDED_PAIR:
-        by_keys = count_pair_avoiders_by_keys(n, descriptor.start_small_only)
         if k is None:
-            return sum(by_keys)
+            return _pair_walk(n, descriptor.start_small_only, keyed=False)
+        by_keys = count_pair_avoiders_by_keys(n, descriptor.start_small_only)
         return by_keys[k] if k < len(by_keys) else 0
     if patterns == (PATTERN_123,) and not k:  # a descriptor with j has k >= 1
         return _count_123_avoiders(n, descriptor.start_small_only)

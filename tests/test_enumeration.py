@@ -18,6 +18,8 @@ from avoiders.enumeration import (
     _block,
     _class_rule,
     _count_by_gap_state,
+    _pair_walk,
+    _value_rules,
     count_avoiders,
     count_class,
     count_pair_avoiders,
@@ -178,7 +180,7 @@ def test_generators_match_naive_filter_in_order(patterns):
         ), n
 
 
-RULES = ("_pair_children", "_monotone_children", "_composed_children", "_all_children")
+RULES = ("_pair_children", "_monotone_children", "_composed_keys", "_all_children")
 
 
 @pytest.mark.parametrize(
@@ -187,9 +189,9 @@ RULES = ("_pair_children", "_monotone_children", "_composed_children", "_all_chi
         ([(1, 4, 3, 2), AVOIDED_PAIR[1], AVOIDED_PAIR[0]], {"_pair_children"}),
         ([PATTERN_123, (3, 4, 1, 2)], {"_monotone_children"}),
         ([PATTERN_123, (4, 3, 2, 1), (2, 1, 4, 3)],
-         {"_monotone_children", "_composed_children"}),
+         {"_monotone_children", "_composed_keys"}),
         ([(4, 3, 2, 1), AVOIDED_PAIR[1], AVOIDED_PAIR[0]],
-         {"_pair_children", "_monotone_children", "_composed_children"}),
+         {"_pair_children", "_monotone_children", "_composed_keys"}),
         ([(1, 3, 4, 2), (3, 1, 2, 4)], {"_all_children"}),
     ],
     ids=["pair+1432", "123+3412", "123+4321+2143", "pair+4321", "generic"],
@@ -360,44 +362,64 @@ def _rule_asks(n, patterns, statistics):
 
 
 @pytest.mark.parametrize(
-    "rule, patterns, statistics, asks",
+    "patterns, statistics, asks",
     [
-        ("_pair_children", AVOIDED_PAIR, _pair_statistics, 149),
-        ("_monotone_children", (PATTERN_123,), _pile_tops(PATTERN_123), 47),
-        ("_pair_children", AVOIDED_PAIR + ((4, 3, 2, 1),), _pair_and_4321_statistics,
-         264),
-        ("_monotone_children", ((4, 3, 2, 1),), _pile_tops((4, 3, 2, 1)), 81),
-        ("_all_children", ((1, 3, 4, 2), (3, 1, 2, 4)), None, 1628),
+        (AVOIDED_PAIR, _pair_statistics, 149),
+        ((PATTERN_123,), _pile_tops(PATTERN_123), 47),
+        (AVOIDED_PAIR + ((4, 3, 2, 1),), _pair_and_4321_statistics, 264),
+        (((4, 3, 2, 1),), _pile_tops((4, 3, 2, 1)), 81),
+        (((1, 3, 4, 2), (3, 1, 2, 4)), None, 1628),
     ],
     ids=["pair", "123", "pair+4321", "4321", "generic"],
 )
-def test_generator_enters_exactly_the_live_prefixes(
-    monkeypatch, rule, patterns, statistics, asks
-):
-    # The rule is asked once per opened node, one that is live and has at
-    # least two unused values, so a rule that entered dead prefixes would be
-    # asked more often, even though the same permutations would come out.  A
-    # live prefix of length n - 1 has exactly one completion and is emitted
-    # without asking the rule.  With matcher patterns that makes the count
+def test_generator_enters_exactly_the_live_prefixes(monkeypatch, patterns, statistics, asks):
+    # The class's children are asked once per opened node, one that is live
+    # and has at least two unused values, so a generator that entered dead
+    # prefixes would ask more often, even though the same permutations would
+    # come out.  A live prefix of length n - 1 has exactly one completion and
+    # is emitted without asking.  With matcher patterns that makes the count
     # the number of live prefixes shorter than n (3,087) less the size of
     # the class at n = 7 (1,459).  With none, a live prefix with 2 to
-    # ``_BLOCK_K`` unused values opens no node, and the rule is asked once
-    # per gap state among them, to build its block; a composed rule asks
-    # each of its rules once per node, and its gap state is that of all
-    # their statistics.
+    # ``_BLOCK_K`` unused values opens no node, and the children are asked
+    # once per gap state among them, to build its block; a composed class's
+    # gap state is that of all its rules' statistics.
     import avoiders.enumeration as enumeration_module
 
-    real_rule = getattr(enumeration_module, rule)
+    real_class_rule = enumeration_module._class_rule
     calls = 0
 
-    def rule_spy(*args):
-        nonlocal calls
-        calls += 1
-        return real_rule(*args)
+    def class_rule_spy(n, patterns):
+        children, root, others = real_class_rule(n, patterns)
 
-    monkeypatch.setattr(enumeration_module, rule, rule_spy)
+        def children_spy(key):
+            nonlocal calls
+            calls += 1
+            return children(key)
+
+        return children_spy, root, others
+
+    monkeypatch.setattr(enumeration_module, "_class_rule", class_rule_spy)
     assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
     assert calls == _rule_asks(7, patterns, statistics) == asks
+
+
+def _rule_states(rules, state):
+    # A composed class's statistics cut into each rule's part, as long as
+    # its root state.
+    parts, start = [], 0
+    for _, root in rules:
+        parts.append(state[start : start + len(root)])
+        start += len(root)
+    return parts
+
+
+def _class_key(keys):
+    # The class's gap state from its rules' gap states: one rule's own, or
+    # for composed rules nested pairs, the first rule's innermost.
+    key, *rest = keys
+    for part in rest:
+        key = (key, part)
+    return key
 
 
 BLOCK_RULES = [  # (patterns covered by rules alone, their statistics, class size at 8)
@@ -417,9 +439,11 @@ BLOCK_RULE_IDS = ["pair", "123", "1234", "321", "4321", "pair+4321"]
 def test_blocks_list_the_brute_force_completions(patterns, statistics):
     # For every live prefix with 2 to ``_BLOCK_K`` unused values, its gap
     # state's block, taken from one cache shared by all lengths, lists its
-    # completions in order; and the rule's children on the real values map
-    # through the order isomorphism onto those on the canonical instance.
+    # completions in order; and each value-level rule's children on the
+    # real values map through the order isomorphism onto those on the
+    # canonical instance.
     children, _, others = _class_rule(2, patterns)
+    rules = _value_rules(2, patterns)[0]
     assert others == []
     blocks = {}
     for n in range(2, 9):
@@ -433,17 +457,19 @@ def test_blocks_list_the_brute_force_completions(patterns, statistics):
             unused = [v for v in range(1, n + 1) if v not in prefix]
             if not 2 <= len(unused) <= _BLOCK_K:
                 continue
-            state = statistics(prefix, n)
-            block = _block(children, _gap_state(state, unused), blocks)
+            states = _rule_states(rules, statistics(prefix, n))
+            key = _class_key([_gap_state(state, unused) for state in states])
+            block = _block(children, key, len(unused), blocks)
             assert [prefix + tail(unused) for tail in block] == completions.get(
                 prefix, []
             ), prefix
             k = len(unused)
             canonical = list(range(2, 2 * k + 1, 2))
-            canonical_state = tuple(2 * g + 1 for g in _gap_state(state, unused)[1:])
-            assert _child_gap_states(children(state, unused), unused) == (
-                _child_gap_states(children(canonical_state, canonical), canonical)
-            ), prefix
+            for (rule, _), state in zip(rules, states):
+                canonical_state = tuple(2 * g + 1 for g in _gap_state(state, unused)[1:])
+                assert _child_gap_states(rule(state, unused), unused) == (
+                    _child_gap_states(rule(canonical_state, canonical), canonical)
+                ), prefix
 
 
 @pytest.mark.parametrize(
@@ -587,13 +613,13 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
     walks = []
     listed = []
     counted = []
-    real_pair_walk = enumeration_module.count_pair_avoiders_by_keys
+    real_pair_walk = enumeration_module._pair_walk
     real_123_walk = enumeration_module._count_123_avoiders
     real_enumerate = enumeration_module.enumerate_class
 
-    def pair_walk(n, start_small_only=False):
-        walks.append(("pair", n, start_small_only))
-        return real_pair_walk(n, start_small_only)
+    def pair_walk(n, start_small_only, keyed):
+        walks.append(("pair", n, start_small_only, keyed))
+        return real_pair_walk(n, start_small_only, keyed)
 
     def walk_123(n, start_small_only):
         walks.append(("123", n, start_small_only))
@@ -609,23 +635,24 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
         counted.append((n, start_small_only))
         return real_counter(n, children, root, start_small_only)
 
-    monkeypatch.setattr(enumeration_module, "count_pair_avoiders_by_keys", pair_walk)
+    monkeypatch.setattr(enumeration_module, "_pair_walk", pair_walk)
     monkeypatch.setattr(enumeration_module, "_count_by_gap_state", counter)
     monkeypatch.setattr(enumeration_module, "_count_123_avoiders", walk_123)
     monkeypatch.setattr(enumeration_module, "enumerate_class", enumerate_spy)
-    # pattern order and repeats do not matter: the normalized set decides
+    # pattern order and repeats do not matter: the normalized set decides;
+    # without k the pair walk runs with no key marker
     pairs = (AVOIDED_PAIR, AVOIDED_PAIR[::-1], AVOIDED_PAIR[::-1] * 2)
     walked = [
-        *((ClassDescriptor(6, p), 354, ("pair", 6, False)) for p in pairs),
-        *((ClassDescriptor(6, p, start_small_only=True), 267, ("pair", 6, True))
+        *((ClassDescriptor(6, p), 354, ("pair", 6, False, False)) for p in pairs),
+        *((ClassDescriptor(6, p, start_small_only=True), 267, ("pair", 6, True, False))
           for p in pairs),
-        (ClassDescriptor(6, AVOIDED_PAIR, k=0), 132, ("pair", 6, False)),
+        (ClassDescriptor(6, AVOIDED_PAIR, k=0), 132, ("pair", 6, False, True)),
         (ClassDescriptor(6, AVOIDED_PAIR[::-1], start_small_only=True, k=1), 110,
-         ("pair", 6, True)),
+         ("pair", 6, True, True)),
         (ClassDescriptor(6, AVOIDED_PAIR, start_small_only=True, k=9), 0,
-         ("pair", 6, True)),
+         ("pair", 6, True, True)),
         # k = n + 1, the first k past the walk's last slice
-        (ClassDescriptor(6, AVOIDED_PAIR, k=7), 0, ("pair", 6, False)),
+        (ClassDescriptor(6, AVOIDED_PAIR, k=7), 0, ("pair", 6, False, True)),
         (ClassDescriptor(7, (PATTERN_123,)), 429, ("123", 7, False)),
         (ClassDescriptor(7, (PATTERN_123,) * 2, start_small_only=True), 297,
          ("123", 7, True)),
@@ -734,6 +761,70 @@ def test_counter_runs_the_pair_and_123_rules_to_their_series():
         assert _counted_by_gap_state(n, (PATTERN_123,), True) == (
             catalan[n] - catalan[n - 1]
         ), n
+
+
+def _gap_states(n, patterns, statistics, fewest):
+    # The distinct gap states of ``statistics`` over the live prefixes with
+    # at least ``fewest`` unused values, by brute force.
+    return {
+        _gap_state(statistics(prefix, n), [v for v in range(1, n + 1) if v not in prefix])
+        for prefix in _live_prefixes(n, patterns, n - fewest)
+    }
+
+
+def _spy_rules(monkeypatch):
+    # Counts of calls to the pair rule and the monotone rule, by name.
+    import avoiders.enumeration as enumeration_module
+
+    calls = dict.fromkeys(("_pair_children", "_monotone_children"), 0)
+
+    def spy(name, real_rule):
+        def rule_spy(*args):
+            calls[name] += 1
+            return real_rule(*args)
+
+        return rule_spy
+
+    for name in calls:
+        monkeypatch.setattr(enumeration_module, name, spy(name, getattr(enumeration_module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("n, size, asks", [(7, 333, (148, 63)), (8, 538, (253, 92))])
+def test_counter_asks_each_rule_once_per_gap_state_of_its_own(monkeypatch, n, size, asks):
+    # Counting pair + 4321 asks the pair rule once per distinct gap state of
+    # the pair's statistics and the 4321 rule once per distinct gap state of
+    # its pile tops, over the live prefixes with an unused value, not once
+    # per gap state of the two together (275 at n = 7, 509 at n = 8).
+    calls = _spy_rules(monkeypatch)
+    patterns = AVOIDED_PAIR + ((4, 3, 2, 1),)
+    assert count_class(ClassDescriptor(n, patterns)) == size
+    pair = _gap_states(n, patterns, _pair_statistics, 1)
+    piles = _gap_states(n, patterns, _pile_tops((4, 3, 2, 1)), 1)
+    assert (calls["_pair_children"], calls["_monotone_children"]) == (
+        len(pair), len(piles)
+    ) == asks
+
+
+@pytest.mark.parametrize("n, size, asks", [(7, 1459, 143), (8, 6056, 248)])
+def test_enumerator_asks_the_pair_rule_once_per_gap_state(monkeypatch, n, size, asks):
+    # The enumerator carries gap states, so listing the pair asks its rule
+    # once per distinct gap state of the live prefixes with two or more
+    # unused values, the nodes it opens and the prefixes in its blocks alike.
+    calls = _spy_rules(monkeypatch)
+    assert sum(1 for _ in enumerate_class(ClassDescriptor(n, AVOIDED_PAIR))) == size
+    states = _gap_states(n, AVOIDED_PAIR, _pair_statistics, 2)
+    assert calls == {"_pair_children": len(states), "_monotone_children": 0}
+    assert len(states) == asks
+
+
+def test_plain_pair_walk_sums_the_keyed_one():
+    # With no key marker the walk stores fewer states; its counts are the
+    # sums of the keyed walk's, plain and start-small.
+    for n in range(31):
+        assert count_pair_avoiders(n) == sum(count_pair_avoiders_by_keys(n)), n
+        by_keys = count_pair_avoiders_by_keys(n, start_small_only=True)
+        assert _pair_walk(n, True, False) == sum(by_keys), n
 
 
 def _pair_avoiders_by_keys(n):

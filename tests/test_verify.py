@@ -184,8 +184,8 @@ MEMO_DOCTORS = [
     ("enumeration._count_123_avoiders",
      lambda real: lambda n, start_small_only: real(n, start_small_only) + (n == 7),
      "n=7: 123 walk gives 430, C gives 429"),
-    ("enumeration.count_pair_avoiders_by_keys",
-     lambda real: lambda n, start_small_only=False: real(n),
+    ("enumeration._pair_walk",
+     lambda real: lambda n, start_small_only, keyed: real(n, False, keyed),
      "n=1: start-small walk gives 1, G gives 0"),
     ("count_class",  # routing that forgets the start-small flag
      lambda real: lambda d: real(dataclasses.replace(d, start_small_only=False)),
