@@ -21,6 +21,18 @@ last mid-123 entry:
   stays below c (its length is r >= 1), shift everything remaining, plus c,
   up by r, append r, r-1, ..., 1, and standardize.
 
+``decompose`` and ``phi`` share one private core, ``_splits``, a generator
+over the chain of splits ``phi`` makes.  It rests on a prefix lemma: a step
+keeps a prefix of its word (tau1, less the dropped run in the drop case)
+and appends c, then in the drop case r values below everything.  As c is
+the largest entry from b on, each kept entry keeps its smallest earlier
+and largest later entry, and no appended one is a mid-123 entry.  So each
+split is a mid-123 entry of the input, left of the one before, with a and
+c read off the input: one leftward scan, reseeded at each split with c and
+the staircase, finds them all.  ``decompose`` takes the first step; ``phi``
+takes every step and standardizes the last word once, in O(n log n) for
+length n, while ``phi_inverse`` folds ``recompose`` in O(k*n).
+
 ``recompose`` reads all of its parameters straight off the pair: the r-step
 staircase at the end of sigma1, the positions of min(mu) and max(sigma2),
 and the longest increasing terminal run of sigma1 between them recover where
@@ -33,13 +45,12 @@ avoider, the element scan for a 123-avoider), and raises ``ValueError``
 naming the offending role.  Only a rejected input, of either class, reaches
 ``_reject``: ``is_permutation``, ``contains`` per forbidden pattern (1243
 first) and start-small word the message; an input passing all three means a
-faulty scan (``RuntimeError``).  The private cores (``_decompose``,
-``_inverse_params``, ``_recompose``) trust their inputs and the split data
-of ``_last_mid123``, keep only cheap ``RuntimeError`` guards and pass the
-plain tuples each entry point makes of its input; only ``decompose`` and
+faulty scan (``RuntimeError``).  The private cores (``_splits``,
+``_inverse_params``, ``_recompose``) trust their inputs, keep only cheap
+``RuntimeError`` guards and pass plain tuples; only ``decompose`` and
 ``inverse_params`` build the ``DecompositionStep`` and ``InverseParams``
-dataclasses.  ``phi`` and ``phi_inverse`` feed each core's output straight
-into the next core, which is sound because every step stays in its class:
+dataclasses.  ``phi`` and ``phi_inverse`` chain the cores' steps without
+re-checking, which is sound because every step stays in its class:
 ``avoiders.verify`` checks exactly that (decomposition typing, both round
 trips) exhaustively at small lengths.
 The postconditions of ``decompose`` are stated only there, in
@@ -49,11 +60,12 @@ The postconditions of ``decompose`` are stated only there, in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterator
 
 from .perms import (
     AVOIDED_PAIR,
     PATTERN_123,
-    _last_mid123,
     _rank,
     _start_small_123_avoider,
     avoids_pair,
@@ -133,43 +145,49 @@ def decompose(perm: Perm) -> DecompositionStep:
     """
     perm = tuple(perm)
     _require_avoider(perm, "input")
-    split = _last_mid123(perm)
-    if not split[0]:
-        raise ValueError("input is 123-avoiding: no mid-123 entry to split at")
-    sigma1, sigma2, b, a, c, r = _decompose(perm, *split)
-    return DecompositionStep(sigma1, sigma2, b, a, c, split[0], r)
+    for sigma2, j, a, c, r in _splits(perm):
+        return DecompositionStep(_sigma1(perm, j, c, r), sigma2, perm[j - 1], a, c, j, r)
+    raise ValueError("input is 123-avoiding: no mid-123 entry to split at")
 
 
-def _decompose(
-    perm: Perm, j: int, a: int, c: int, second: int
-) -> tuple[Perm, Perm, int, int, int, int]:
-    # perm is a start-small avoider, split as ``_last_mid123`` reads it;
-    # returns (sigma1, sigma2, b, a, c, r).
-    b = perm[j - 1]
-    tau1 = perm[: j - 1]
-    tau2 = perm[j:]
-    if second > b:
-        above = [x for x in tau2 if x > b]
-        raise RuntimeError(
-            f"expected exactly one entry above the last mid-123 entry, found {above!r}"
-        )
-    sigma2 = _rank((a,) + tau2)
-    # Key iff the predecessor of b is smaller or a right-to-left maximum;
-    # c is the largest entry after it.
-    if perm[j - 2] < b or perm[j - 2] > c:
-        r = 0
-        sigma1 = _rank(tau1 + (c,))
-    else:
-        # Longest terminal run of tau1 that is decreasing and stays below c.
-        t = len(tau1)
-        while t >= 1 and tau1[t - 1] < c and (t == len(tau1) or tau1[t - 1] > tau1[t]):
+def _splits(perm: Perm) -> Iterator[tuple[Perm, int, int, int, int]]:
+    # phi's splits of the start-small avoider perm, as (sigma2, j, a, c, r): each
+    # splits perm[:m] + tail (the last split's c and staircase) at an entry t.
+    lows = list(accumulate(perm, min))
+    m, tail, high, second = len(perm), (), 0, 0  # the two largest after t
+    t = m - 1
+    while t > 0:
+        b = perm[t]
+        if not lows[t - 1] < b < high:
+            if b > high:
+                high, second = b, high
+            elif b > second:
+                second = b
             t -= 1
-        r = len(tau1) - t
-        if r < 1:
-            raise RuntimeError("non-key case must drop at least one entry")
-        # The dropped run becomes r, r-1, ..., 1 below everything kept.
-        sigma1 = (*map(r.__add__, _rank(tau1[:t] + (c,))), *range(r, 0, -1))
-    return sigma1, sigma2, b, a, c, r
+            continue
+        a, c, j = lows[t - 1], high, t + 1
+        if second > b:
+            above = [x for x in perm[j:m] + tail if x > b]
+            raise RuntimeError(
+                f"expected exactly one entry above the last mid-123 entry, found {above!r}"
+            )
+        sigma2 = _rank((a,) + perm[j:m] + tail)
+        # Key iff the predecessor of b is smaller or a right-to-left maximum;
+        # c is the largest entry after it.  Otherwise drop the longest
+        # terminal run of tau1 = perm[:t] that is decreasing and stays below c.
+        s = t
+        if c > perm[t - 1] > b:
+            s -= 1
+            while s and c > perm[s - 1] > perm[s]:
+                s -= 1
+        yield sigma2, j, a, c, t - s
+        m, tail, high, second, t = s, (c, *range(0, s - t, -1)), c, 0, s - 1
+
+
+def _sigma1(perm: Perm, j: int, c: int, r: int) -> Perm:
+    # The kept prefix and c, standardized above the staircase r, ..., 1.
+    kept = _rank(perm[: j - 1 - r] + (c,))
+    return (*map(r.__add__, kept), *range(r, 0, -1)) if r else kept
 
 
 def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
@@ -255,13 +273,13 @@ def phi(perm: Perm) -> tuple[Perm, ...]:
     >>> phi((3, 4, 1, 2))
     ((3, 4, 1, 2),)
     """
-    current = tuple(perm)
-    _require_avoider(current, "input")
-    extracted = []
-    while (split := _last_mid123(current))[0]:
-        current, sigma2 = _decompose(current, *split)[:2]
-        extracted.append(sigma2)
-    return (current,) + tuple(reversed(extracted))
+    perm = tuple(perm)
+    _require_avoider(perm, "input")
+    splits = [*_splits(perm)]
+    if not splits:
+        return (perm,)
+    _, j, _, c, r = splits[-1]
+    return (_sigma1(perm, j, c, r), *[split[0] for split in reversed(splits)])
 
 
 def phi_inverse(elements: tuple[Perm, ...]) -> Perm:

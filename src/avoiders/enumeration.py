@@ -82,11 +82,11 @@ from .perms import (
     AVOIDED_PAIR,
     PATTERN_123,
     _ends_at,
-    _last_mid123,
     avoids,
     contains,
     is_permutation,
     key_mid123_entries,
+    mid123_entries,
 )
 
 
@@ -512,7 +512,7 @@ def _class_chunks(descriptor: ClassDescriptor) -> Iterator[tuple[tuple, tuple]]:
             tails = tuple(
                 t for t in tails
                 if len(key_mid123_entries(head + t)) == k
-                and (j is None or _last_mid123(head + t)[0] == j)
+                and (j is None or mid123_entries(head + t)[-1] == j)
             )
         if tails:
             yield head, tails

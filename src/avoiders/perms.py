@@ -24,13 +24,12 @@ bijection's entry points validate with it; ``contains`` stays the
 independent oracle it is tested against.
 ``mid123_entries`` and ``key_mid123_entries`` share one suffix-maximum scan,
 then a left-to-right pass each; ``right_to_left_maxima`` keeps its own loop
-(the tests define key entries by it) and ``_last_mid123`` scans leftward.
+(the tests define key entries by it).
 
 The bijection's helpers are private, so that a tracer of the public
-functions bills them to their caller: ``_last_mid123`` finds the split and
-the entries either side of it in one scan, ``_rank`` is ``standardize``
-without its duplicate check, and ``_start_small_123_avoider`` checks a list
-element in one scan.  ``mid123_entries`` stays the tested definition.
+functions bills them to their caller: ``_rank`` is ``standardize`` without
+its duplicate check, and ``_start_small_123_avoider`` checks a list element
+in one scan.
 
 Terminology used throughout the package:
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Iterable, Sequence
 
 PATTERN_123 = (1, 2, 3)
@@ -321,23 +320,6 @@ def mid123_entries(perm: Sequence[int]) -> list[int]:
         elif v < low:
             low = v
     return positions
-
-
-def _last_mid123(perm: Sequence[int]) -> tuple[int, int, int, int]:
-    # (j, a, c, second): j the last of ``mid123_entries(perm)`` or 0, a the
-    # smallest entry before it, c and second the two largest after it (0 if
-    # none).  lows[t] is the smallest of perm[:t + 1].
-    lows = list(accumulate(perm, min))
-    high = second = 0
-    for t in range(len(perm) - 1, 0, -1):
-        v = perm[t]
-        if lows[t - 1] < v < high:
-            return t + 1, lows[t - 1], high, second
-        if v > high:
-            high, second = v, high
-        elif v > second:
-            second = v
-    return 0, 0, 0, 0
 
 
 def key_mid123_entries(perm: Sequence[int]) -> list[int]:

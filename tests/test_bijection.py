@@ -21,7 +21,6 @@ from avoiders.enumeration import ClassDescriptor, enumerate_avoiders, enumerate_
 from avoiders.perms import (
     AVOIDED_PAIR,
     PATTERN_123,
-    _last_mid123,
     avoids,
     contains,
     is_permutation,
@@ -212,11 +211,10 @@ def test_scan_refusing_valid_input_is_an_internal_error(monkeypatch, scan, calls
 
 
 def test_decompose_core_refuses_two_entries_above_b():
-    # 1 2 4 3 splits at b = 2 with 4 and 3 both above it: the core's guard
-    # compares the second-largest entry after b with b.
-    perm = (1, 2, 4, 3)
+    # 1 2 4 3 splits at b = 2 with 4 and 3 both above it: the split core's
+    # guard compares the second-largest entry after b with b.
     with pytest.raises(RuntimeError) as excinfo:
-        bijection_module._decompose(perm, *_last_mid123(perm))
+        next(bijection_module._splits((1, 2, 4, 3)))
     assert str(excinfo.value) == (
         "expected exactly one entry above the last mid-123 entry, found [4, 3]"
     )
@@ -372,6 +370,35 @@ def test_seeded_roundtrip_beyond_exhaustive_bounds():
         perm = phi_inverse(elements)
         assert avoids(perm, AVOIDED_PAIR) and is_start_small(perm), elements
         assert phi(perm) == elements
+
+
+def _phi_by_definition(perm):
+    # The public decompose iterated until no mid-123 entry is left: the last
+    # sigma1 first, then the sigma2s in reverse order.
+    extracted = []
+    while mid123_entries(perm):
+        step = decompose(perm)
+        perm = step.sigma1
+        extracted.append(step.sigma2)
+    return (perm, *reversed(extracted))
+
+
+def test_phi_equals_its_definition():
+    # Every start-small avoider of n <= 9, and a few seeded phi_inverse
+    # images near n = 1,000, where phi's single scan meets hundreds of
+    # splits.  Last, a known answer: each split of 1 2 ... m at its last
+    # mid-123 entry leaves 1 2 ... m-1 and splits off 1 2.
+    for n in range(1, 10):
+        for perm in start_small_avoiders(n):
+            assert phi(perm) == _phi_by_definition(perm), perm
+    rng = random.Random(20131000)
+    for _ in range(3):
+        elements = [_random_element(rng)]
+        while sum(map(len, elements)) - len(elements) < 1000:
+            elements.append(_random_element(rng))
+        perm = phi_inverse(elements)
+        assert phi(perm) == _phi_by_definition(perm) == tuple(elements)
+    assert phi(tuple(range(1, 2001))) == ((1, 2),) * 1999
 
 
 def _sha256(text):

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoiders.bijection import phi_inverse
+from avoiders.bijection import _splits, phi_inverse
 from avoiders.enumeration import enumerate_avoiders
 from avoiders.perms import (
     AVOIDED_PAIR,
     _ends_at,
-    _last_mid123,
     _start_small_123_avoider,
     PATTERN_123,
     PATTERN_1243,
@@ -342,8 +341,8 @@ def test_entry_classes_match_definitions():
 
 
 def _split_by_definition(perm):
-    # (j, a, c, second) as the bijection's split scan should return them:
-    # c and second are the two largest entries after j, 0 standing in for a
+    # (j, a, c, second) as the bijection's first split should find them: c
+    # and second are the two largest entries after j, 0 standing in for a
     # missing second.
     j = (mid123_entries(perm) or [0])[-1]
     if not j:
@@ -352,25 +351,38 @@ def _split_by_definition(perm):
     return j, min(perm[: j - 1]), c, second
 
 
+def _first_split(perm):
+    # (j, a, c) of the bijection's first split of perm, 0s for none.
+    for _, j, a, c, _ in _splits(perm):
+        return j, a, c
+    return 0, 0, 0
+
+
 def test_last_mid123_is_the_last_mid123_entry():
-    # The bijection's private scan against the public list and the split
-    # data by definition, including the empty permutation and two shapes
-    # with no mid-123 entry that make it scan everything.
+    # The bijection's split core takes its first step at the last of the
+    # public list, with the split data by definition, or refuses when two
+    # entries after it are larger; the cases include the empty permutation
+    # and two shapes with no mid-123 entry that make it scan everything.
     n = 2000
     no_mids = [(*range(n - 1, 0, -1), n), (1, *range(n, 1, -1))]
     for perm in itertools.chain([()], _entry_class_cases(), no_mids):
-        assert _last_mid123(perm) == _split_by_definition(perm), perm
+        j, a, c, second = _split_by_definition(perm)
+        if j and second > perm[j - 1]:
+            with pytest.raises(RuntimeError, match="exactly one entry above"):
+                _first_split(perm)
+        else:
+            assert _first_split(perm) == (j, a, c), perm
 
 
 def test_split_of_an_avoider_has_one_entry_above_b():
-    # On avoiders, the split's c is the only later entry above b, which is
-    # what lets the bijection test the second-largest entry against b.
+    # On avoiders, the first split's c is the only later entry above b, which
+    # is what lets the core test the second-largest entry against b.
     cases = itertools.chain(
         *(enumerate_avoiders(n, AVOIDED_PAIR) for n in range(1, 9)), _random_avoiders()
     )
     for perm in cases:
-        j, a, c, second = _last_mid123(perm)
-        assert (j, a, c, second) == _split_by_definition(perm), perm
+        j, a, c, second = _split_by_definition(perm)
+        assert _first_split(perm) == (j, a, c), perm
         if j:
             b = perm[j - 1]
             assert [x for x in perm[j:] if x > b] == [c], perm

@@ -111,17 +111,17 @@ def test_golden_failure_names_case_and_field(monkeypatch):
 
 
 def test_broken_decomposition_fails_typing_check(monkeypatch):
-    # Doctor the unchecked core behind decompose and watch the typing check
-    # name the permutation whose step broke its contract.
+    # Doctor the unchecked split core behind decompose and watch the typing
+    # check name the permutation whose step broke its contract.
     import avoiders.bijection as bijection_module
 
-    real = bijection_module._decompose
+    real = bijection_module._splits
 
-    def doctored(perm, *split):
-        sigma1, sigma2, *witnesses = real(perm, *split)
-        return (sigma1, sigma2[::-1], *witnesses)
+    def doctored(perm):
+        for sigma2, *witnesses in real(perm):
+            yield (sigma2[::-1], *witnesses)
 
-    monkeypatch.setattr(bijection_module, "_decompose", doctored)
+    monkeypatch.setattr(bijection_module, "_splits", doctored)
     result = verify_module.check_decomposition_typing(5)
     assert not result.passed
     assert "decompose(1 2 3)" in result.detail
@@ -173,7 +173,7 @@ def _swap_slices_0_and_1(real):
 
 
 def _guard_trips(real):
-    def doctored(perm, *split):
+    def doctored(perm):
         raise RuntimeError("non-key case must drop at least one entry")
     return doctored
 
@@ -215,7 +215,7 @@ def _doctor(monkeypatch, binding, doctor):
          "check_phi_roundtrip", 4, "round trip moved 1 2"),
         ("decompose", _sigma2_is_sigma1,
          "check_pair_roundtrip", 5, "(1 2, 1 3 2) -> 1 3 4 2 -> (1 2, 1 2)"),
-        ("bijection._decompose", _guard_trips, "check_decomposition_typing", 5,
+        ("bijection._splits", _guard_trips, "check_decomposition_typing", 5,
          "non-key case must drop at least one entry"),
         ("count_class", _no_123_classes,
          "check_class_product_identity", 5, "n=3, k=1, j=2: class size 1 != 1 * 0"),
