@@ -12,12 +12,11 @@ import sys
 
 from avoiders import (
     AVOIDED_PAIR,
+    PATTERN_123,
     ClassDescriptor,
-    count_avoiders,
     count_class,
     count_pair_avoiders,
     count_pair_avoiders_by_keys,
-    count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
     gf_full,
@@ -30,7 +29,7 @@ for perm in enumerate_avoiders(4, AVOIDED_PAIR):
 
 print("\ncounts for n = 1..8:")
 for n in range(1, 9):
-    print(f"  n={n}: {count_avoiders(n, AVOIDED_PAIR)}")
+    print(f"  n={n}: {sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))}")
 
 # Where two routes to one number part, the demo says so and exits non-zero.
 differ = []
@@ -77,7 +76,8 @@ for k in range(1, 5):
 # 123-avoiders are Catalan-counted; the start-small ones drop a Catalan step.
 print("\nstart-small 123-avoiders:")
 for n in range(1, 9):
-    print(f"  n={n}: {count_start_small_123_avoiders(n)}")
+    descriptor = ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
+    print(f"  n={n}: {sum(1 for _ in enumerate_class(descriptor))}")
 
 if differ:
     sys.exit("routes differ: " + "; ".join(differ))

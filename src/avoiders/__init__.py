@@ -22,11 +22,9 @@ from .bijection import (
 )
 from .enumeration import (
     ClassDescriptor,
-    count_avoiders,
     count_class,
     count_pair_avoiders,
     count_pair_avoiders_by_keys,
-    count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
     naive_avoiders,
@@ -73,11 +71,9 @@ __all__ = [
     "avoids_pair",
     "catalan_series",
     "contains",
-    "count_avoiders",
     "count_class",
     "count_pair_avoiders",
     "count_pair_avoiders_by_keys",
-    "count_start_small_123_avoiders",
     "decompose",
     "enumerate_avoiders",
     "enumerate_class",

@@ -31,7 +31,8 @@ split is a mid-123 entry of the input, left of the one before, with a and
 c read off the input: one leftward scan, reseeded at each split with c and
 the staircase, finds them all.  ``decompose`` takes the first step; ``phi``
 takes every step and standardizes the last word once, in O(n log n) for
-length n, while ``phi_inverse`` folds ``recompose`` in O(k*n).
+length n, while ``phi_inverse`` folds ``recompose`` in O(k*n log n): each
+step's ``is_permutation`` guard sorts the new word.
 
 ``recompose`` reads all of its parameters straight off the pair: the r-step
 staircase at the end of sigma1, the positions of min(mu) and max(sigma2),

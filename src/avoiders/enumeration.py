@@ -63,8 +63,7 @@ run the same walk with no key marker, which stores every previous entry's
 gap as the prefix minimum's, so fewer states differ (253 against 273 at
 n = 8).  A loop of prefix sums over the states of a smaller walk counts the
 {123} class in O(n^2) time.  Both walks beat the count by gap state.
-``count_class`` documents which count it runs; ``count_avoiders`` and
-``count_start_small_123_avoiders`` always list.  Every memo, the walks',
+``count_class`` documents which count it runs.  Every memo, the walks',
 the rules' answers, blocks, tails and counts, lives for one call.
 """
 
@@ -121,11 +120,6 @@ def naive_avoiders(
     for perm in itertools.permutations(range(1, n + 1)):
         if avoids(perm, given):
             yield perm
-
-
-def count_avoiders(n: int, patterns: Iterable[Sequence[int]] = ()) -> int:
-    """Number of permutations of [n] avoiding all given patterns."""
-    return sum(1 for _ in enumerate_avoiders(n, patterns))
 
 
 def count_pair_avoiders(n: int) -> int:
@@ -244,17 +238,18 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
 
 
 def _value_rules(n: int, patterns: tuple) -> tuple[list[tuple], list[tuple]]:
-    # A normalized set's child rules, each with its root state, and the
-    # patterns left for the matcher.
-    rules, others = [], list(patterns)  # (child rule, root state)
+    # A normalized set's child rules, each with the gaps of its root's
+    # statistics, and the patterns left for the matcher.  At the root each
+    # statistic is none yet: gap n, or 0 for a falling rule's.
+    rules, others = [], list(patterns)  # (child rule, root gaps)
     if set(AVOIDED_PAIR) <= set(patterns):
-        rules.append((_pair_children, (n + 1,) * 3))
+        rules.append((_pair_children, (n,) * 3))
         others = [q for q in others if q not in AVOIDED_PAIR]
     for q in patterns:
         m, rising = len(q), q[0] < q[-1]
         if m >= 2 and q == tuple(range(1, m + 1) if rising else range(m, 0, -1)):
             rules.append((functools.partial(_monotone_children, rising),
-                          (n + 1 if rising else 0,) * (m - 2)))
+                          (n if rising else 0,) * (m - 2)))
             others.remove(q)
     return rules or [(_all_children, ())], others
 
@@ -267,9 +262,8 @@ def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
     # for the caller's call; rules compose two at a time, on pairs of gap
     # states, keeping the indices both keep.
     rules, others = _value_rules(n, patterns)
-    parts = [  # at the root each statistic is none yet: gap n, or 0 if falling
-        (functools.cache(functools.partial(_child_keys, rule)),
-         (n, *[min(s, n) for s in root]))
+    parts = [
+        (functools.cache(functools.partial(_child_keys, rule)), (n, *root))
         for rule, root in rules
     ]
     children, key = parts[0]
@@ -545,13 +539,3 @@ def count_class(descriptor: ClassDescriptor) -> int:
         return _count_by_gap_state(n, children, root, descriptor.start_small_only)
     return sum(1 for _ in enumerate_class(descriptor))
 
-
-def count_start_small_123_avoiders(n: int) -> int:
-    """
-    Number of start-small 123-avoiding permutations of [n], by brute force.
-
-    >>> [count_start_small_123_avoiders(n) for n in range(1, 6)]
-    [0, 1, 3, 9, 28]
-    """
-    descriptor = ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
-    return sum(1 for _ in enumerate_class(descriptor))

@@ -32,9 +32,7 @@ from typing import Iterable, Iterator
 from .bijection import Perm, decompose, inverse_params, phi, phi_inverse, recompose
 from .enumeration import (
     ClassDescriptor,
-    count_avoiders,
     count_class,
-    count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
 )
@@ -163,7 +161,9 @@ def check_reference_counts(order: int = 100) -> CheckResult:
 def check_enumeration_matches_series(max_n: int) -> CheckResult:
     """Brute-force avoider counts equal the gf_full coefficients for n >= 1
     (the n = 0 term is compared with A164651 by ``check_reference_counts``)."""
-    counts = (count_avoiders(n, AVOIDED_PAIR) for n in range(1, max_n + 1))
+    counts = (
+        sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR)) for n in range(1, max_n + 1)
+    )
     return _routes("enumeration_matches_series", f"n<={max_n}", (
         1, counts, _once(gf_full, max_n).coeffs,
         "n={n}: enumeration counts {a}, series gives {b}",
@@ -379,7 +379,8 @@ def _series_identity_failures(order: int) -> Iterator[str]:
     # [x^n] C^3 counts start-small 123-avoiders of [n+2], checked to n = 8.
     c3 = cube.coeffs
     for n in range(1, min(8, order) + 1):
-        counted = count_start_small_123_avoiders(n + 2)
+        descriptor = ClassDescriptor(n + 2, (PATTERN_123,), True)
+        counted = sum(1 for _ in enumerate_class(descriptor))
         if c3[n] != counted:
             yield f"[x^{n}]C^3 = {c3[n]} but [{n + 2}] has {counted} start-small 123-avoiders"
     if a != gf_elements(order):

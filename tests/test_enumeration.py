@@ -20,11 +20,9 @@ from avoiders.enumeration import (
     _count_by_gap_state,
     _pair_walk,
     _value_rules,
-    count_avoiders,
     count_class,
     count_pair_avoiders,
     count_pair_avoiders_by_keys,
-    count_start_small_123_avoiders,
     enumerate_avoiders,
     enumerate_class,
     naive_avoiders,
@@ -43,9 +41,8 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
 def test_first_counts():
-    assert [count_avoiders(n, AVOIDED_PAIR) for n in range(1, 7)] == [
-        1, 2, 6, 22, 87, 354,
-    ]
+    counts = [sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR)) for n in range(1, 7)]
+    assert counts == [1, 2, 6, 22, 87, 354]
 
 
 def test_small_avoider_classes_explicitly():
@@ -61,9 +58,9 @@ def test_small_avoider_classes_explicitly():
 
 
 def test_catalan_counts():
-    assert count_avoiders(5, [PATTERN_123]) == 42
+    assert sum(1 for _ in enumerate_avoiders(5, [PATTERN_123])) == 42
     for n in range(1, 11):
-        assert count_avoiders(n, [PATTERN_123]) == CATALAN[n]
+        assert sum(1 for _ in enumerate_avoiders(n, [PATTERN_123])) == CATALAN[n]
     # and the series module agrees
     assert list(catalan_series(10).coeffs) == CATALAN
 
@@ -593,7 +590,7 @@ def test_invalid_inputs():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pair_counter_matches_enumeration(n):
-    assert count_pair_avoiders(n) == count_avoiders(n, AVOIDED_PAIR)
+    assert count_pair_avoiders(n) == sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))
 
 
 def test_pair_counter_matches_series():
@@ -902,12 +899,11 @@ def test_key_walk_small_lengths():
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_123_walk_matches_brute_force(n):
-    assert count_class(ClassDescriptor(n, (PATTERN_123,))) == count_avoiders(
-        n, [PATTERN_123]
-    )
-    assert count_class(
-        ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
-    ) == count_start_small_123_avoiders(n)
+    for descriptor in (
+        ClassDescriptor(n, (PATTERN_123,)),
+        ClassDescriptor(n, (PATTERN_123,), start_small_only=True),
+    ):
+        assert count_class(descriptor) == sum(1 for _ in enumerate_class(descriptor))
 
 
 def test_123_walk_reaches_length_1000():
@@ -932,8 +928,8 @@ def test_count_class_examples():
 
 def test_count_class_start_small_is_difference():
     for n in range(2, 8):
-        full = count_avoiders(n, AVOIDED_PAIR)
-        smaller = count_avoiders(n - 1, AVOIDED_PAIR)
+        full = sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))
+        smaller = sum(1 for _ in enumerate_avoiders(n - 1, AVOIDED_PAIR))
         start_small = count_class(
             ClassDescriptor(n, AVOIDED_PAIR, start_small_only=True)
         )
@@ -1009,13 +1005,19 @@ def test_classes_partition(n):
         assert 1 <= k < j <= n - 1
 
 
-def test_count_start_small_123_avoiders():
-    assert count_start_small_123_avoiders(1) == 0
-    assert count_start_small_123_avoiders(3) == 3
-    assert count_start_small_123_avoiders(4) == 9
+def test_start_small_123_listing_counts():
+    listed = {
+        n: sum(1 for _ in enumerate_class(
+            ClassDescriptor(n, (PATTERN_123,), start_small_only=True)
+        ))
+        for n in range(1, 9)
+    }
+    assert listed[1] == 0
+    assert listed[3] == 3
+    assert listed[4] == 9
     # Catalan difference: those starting with n are counted by C(n-1)
     for n in range(2, 9):
-        assert count_start_small_123_avoiders(n) == CATALAN[n] - CATALAN[n - 1]
+        assert listed[n] == CATALAN[n] - CATALAN[n - 1]
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -11,11 +11,11 @@ import avoiders.series
 from avoiders.cli import SERIES_BUILDERS
 from avoiders.enumeration import (
     ClassDescriptor,
-    count_avoiders,
     count_class,
-    count_start_small_123_avoiders,
+    enumerate_avoiders,
+    enumerate_class,
 )
-from avoiders.perms import AVOIDED_PAIR
+from avoiders.perms import AVOIDED_PAIR, PATTERN_123
 from avoiders.series import (
     PowerSeries,
     catalan_series,
@@ -189,7 +189,8 @@ def test_catalan_cube_counts_start_small_123_avoiders():
     cube = list((c * c * c).coeffs)
     assert cube[:5] == [1, 3, 9, 28, 90]
     for n in range(1, 9):
-        assert cube[n] == count_start_small_123_avoiders(n + 2)
+        descriptor = ClassDescriptor(n + 2, (PATTERN_123,), start_small_only=True)
+        assert cube[n] == sum(1 for _ in enumerate_class(descriptor))
 
 
 def test_gf_elements_are_catalan_differences():
@@ -205,7 +206,8 @@ def test_gf_elements_equals_x_catalan_cube():
     assert gf_elements(order) == poly(order, 0, 1) * c * c * c
     a = gf_elements(8).coeffs
     for w in range(9):
-        assert a[w] == count_start_small_123_avoiders(w + 1)
+        descriptor = ClassDescriptor(w + 1, (PATTERN_123,), start_small_only=True)
+        assert a[w] == sum(1 for _ in enumerate_class(descriptor))
 
 
 def test_gf_start_small_equals_product_route():
@@ -239,7 +241,12 @@ def test_invert_transform_counts_avoider_lists():
     order = 8
     c = catalan_series(order)
     b = list(invert_transform(poly(order, 0, 1) * c * c * c).coeffs)
-    parts = {s: count_start_small_123_avoiders(s + 1) for s in range(1, order + 1)}
+    parts = {
+        s: sum(1 for _ in enumerate_class(
+            ClassDescriptor(s + 1, (PATTERN_123,), start_small_only=True)
+        ))
+        for s in range(1, order + 1)
+    }
     lists_of_size = [1] + [0] * order
     for t in range(1, order + 1):
         lists_of_size[t] = sum(parts[s] * lists_of_size[t - s] for s in range(1, t + 1))
@@ -275,7 +282,7 @@ def test_gf_full_is_partial_sums():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gf_full_matches_enumeration(n):
-    assert gf_full(n).coeffs[n] == count_avoiders(n, AVOIDED_PAIR)
+    assert gf_full(n).coeffs[n] == sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))
 
 
 def test_closed_form_first_terms():

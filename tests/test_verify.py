@@ -7,9 +7,11 @@ from collections import Counter
 
 import pytest
 
+import avoiders.enumeration as enumeration_module
 import avoiders.verify as verify_module
 from avoiders.cli import main
 from avoiders.enumeration import ClassDescriptor
+from avoiders.perms import AVOIDED_PAIR, PATTERN_123
 from avoiders.series import PowerSeries, gf_full, kotesovec_series
 from avoiders.verify import (
     CheckResult,
@@ -18,6 +20,7 @@ from avoiders.verify import (
     check_golden_examples,
     check_memo_matches_series,
     check_reference_counts,
+    check_series_identities,
     load_reference_sequence,
     render_report,
     run_checks,
@@ -235,7 +238,7 @@ def _doctor(monkeypatch, binding, doctor):
          "check_series_identities", 10, "(1+B)(1-A) != 1"),
         ("gf_start_small", _bump_x3,
          "check_series_identities", 10, "(1-x)F != G"),
-        ("count_start_small_123_avoiders", lambda real: lambda n: real(n) + 1,
+        ("enumerate_class", lambda real: lambda descriptor: [*real(descriptor), ()],
          "check_series_identities", 10,
          "[x^1]C^3 = 3 but [3] has 4 start-small 123-avoiders"),
         ("gf_elements", _bump_x3,
@@ -274,6 +277,32 @@ def test_key_slices_swapped_fail_verify(monkeypatch, capsys):
               if " FAIL " in line]
     assert failed == [["class_product_identity", "n<=3", "FAIL",
                        "n=3, k=1, j=2: class size 1 != 0 * 1"]]
+
+
+def test_brute_force_routes_list_not_walk(monkeypatch):
+    # The enumeration-vs-F check and the C^3 oracle count by listing: both
+    # enter the enumerator's loop, once per class, and reach no walk, no
+    # count by gap state and no ``count_class``.  Counted through any of
+    # those, verify would hold a walk to the series twice and check the
+    # enumerator nowhere.
+    entered, walked = [], []
+
+    def live_spy(n, patterns, real=enumeration_module._live_avoiders):
+        entered.append((n, patterns))
+        yield from real(n, patterns)
+
+    monkeypatch.setattr(enumeration_module, "_live_avoiders", live_spy)
+    for module, name in [(enumeration_module, "_pair_walk"),
+                         (enumeration_module, "_count_123_avoiders"),
+                         (enumeration_module, "_count_by_gap_state"),
+                         (verify_module, "count_class")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: walked.append(name))
+    assert check_enumeration_matches_series(8).passed
+    assert check_series_identities(10).passed
+    assert walked == []
+    expected = [(n, AVOIDED_PAIR) for n in range(1, 9)]
+    expected += [(m, (PATTERN_123,)) for m in range(3, 11)]
+    assert entered == expected
 
 
 def test_every_result_name_is_a_check_function():
@@ -330,8 +359,9 @@ def test_deep_never_lowers_the_enumeration_bound(monkeypatch, max_n, deep, oracl
 def test_run_checks_builds_each_class_and_series_once(monkeypatch):
     # One default run enumerates each start-small class, the class-product
     # check's 123 classes among them, and builds each transform-route series
-    # once; nothing is kept once the run is over, so an earlier run cannot
-    # make a later one cheaper.
+    # once; the C^3 oracle streams its own start-small 123 classes, [3] ..
+    # [10], once more each.  Nothing is kept once the run is over, so an
+    # earlier run cannot make a later one cheaper.
     built = []
     for name in ("enumerate_class", "gf_full", "gf_start_small"):
         def spy(arg, name=name, real=getattr(verify_module, name)):
@@ -342,6 +372,7 @@ def test_run_checks_builds_each_class_and_series_once(monkeypatch):
     pair, only_123 = verify_module.AVOIDED_PAIR, (verify_module.PATTERN_123,)
     classes = [ClassDescriptor(n, pair, start_small_only=True) for n in range(1, 9)]
     classes += [ClassDescriptor(m, only_123, start_small_only=True) for m in range(2, 8)]
+    classes += [ClassDescriptor(m, only_123, start_small_only=True) for m in range(3, 11)]
     expected = [("enumerate_class", d) for d in classes]
     expected += [("gf_full", 8), ("gf_full", 12), ("gf_full", 100)]
     expected += [("gf_start_small", 12), ("gf_start_small", 100)]
