@@ -7,7 +7,8 @@ key mid-123 entries, sigma2 a start-small 123-avoider of length n + 1 - j.
 ``recompose`` inverts it.  ``phi`` iterates ``decompose`` until the first
 component is 123-avoiding, turning a start-small avoider of length n with k
 key mid-123 entries into a list of k + 1 start-small 123-avoiders whose
-lengths sum to n + k; ``phi_inverse`` folds the list back up.
+lengths sum to n + k; ``phi_inverse`` folds the list back up with
+``recompose``.
 
 Construction of ``decompose(pi)``, writing pi = tau1, b, tau2 with b the
 last mid-123 entry:
@@ -31,14 +32,21 @@ split is a mid-123 entry of the input, left of the one before, with a and
 c read off the input: one leftward scan, reseeded at each split with c and
 the staircase, finds them all.  ``decompose`` takes the first step; ``phi``
 takes every step and standardizes the last word once, in O(n log n) for
-length n, while ``phi_inverse`` folds ``recompose`` in O(k*n log n): each
-step's ``is_permutation`` guard sorts the new word.
+length n.  ``phi_inverse`` is the fold of ``recompose`` computed on one list
+(see below): each step costs one C-level ``list.index`` scan of the word plus
+the entries it writes, and the output's ``is_permutation`` guard sorts once.
 
 ``recompose`` reads all of its parameters straight off the pair: the r-step
 staircase at the end of sigma1, the positions of min(mu) and max(sigma2),
 and the longest increasing terminal run of sigma1 between them recover where
-a and c sat and what value filled the seam; the concatenation below rebuilds
-pi up to two placeholder slots which are then overwritten with a and c.
+a and c sat and what value filled the seam.  Rebuilding pi raises every
+entry of sigma1 by q = len(sigma2) - 1 except s + 1 slots (the s - 1 slots
+of that run, raised by q - 1, the seam and a's slot) and appends sigma2
+less its first entry, with c written into its slot.  So ``_recompose(first,
+rest)``, the one private path behind ``recompose`` (one step) and
+``phi_inverse`` (every step), holds its accumulator as a list plus one
+offset added to every entry: a step raises the offset by q and writes only
+those s + 1 slots and the new tail.
 
 Validation contract: each public entry point takes lists as well as tuples,
 checks its inputs once, each in one scan (``perms.avoids_pair`` for an
@@ -50,8 +58,11 @@ faulty scan (``RuntimeError``).  The private cores (``_splits``,
 ``_inverse_params``, ``_recompose``) trust their inputs, keep only cheap
 ``RuntimeError`` guards and pass plain tuples; only ``decompose`` and
 ``inverse_params`` build the ``DecompositionStep`` and ``InverseParams``
-dataclasses.  ``phi`` and ``phi_inverse`` chain the cores' steps without
-re-checking, which is sound because every step stays in its class:
+dataclasses.  ``recompose`` and ``phi_inverse`` each check their result
+once with ``is_permutation`` (``RuntimeError``, naming the call); no
+intermediate word of the fold is built, so none is checked.  ``phi`` and
+``phi_inverse`` chain the cores' steps without re-checking, which is sound
+because every step stays in its class:
 ``avoiders.verify`` checks exactly that (decomposition typing, both round
 trips) exhaustively at small lengths.
 The postconditions of ``decompose`` are stated only there, in
@@ -62,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .perms import (
     AVOIDED_PAIR,
@@ -122,9 +133,10 @@ def _require_avoider(perm: Perm, role: str) -> None:
         _reject(perm, role, AVOIDED_PAIR, "contains the forbidden pattern {}")
 
 
-def _require_element(perm: Perm, role: str) -> None:
+def _require_element(perm: Perm, role: str, *role_args: object) -> None:
+    # The role is ``role.format(*role_args)``, formatted only on refusal.
     if not _start_small_123_avoider(perm):
-        _reject(perm, role, (PATTERN_123,), "is not a 123-avoider")
+        _reject(perm, role.format(*role_args), (PATTERN_123,), "is not a 123-avoider")
 
 
 def _reject(perm: Perm, role: str, patterns: tuple[Perm, ...], holds: str) -> None:
@@ -204,20 +216,21 @@ def inverse_params(sigma1: Perm, sigma2: Perm) -> InverseParams:
     return InverseParams(*_inverse_params(sigma1, sigma2))
 
 
-def _inverse_params(sigma1: Perm, sigma2: Perm) -> tuple[int, ...]:
-    # The ten fields of ``InverseParams``, in order.
+def _inverse_params(sigma1: Sequence[int], sigma2: Perm, off: int = 0) -> tuple[int, ...]:
+    # The ten fields of ``InverseParams``, in order, for the pair whose
+    # sigma1 has entries sigma1[i] + off (``_recompose`` keeps its word so).
     j = len(sigma1)
     n = j + len(sigma2) - 1
     r = 0  # maximal staircase r, r-1, ..., 1 at the end of sigma1
-    while r < j and sigma1[j - 1 - r] == r + 1:
+    while r < j and sigma1[j - 1 - r] + off == r + 1:
         r += 1
     p = j - r
     q = len(sigma2) - 1
     # Permutations: mu = sigma1[:p] has minimum r + 1, sigma2 maximum q + 1.
-    i_pos = sigma1.index(r + 1) + 1
+    i_pos = sigma1.index(r + 1 - off) + 1
     k_pos = j - 1 + sigma2.index(q + 1) + 1
     a = sigma2[0]
-    c = sigma1[p - 1] + q
+    c = sigma1[p - 1] + off + q
     if i_pos == p:
         raise RuntimeError("minimum of mu sits at its last position")
     # Longest increasing terminal run of sigma1[i_pos:p].
@@ -235,29 +248,32 @@ def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
     sigma1, sigma2 = tuple(sigma1), tuple(sigma2)
     _require_avoider(sigma1, "sigma1")
     _require_element(sigma2, "sigma2")
-    return _recompose(sigma1, sigma2)
-
-
-def _recompose(sigma1: Perm, sigma2: Perm) -> Perm:
-    n, j, r, p, q, i_pos, k_pos, a, c, s = _inverse_params(sigma1, sigma2)
-    word = [
-        *map(q.__add__, sigma1[: p - s]),
-        *map((q - 1).__add__, sigma1[p - s : p - 1]),
-        n - j + r + s,
-        *map(q.__add__, sigma1[p:j]),  # empty when r == 0
-        *sigma2[1:],
-    ]
-    # The slots where a and c belong may hold duplicated placeholder values
-    # until this overwrite.
-    word[i_pos - 1] = a
-    word[k_pos - 1] = c
-    result = tuple(word)
+    result = _recompose(sigma1, (sigma2,))
     if not is_permutation(result):
         raise RuntimeError(
             f"recompose({format_perm(sigma1)}, {format_perm(sigma2)}) "
             f"produced a non-permutation {result!r}"
         )
     return result
+
+
+def _recompose(first: Perm, rest: Sequence[Perm]) -> Perm:
+    # recompose folded over rest from first, unguarded.  The accumulator is
+    # word[i] + off; a step raises off by q and writes only the s + 1 slots
+    # it does not raise by q, and sigma2's tail (see the module docstring).
+    word, off = list(first), 0
+    for sigma2 in rest:
+        n, j, r, p, q, i_pos, k_pos, a, c, s = _inverse_params(word, sigma2, off)
+        off += q
+        for t in range(p - s, p - 1):
+            word[t] -= 1
+        word[p - 1] = n - j + r + s - off
+        # The slots where a and c belong may hold duplicated placeholder
+        # values until these writes.
+        word[i_pos - 1] = a - off
+        word += [x - off for x in sigma2[1:]]
+        word[k_pos - 1] = c - off
+    return tuple([x + off for x in word])
 
 
 def phi(perm: Perm) -> tuple[Perm, ...]:
@@ -286,9 +302,12 @@ def phi(perm: Perm) -> tuple[Perm, ...]:
 def phi_inverse(elements: tuple[Perm, ...]) -> Perm:
     """
     Fold a list of start-small 123-avoiders (each of length >= 2) back into
-    the start-small {1243, 2134}-avoider that ``phi`` maps to it: the first
-    element seeds the accumulator and every later element e replaces it with
-    ``recompose(acc, e)``.
+    the start-small {1243, 2134}-avoider that ``phi`` maps to it.  The result
+    equals the left fold of ``recompose``: the first element seeds the
+    accumulator and every later element e replaces it with
+    ``recompose(acc, e)``.  It is computed on one list, each step raising a
+    shared offset and writing only the entries that step changes, and the
+    result is checked to be a permutation once.
 
     Only the elements after the first feed the 123-avoider side of
     ``recompose``, so the first may be any start-small {1243, 2134}-avoider:
@@ -301,13 +320,19 @@ def phi_inverse(elements: tuple[Perm, ...]) -> Perm:
     elements = tuple(map(tuple, elements))
     if not elements:
         raise ValueError("list must be nonempty")
-    _require_avoider(elements[0], "element 1")
-    for idx, element in enumerate(elements[1:], start=2):
-        _require_element(element, f"element {idx}")
-    acc = elements[0]
-    for element in elements[1:]:
-        acc = _recompose(acc, element)
-    return acc
+    first, *rest = elements
+    _require_avoider(first, "element 1")
+    for idx, element in enumerate(rest, start=2):
+        _require_element(element, "element {}", idx)
+    if not rest:
+        return first
+    result = _recompose(first, rest)
+    if not is_permutation(result):
+        raise RuntimeError(
+            f"phi_inverse({format_perm_list(elements)}) "
+            f"produced a non-permutation {result!r}"
+        )
+    return result
 
 
 def format_perm_list(perms: tuple[Perm, ...]) -> str:

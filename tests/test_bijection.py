@@ -2,7 +2,9 @@
 fixed worked examples and exhaustive round trips."""
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -129,7 +131,8 @@ def test_valid_inputs_never_reach_contains(monkeypatch):
     # Accepted inputs are validated by one scan each: avoids_pair for the
     # avoiders, the element scan for the 123-avoiders.  The separate
     # predicates only diagnose rejected input, so on valid input the one
-    # is_permutation call per rebuilt permutation is the recompose guard's.
+    # is_permutation call per result is the guard of recompose or of
+    # phi_inverse, which folds on one list and guards only its output.
     def refuse(*args):
         raise AssertionError(f"diagnosis predicate called on a valid input {args!r}")
 
@@ -153,8 +156,7 @@ def test_valid_inputs_never_reach_contains(monkeypatch):
             elements = phi(perm)
             assert not guarded
             assert phi_inverse(elements) == perm
-            assert len(guarded) == len(elements) - 1
-            assert guarded[-1:] in ([], [perm])
+            assert guarded == ([perm] if len(elements) > 1 else [])
             guarded.clear()
 
 
@@ -399,6 +401,58 @@ def test_phi_equals_its_definition():
         perm = phi_inverse(elements)
         assert phi(perm) == _phi_by_definition(perm) == tuple(elements)
     assert phi(tuple(range(1, 2001))) == ((1, 2),) * 1999
+
+
+def test_phi_inverse_is_the_fold_of_recompose():
+    # phi_inverse against the left fold of the public, guarded recompose:
+    # on every phi image of n <= 9 and every partial list (the sigma1 left
+    # after i steps, then the sigma2s still to fold), whose first element
+    # has key mid-123 entries and so a staircase read through the offset;
+    # the last partial list is the whole fold alone.  Then on seeded lists
+    # near n = 1,000 and a known answer.
+    for n in range(1, 10):
+        for perm in start_small_avoiders(n):
+            elements = phi(perm)
+            for i, acc in enumerate(itertools.accumulate(elements, recompose)):
+                assert phi_inverse((acc, *elements[i + 1:])) == perm, (perm, i)
+    rng = random.Random(20131001)
+    for _ in range(3):
+        elements = [_random_element(rng)]
+        while sum(map(len, elements)) - len(elements) < 1000:
+            elements.append(_random_element(rng))
+        assert phi_inverse(elements) == functools.reduce(recompose, elements)
+    assert phi_inverse(((1, 2),) * 1999) == tuple(range(1, 2001))
+
+
+def test_doctored_step_trips_the_guard_once_per_result(monkeypatch):
+    # The last step of a fold writes c into a's slot too, so a value
+    # repeats; the one guard on each result must refuse it, not return it.
+    real = bijection_module._inverse_params
+    steps = []
+
+    def doctored(sigma1, sigma2, off=0):
+        steps.append(sigma2)
+        params = real(sigma1, sigma2, off)
+        if sigma2 == last:
+            return (*params[:7], params[8], *params[8:])
+        return params
+
+    monkeypatch.setattr(bijection_module, "_inverse_params", doctored)
+    last = KEY_SIGMA2
+    with pytest.raises(RuntimeError) as excinfo:
+        recompose(KEY_SIGMA1, KEY_SIGMA2)
+    assert str(excinfo.value).startswith(
+        "recompose(8 1 9 6 4 5 2 3 7, 2 1 4 3) produced a non-permutation ("
+    )
+    elements = phi(DROP_INPUT) + ((2, 1, 3),)
+    last = elements[-1]
+    steps.clear()
+    with pytest.raises(RuntimeError) as excinfo:
+        phi_inverse(elements)
+    assert str(excinfo.value).startswith(
+        f"phi_inverse({format_perm_list(elements)}) produced a non-permutation ("
+    )
+    assert steps == list(elements[1:])
 
 
 def _sha256(text):
