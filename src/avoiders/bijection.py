@@ -33,8 +33,10 @@ c read off the input: one leftward scan, reseeded at each split with c and
 the staircase, finds them all.  ``decompose`` takes the first step; ``phi``
 takes every step and standardizes the last word once, in O(n log n) for
 length n.  ``phi_inverse`` is the fold of ``recompose`` computed on one list
-(see below): each step costs one C-level ``list.index`` scan of the word plus
-the entries it writes, and the output's ``is_permutation`` guard sorts once.
+(see below): a step costs a C-level ``list.index`` scan of the word, O(s)
+Python work, as ``_inverse_params`` walks sigma1's increasing terminal run
+(s entries; the whole word on the identity) and ``_recompose`` rewrites s - 1
+of them, and sigma2's tail; one ``is_permutation`` guard sorts the result.
 
 ``recompose`` reads all of its parameters straight off the pair: the r-step
 staircase at the end of sigma1, the positions of min(mu) and max(sigma2),
@@ -58,9 +60,10 @@ faulty scan (``RuntimeError``).  The private cores (``_splits``,
 ``_inverse_params``, ``_recompose``) trust their inputs, keep only cheap
 ``RuntimeError`` guards and pass plain tuples; only ``decompose`` and
 ``inverse_params`` build the ``DecompositionStep`` and ``InverseParams``
-dataclasses.  ``recompose`` and ``phi_inverse`` each check their result
-once with ``is_permutation`` (``RuntimeError``, naming the call); no
-intermediate word of the fold is built, so none is checked.  ``phi`` and
+dataclasses.  Each result of ``recompose`` and ``phi_inverse`` gets one
+``is_permutation`` guard, inside ``_recompose``, and a fault inside any step
+is a ``RuntimeError`` naming the call (CLI exit 3), never a ``ValueError``;
+no intermediate word of the fold is built, so none is checked.  ``phi`` and
 ``phi_inverse`` chain the cores' steps without re-checking, which is sound
 because every step stays in its class:
 ``avoiders.verify`` checks exactly that (decomposition typing, both round
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .perms import (
     AVOIDED_PAIR,
@@ -248,22 +251,22 @@ def recompose(sigma1: Perm, sigma2: Perm) -> Perm:
     sigma1, sigma2 = tuple(sigma1), tuple(sigma2)
     _require_avoider(sigma1, "sigma1")
     _require_element(sigma2, "sigma2")
-    result = _recompose(sigma1, (sigma2,))
-    if not is_permutation(result):
-        raise RuntimeError(
-            f"recompose({format_perm(sigma1)}, {format_perm(sigma2)}) "
-            f"produced a non-permutation {result!r}"
-        )
-    return result
+    return _recompose(
+        sigma1, (sigma2,), lambda: f"recompose({format_perm(sigma1)}, {format_perm(sigma2)})"
+    )
 
 
-def _recompose(first: Perm, rest: Sequence[Perm]) -> Perm:
-    # recompose folded over rest from first, unguarded.  The accumulator is
-    # word[i] + off; a step raises off by q and writes only the s + 1 slots
-    # it does not raise by q, and sigma2's tail (see the module docstring).
+def _recompose(first: Perm, rest: Sequence[Perm], call: Callable[[], str]) -> Perm:
+    # recompose folded over rest from first, guarded; call() gives the call
+    # text, built only when a guard fires.  The accumulator is word[i] + off;
+    # a step raises off by q and writes only the s + 1 slots it does not raise
+    # by q, and sigma2's tail.  A faulty step makes the next list.index raise.
     word, off = list(first), 0
-    for sigma2 in rest:
-        n, j, r, p, q, i_pos, k_pos, a, c, s = _inverse_params(word, sigma2, off)
+    for step, sigma2 in enumerate(rest, start=1):
+        try:
+            n, j, r, p, q, i_pos, k_pos, a, c, s = _inverse_params(word, sigma2, off)
+        except ValueError as exc:
+            raise RuntimeError(f"{call()} failed at step {step}: {exc}") from exc
         off += q
         for t in range(p - s, p - 1):
             word[t] -= 1
@@ -273,7 +276,10 @@ def _recompose(first: Perm, rest: Sequence[Perm]) -> Perm:
         word[i_pos - 1] = a - off
         word += [x - off for x in sigma2[1:]]
         word[k_pos - 1] = c - off
-    return tuple([x + off for x in word])
+    result = tuple([x + off for x in word])
+    if not is_permutation(result):
+        raise RuntimeError(f"{call()} produced a non-permutation {result!r}")
+    return result
 
 
 def phi(perm: Perm) -> tuple[Perm, ...]:
@@ -326,13 +332,7 @@ def phi_inverse(elements: tuple[Perm, ...]) -> Perm:
         _require_element(element, "element {}", idx)
     if not rest:
         return first
-    result = _recompose(first, rest)
-    if not is_permutation(result):
-        raise RuntimeError(
-            f"phi_inverse({format_perm_list(elements)}) "
-            f"produced a non-permutation {result!r}"
-        )
-    return result
+    return _recompose(first, rest, lambda: f"phi_inverse({format_perm_list(elements)})")
 
 
 def format_perm_list(perms: tuple[Perm, ...]) -> str:

@@ -455,6 +455,39 @@ def test_doctored_step_trips_the_guard_once_per_result(monkeypatch):
     assert steps == list(elements[1:])
 
 
+def test_doctored_step_anywhere_is_an_internal_error(monkeypatch):
+    # A fault at any step of a fold, not only the last, is a RuntimeError
+    # naming the call: an earlier one leaves a word whose next list.index
+    # misses, which must not pass for the ValueError of a rejected input.
+    real = bijection_module._inverse_params
+    elements = phi(DROP_INPUT) + ((1, 3, 2), (2, 1, 3), (1, 2))
+    assert len(elements) == 8
+
+    def doctored(sigma1, sigma2, off=0):
+        steps.append(sigma2)
+        params = real(sigma1, sigma2, off)
+        if len(steps) == target:
+            return (*params[:7], params[8], *params[8:])
+        return params
+
+    monkeypatch.setattr(bijection_module, "_inverse_params", doctored)
+    for target in range(1, len(elements)):
+        steps = []
+        with pytest.raises(RuntimeError) as excinfo:
+            phi_inverse(elements)
+        assert str(excinfo.value).startswith(
+            f"phi_inverse({format_perm_list(elements)}) "
+        ), target
+
+    def failing(sigma1, sigma2, off=0):
+        raise ValueError("7 is not in list")
+
+    monkeypatch.setattr(bijection_module, "_inverse_params", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        recompose(KEY_SIGMA1, KEY_SIGMA2)
+    assert str(excinfo.value).startswith("recompose(8 1 9 6 4 5 2 3 7, 2 1 4 3) ")
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 

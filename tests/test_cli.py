@@ -384,6 +384,27 @@ def test_phi_scan_refusing_valid_input_exits_3(capsys, monkeypatch, scan, argv, 
     )
 
 
+def test_phi_inverse_fold_fault_exits_3(capsys, monkeypatch):
+    # A fault at the first of seven steps is an internal error, exit 3, not
+    # the "0 is not in list" that the next step's list.index raises.
+    import avoiders.bijection as bijection_module
+
+    real = bijection_module._inverse_params
+    steps = []
+
+    def doctored(sigma1, sigma2, off=0):
+        steps.append(sigma2)
+        params = real(sigma1, sigma2, off)
+        return (*params[:7], params[8], *params[8:]) if len(steps) == 1 else params
+
+    monkeypatch.setattr(bijection_module, "_inverse_params", doctored)
+    elements = "3 6 2 1 5 4 | 1 2 | 1 2 | 4 5 3 2 1 | 3 2 1 5 4 | 1 3 2 | 2 1 3 | 1 2"
+    code, out, err = run_cli(capsys, "phi", "--inverse", elements)
+    assert (code, out) == (3, "")
+    assert err.endswith("\n") and "\n" not in err[:-1]
+    assert err.startswith(f"internal error: phi_inverse({elements}) ")
+
+
 # ---------------------------------------------------------------------------
 # series
 
