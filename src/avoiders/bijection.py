@@ -30,9 +30,10 @@ the largest entry from b on, each kept entry keeps its smallest earlier
 and largest later entry, and no appended one is a mid-123 entry.  So each
 split is a mid-123 entry of the input, left of the one before, with a and
 c read off the input: one leftward scan, reseeded at each split with c and
-the staircase, finds them all.  ``decompose`` takes the first step; ``phi``
-takes every step and standardizes the last word once, in O(n log n) for
-length n.  ``phi_inverse`` is the fold of ``recompose`` computed on one list
+the staircase, finds them all, each a read off the prefix minima that one
+loop of comparisons lists first.  ``decompose`` takes the first step;
+``phi`` takes every step and standardizes the last word once, in
+O(n log n) for length n.  ``phi_inverse`` is the fold of ``recompose`` computed on one list
 (see below): a step costs a C-level ``list.index`` scan of the word, O(s)
 Python work, as ``_inverse_params`` walks sigma1's increasing terminal run
 (s entries; the whole word on the identity) and ``_recompose`` rewrites s - 1
@@ -75,7 +76,6 @@ The postconditions of ``decompose`` are stated only there, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .perms import (
@@ -169,7 +169,11 @@ def decompose(perm: Perm) -> DecompositionStep:
 def _splits(perm: Perm) -> Iterator[tuple[Perm, int, int, int, int]]:
     # phi's splits of the start-small avoider perm, as (sigma2, j, a, c, r): each
     # splits perm[:m] + tail (the last split's c and staircase) at an entry t.
-    lows = list(accumulate(perm, min))
+    lows, low = [], len(perm)  # prefix minima, by comparison (see ``perms``)
+    for v in perm:
+        if v < low:
+            low = v
+        lows.append(low)
     m, tail, high, second = len(perm), (), 0, 0  # the two largest after t
     t = m - 1
     while t > 0:

@@ -56,9 +56,16 @@ def _parse_patterns(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(patterns)
 
 
+def _indexable(flag: str, value: int) -> int:
+    # Past sys.maxsize a size cannot be a list or range length (OverflowError).
+    if value > sys.maxsize:
+        raise ValueError(f"{flag} must be <= {sys.maxsize}")
+    return value
+
+
 def _descriptor(args: argparse.Namespace) -> ClassDescriptor:
     return ClassDescriptor(
-        n=args.n,
+        n=_indexable("--n", args.n),
         patterns=_parse_patterns(args.patterns),
         start_small_only=args.start_small,
         k=args.k,
@@ -109,10 +116,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Each member printed as ``json.dumps``/``format_perm`` would, by chunk
     # (``enumeration._class_chunks``): the head once per chunk, each distinct
     # tails tuple once per call, and one write per chunk.
+    chunks = _class_chunks(_descriptor(args))
     sep, start, end = (", ", "[", "]\n") if args.json else (" ", "", "\n")
     heads = [start + ("%d" + sep) * size for size in range(args.n + 1)]
     formatted: dict[tuple, list[str]] = {}
-    for head, tails in _class_chunks(_descriptor(args)):
+    for head, tails in chunks:
         lines = formatted.get(tails)
         if lines is None:
             line = sep.join(["%d"] * len(tails[0])) + end
@@ -139,7 +147,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    series: PowerSeries = SERIES_BUILDERS[args.which](args.order)
+    series: PowerSeries = SERIES_BUILDERS[args.which](_indexable("--order", args.order))
     with _uncapped_int_printing():
         if args.json:
             print(json.dumps({"coefficients": [str(c) for c in series.coeffs]}))
@@ -153,6 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag, value in (("--max-n", args.max_n), ("--order", args.order)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0")
+        _indexable(flag, value)
     results = run_checks(max_n=args.max_n, order=args.order, deep=args.deep)
     passed = all(r.passed for r in results)
     if args.json:

@@ -201,7 +201,7 @@ def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int:
         if k <= 1:
             return 1
         total = 0
-        for i in range(1, min(k, s12 + 1) + 1):
+        for i in range(1, (k if k <= s12 else s12 + 1) + 1):
             if low >= i:  # v is the new prefix minimum; s12 stays
                 total += count(k - 1, i - 1, s12 - 1, low - 1, i - 1)
             elif i == k:  # v is the largest unused value: a right-to-left maximum

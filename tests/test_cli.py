@@ -119,6 +119,31 @@ def test_count_error_messages(capsys, argv, message):
     assert run_cli(capsys, "count", *argv) == (2, "", f"error: {message}\n")
 
 
+#: A size past sys.maxsize: Python ints take it, but no list or range length can.
+HUGE = "99999999999999999999"
+
+
+def _refused_huge(capsys, flag, *argv):
+    # One error line naming the flag and the limit, exit 2, no traceback.
+    assert run_cli(capsys, *argv) == (2, "", f"error: {flag} must be <= {sys.maxsize}\n")
+
+
+def test_count_huge_n_exits_2(capsys):
+    _refused_huge(capsys, "--n", "count", "--n", HUGE)
+
+
+def test_series_huge_order_exits_2(capsys):
+    _refused_huge(capsys, "--order", "series", "--which", "F", "--order", HUGE)
+
+
+def test_verify_huge_max_n_exits_2(capsys):
+    _refused_huge(capsys, "--max-n", "verify", "--max-n", HUGE)
+
+
+def test_verify_huge_order_exits_2(capsys):
+    _refused_huge(capsys, "--order", "verify", "--order", HUGE)
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerated_count(descriptor):
     # The brute-force count: stream the class and count its members.

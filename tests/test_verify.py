@@ -132,18 +132,40 @@ def test_broken_decomposition_fails_typing_check(monkeypatch):
 
 
 def test_typing_check_judges_each_sigma1_once(monkeypatch):
-    # 4,626 decompositions at n <= 8 share 1,458 distinct sigma1; the
-    # generic avoidance oracle runs once for each.
-    real = verify_module.avoids
-    judged = []
+    # 4,626 decompositions at n <= 8 share 1,458 distinct sigma1.  Each is
+    # judged once, against the start-small class listed for its length, so
+    # on a passing run the generic matcher never runs; key entries are read
+    # off each of the 6,055 inputs and each distinct sigma1.
+    real = verify_module.key_mid123_entries
+    matched, keyed = [], []
 
-    def spy(word, patterns):
-        judged.append(word)
-        return real(word, patterns)
+    def spy(perm):
+        keyed.append(perm)
+        return real(perm)
 
-    monkeypatch.setattr(verify_module, "avoids", spy)
+    monkeypatch.setattr(verify_module, "avoids", lambda *args: matched.append(args))
+    monkeypatch.setattr(verify_module, "key_mid123_entries", spy)
     assert verify_module.check_decomposition_typing(8).passed
-    assert len(judged) == len(set(judged)) == 1458
+    assert matched == []
+    assert len(keyed) == 6055 + 1458
+
+
+def test_typing_check_sends_an_unlisted_sigma1_to_the_matcher(monkeypatch):
+    # A start-small sigma1 of the right length that holds 1243 is not in its
+    # length's listing, so the matcher judges it, and the check names it.
+    real = verify_module.decompose
+
+    def doctored(perm):
+        step = real(perm)
+        j = len(step.sigma1)
+        holds_1243 = (1, 2, 4, 3, *range(5, j + 1))
+        return step if j < 4 else dataclasses.replace(step, sigma1=holds_1243)
+
+    monkeypatch.setattr(verify_module, "decompose", doctored)
+    assert verify_module.check_decomposition_typing(6).detail == (
+        "decompose(1 2 3 4 5) broke its contract: "
+        "sigma1 not an avoider; sigma1 key count != k - 1"
+    )
 
 
 def _bump_x3(build):
