@@ -152,8 +152,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps({"coefficients": [str(c) for c in series.coeffs]}))
         else:
-            for n, c in enumerate(series.coeffs):
-                print(f"{n}: {c}")
+            sys.stdout.writelines(f"{n}: {c}\n" for n, c in enumerate(series.coeffs))
     return 0
 
 

@@ -10,7 +10,11 @@ Trailing zero coefficients cost nothing: a product of order n costs
 O(n * m), with m the length of the shorter factor's polynomial part (up to
 its last nonzero coefficient), and a quotient costs O(n * m) with m that of
 the divisor.  So multiplying or dividing by a short polynomial such as
-1 - x is linear in n, and only dense-by-dense products are quadratic.
+1 - x is linear in n, and only dense-by-dense products are quadratic.  The
+builders below go further and write their sparse factors out: a factor x
+is a shift, 1/(1 - x) is a running sum and x(1 - x) a shifted difference,
+so none of them calls ``*``.  The one quadratic step left on the transform
+route is the dense division 1/(1 - A) in ``invert_transform``.
 
 The specific series of interest:
 
@@ -22,11 +26,13 @@ The specific series of interest:
   (compositions) of A-structures;
 - ``gf_start_small``: G = 1 + x*B with B the transform of ``gf_elements``,
   so G = 1 + x/(1 - A) - x, counting start-small {1243, 2134}-avoiders by
-  length with one dense division and no dense product;
-- ``gf_full``: F = G/(1 - x), counting all {1243, 2134}-avoiders (A164651);
+  length with one dense division and no product: x*B is B shifted;
+- ``gf_full``: F = G/(1 - x), counting all {1243, 2134}-avoiders (A164651),
+  as the running sums of G's coefficients;
 - ``kotesovec_series``: the closed form
   (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1))
-  attached to A164651, expanded exactly.
+  attached to A164651, expanded exactly with no product: x(1-x)*sqrt(1-4x)
+  is a shifted difference, and the cubic denominator is written out.
 
 ``gf_full`` and ``kotesovec_series`` are computed along entirely different
 routes, so their coefficient-by-coefficient agreement is a real check.
@@ -35,7 +41,8 @@ routes, so their coefficient-by-coefficient agreement is a real check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
+from operator import mul, sub
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,8 @@ def poly(order: int, *coeffs: int) -> PowerSeries:
     """
     _require_order(order)
     for c in coeffs:
-        if not isinstance(c, int):
+        # bool is an int subclass, but a coefficient must be a plain int
+        if not isinstance(c, int) or isinstance(c, bool):
             raise ValueError(f"coefficient {c!r} is not an integer")
     coeffs = coeffs[: order + 1]
     return PowerSeries(coeffs + (0,) * (order + 1 - len(coeffs)))
@@ -190,25 +198,37 @@ def gf_start_small(order: int) -> PowerSeries:
     """
     Generating function for start-small {1243, 2134}-avoiders by length:
     G = 1 + x*B with B = ``invert_transform``(A) and A = ``gf_elements``,
-    that is G = 1 + x/(1 - A) - x.
+    that is G = 1 + x/(1 - A) - x.  Since B has zero constant term, G is
+    the constant 1 followed by B shifted up one place; the dense division
+    inside ``invert_transform`` is the only quadratic step.
 
     >>> list(gf_start_small(4).coeffs)
     [1, 0, 1, 4, 16]
     """
-    x = poly(order, 0, 1)
-    return poly(order, 1) + x * invert_transform(gf_elements(order))
+    b = invert_transform(gf_elements(order))
+    return PowerSeries((1, *b.coeffs[:order]))
 
 
 def gf_full(order: int) -> PowerSeries:
     """
     Generating function for all {1243, 2134}-avoiders by length (A164651):
-    F = G/(1 - x), so the coefficients are the partial sums of G's.  It
-    divides G by 1 - x exactly rather than multiplying by 1/(1 - x).
+    F = G/(1 - x), so the coefficients are the partial sums of G's, and
+    that is how they are formed.
 
     >>> list(gf_full(6).coeffs)
     [1, 1, 2, 6, 22, 87, 354]
     """
-    return gf_start_small(order) / poly(order, 1, -1)
+    return PowerSeries(tuple(accumulate(gf_start_small(order).coeffs)))
+
+
+#: The closed form's cubic (x-1)(x^2+4x-1), expanded: 1 - 5x + 3x^2 + x^3.
+_CUBIC = (1, -5, 3, 1)
+
+
+def _times_x_one_minus_x(s: PowerSeries) -> PowerSeries:
+    """x(1-x)*s with no product: its [x^k] is s_{k-1} - s_{k-2}."""
+    padded = (0, 0, *s.coeffs)
+    return PowerSeries(tuple(map(sub, padded[1:-1], padded)))
 
 
 def kotesovec_series(order: int) -> PowerSeries:
@@ -216,16 +236,15 @@ def kotesovec_series(order: int) -> PowerSeries:
     Exact expansion of the closed form attached to A164651:
     (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1)).
 
-    The numerator is halved coefficient by coefficient, then divided
-    exactly by the cubic (x-1)(x^2+4x-1), whose constant term is +1; the
-    division costs O(order), as does every product with a short polynomial.
+    With S = sqrt(1-4x), the term x(1-x)*S has coefficients
+    S_{k-1} - S_{k-2}, a shifted difference.  The numerator is halved
+    coefficient by coefficient, then divided exactly by the cubic
+    (x-1)(x^2+4x-1), written out as ``_CUBIC``, whose constant term is +1.
+    Every step costs O(order), and none is a product.
     """
-    s = sqrt_one_minus_4x(order)
-    x = poly(order, 0, 1)
-    one = poly(order, 1)
-    numerator = poly(order, 2, -9, 3) + x * (one - x) * s
+    numerator = poly(order, 2, -9, 3) + _times_x_one_minus_x(sqrt_one_minus_4x(order))
     odd = [k for k, c in enumerate(numerator.coeffs) if c % 2]
     if odd:
         raise RuntimeError(f"closed form: numerator coefficient of x^{odd[0]} is odd")
     halved = PowerSeries(tuple(c // 2 for c in numerator.coeffs))
-    return halved / ((x - one) * poly(order, -1, 4, 1))
+    return halved / poly(order, *_CUBIC)

@@ -17,7 +17,9 @@ from avoiders.enumeration import (
 )
 from avoiders.perms import AVOIDED_PAIR, PATTERN_123
 from avoiders.series import (
+    _CUBIC,
     PowerSeries,
+    _times_x_one_minus_x,
     catalan_series,
     gf_elements,
     gf_full,
@@ -336,6 +338,36 @@ def test_closed_form_coefficients_are_integers():
     assert all(type(c) is int for c in kotesovec_series(60).coeffs)
 
 
+# The builders write their sparse factors out; each written-out form is held
+# here to the product or quotient it replaces.
+ORACLE_ORDERS = [0, 1, 2, 3, 50, 302]
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_closed_form_cubic_is_expanded_product(order):
+    x = poly(order, 0, 1)
+    assert poly(order, *_CUBIC) == (x - poly(order, 1)) * poly(order, -1, 4, 1)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_shifted_difference_is_x_one_minus_x_product(order):
+    x = poly(order, 0, 1)
+    s = sqrt_one_minus_4x(order)
+    assert _times_x_one_minus_x(s) == x * (poly(order, 1) - x) * s
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_gf_full_is_division_by_one_minus_x(order):
+    assert gf_full(order) == gf_start_small(order) / poly(order, 1, -1)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_gf_start_small_is_one_plus_x_times_transform(order):
+    x = poly(order, 0, 1)
+    b = invert_transform(gf_elements(order))
+    assert gf_start_small(order) == poly(order, 1) + x * b
+
+
 def test_low_orders():
     assert gf_full(0).coeffs == (1,)
     assert gf_start_small(0).coeffs == (1,)
@@ -349,6 +381,9 @@ def test_poly_validation():
         poly(-1, 1)
     with pytest.raises(ValueError, match="not an integer"):
         poly(2, Fraction(1, 2))
+    # bool is an int subclass, but coefficients are plain ints.
+    with pytest.raises(ValueError, match="not an integer"):
+        poly(2, True, False)
     # Terms above the truncation order are dropped, as binary operations do.
     assert poly(1, 1, 2, 3).coeffs == (1, 2)
     with pytest.raises(ValueError, match="constant term"):
