@@ -23,7 +23,6 @@ from .bijection import (
 from .enumeration import (
     ClassDescriptor,
     count_class,
-    count_pair_avoiders,
     count_pair_avoiders_by_keys,
     enumerate_avoiders,
     enumerate_class,
@@ -72,7 +71,6 @@ __all__ = [
     "catalan_series",
     "contains",
     "count_class",
-    "count_pair_avoiders",
     "count_pair_avoiders_by_keys",
     "decompose",
     "enumerate_avoiders",

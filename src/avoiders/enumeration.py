@@ -53,18 +53,21 @@ the last level, the counting side of Zeilberger's enumeration schemes
 about 0.02 s.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
-key mid-123 entries without listing it: a memoized walk over the pair
-rule's prefix statistics, each kept only as the gap it falls in between
-consecutive unused values, plus the gap of the previous entry.  It is a
+key mid-123 entries without listing it: a walk over the pair rule's prefix
+statistics, each kept only as the gap it falls in between consecutive
+unused values, plus the gap of the previous entry.  It runs forward like
+the count by gap state, one level of live prefix states per number of
+unused values, so it holds two levels and needs no recursion.  It is a
 separate transcription of the pair rule, so that the enumerator stays an
 independent check on it; a step function shared by both also slows the
-walk.  ``count_pair_avoiders`` and the plain pair counts of ``count_class``
-run the same walk with no key marker, which stores every previous entry's
-gap as the prefix minimum's, so fewer states differ (253 against 273 at
-n = 8).  A loop of prefix sums over the states of a smaller walk counts the
-{123} class in O(n^2) time.  Both walks beat the count by gap state.
-``count_class`` documents which count it runs.  Every memo, the walks',
-the rules' answers, blocks, tails and counts, lives for one call.
+walk.  The plain pair counts of ``count_class`` run the same walk with no
+key marker, which stores every previous entry's gap as the prefix
+minimum's, so fewer states differ (253 against 273 at n = 8).  A loop of
+prefix sums over the states of a smaller walk counts the {123} class in
+O(n^2) time.  Both walks beat the count by gap state, which asks the
+value-level rules.  ``count_class`` documents which count it runs.  The
+rules' answers, blocks, tails and counts, and the walks' levels, live for
+one call.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ from .perms import (
 )
 
 
-#: Largest n that ``count_pair_avoiders_by_keys`` accepts: its walk recurses
-#: once per position.
+#: Largest n that the pair walk accepts, a bound on its cost, not on any
+#: stack: its states grow about as n^4 (see ``count_pair_avoiders_by_keys``).
 PAIR_WALK_MAX_N = 100
 
 #: Most unused values a prefix may have to take its completions from a block
@@ -122,17 +125,6 @@ def naive_avoiders(
             yield perm
 
 
-def count_pair_avoiders(n: int) -> int:
-    """
-    Number of {1243, 2134}-avoiders of [n], counted without listing them;
-    n = 0 counts the empty permutation.
-
-    >>> [count_pair_avoiders(n) for n in range(8)]
-    [1, 1, 2, 6, 22, 87, 354, 1459]
-    """
-    return _pair_walk(n, start_small_only=False, keyed=False)
-
-
 def count_pair_avoiders_by_keys(
     n: int, start_small_only: bool = False
 ) -> tuple[int, ...]:
@@ -140,30 +132,24 @@ def count_pair_avoiders_by_keys(
     Numbers of {1243, 2134}-avoiders of [n] by key mid-123 count, counted
     without listing them: index k holds those with exactly k key mid-123
     entries, for k = 0..n.  With ``start_small_only`` only the start-small
-    ones count (the empty permutation is one, as in the series G).  The memo
-    lives for one call only.
+    ones count (the empty permutation is one, as in the series G).
 
-    The walk recurses once per position, so n is limited to
-    ``PAIR_WALK_MAX_N`` (100), well inside Python's default recursion limit
-    of 1000; a larger n raises ``ValueError``.  Cost grows fast long before
-    that: n = 40 already needs 202,652 memo states with k >= 2, and their
-    number grows about as n^4.
+    The walk goes level by level and holds two levels at a time.  Its
+    cost grows fast: n = 40 passes 202,652 states with k >= 2, at most
+    19,685 of them in one level, and their number grows about as n^4, so n
+    is limited to ``PAIR_WALK_MAX_N`` (100); a larger n raises ``ValueError``.
 
     >>> count_pair_avoiders_by_keys(5)
     (42, 34, 10, 1, 0, 0)
     >>> count_pair_avoiders_by_keys(5, start_small_only=True)
     (28, 27, 9, 1, 0, 0)
     """
-    total = _pair_walk(n, start_small_only, keyed=True)
-    width = math.factorial(n).bit_length()  # as the walk packs it
-    mask = (1 << width) - 1
-    return tuple(total >> (width * k) & mask for k in range(n + 1))
+    return _pair_walk(n, start_small_only, keyed=True)
 
 
-def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int:
-    # The {1243, 2134}-avoiders of [n], start-small ones only if asked, with
-    # ``keyed`` as a polynomial in a marker for key mid-123 entries packed
-    # into one int, as below; without it as a plain count.
+def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int | tuple[int, ...]:
+    # The {1243, 2134}-avoiders of [n], start-small ones only if asked: with
+    # ``keyed`` their numbers by key mid-123 count, without it their number.
     if n < 0:
         raise ValueError("length n must be >= 0")
     if n > PAIR_WALK_MAX_N:
@@ -192,32 +178,38 @@ def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int:
     # stored as low; what remains is always the gap of s12.  A state's count
     # is a polynomial in a marker for key entries, packed into one int with
     # ``width`` bits per coefficient (no coefficient exceeds n!), so that a
-    # key entry shifts its child's count by ``width``.  With no marker the
-    # width is 0 and every last is stored as low, so fewer states differ.
+    # key entry shifts the count it passes to its child by ``width``, and
+    # unpacked at the end.  With no marker the width is 0 and every last is
+    # stored as low, so fewer states differ.
+    #
+    # Level k maps the state (low, s12, m21, last) of each live prefix with
+    # k unused values to the count of those prefixes, starting at the root;
+    # every member ends in the one state at k = 0.
     width = math.factorial(n).bit_length() if keyed else 0
-
-    @functools.cache
-    def count(k: int, low: int, s12: int, m21: int, last: int) -> int:
-        if k <= 1:
-            return 1
-        total = 0
-        for i in range(1, (k if k <= s12 else s12 + 1) + 1):
-            if low >= i:  # v is the new prefix minimum; s12 stays
-                total += count(k - 1, i - 1, s12 - 1, low - 1, i - 1)
-            elif i == k:  # v is the largest unused value: a right-to-left maximum
-                total += count(k - 1, low, i - 1, m21 if m21 < i else i - 1, low)
-            elif m21 >= i:  # a mid-123 entry, and the new s12
-                child_m21 = (s12 if i <= s12 < m21 else m21) - 1
-                child = count(k - 1, low, i - 1, child_m21, i - 1 if width else low)
-                total += child << width if last < i else child
+    level = {(n, n, n, n): 1}
+    for k in range(n, 0, -1):
+        below: dict[tuple[int, int, int, int], int] = {}
+        get = below.get
+        for (low, s12, m21, last), count in level.items():
+            for i in range(1, (k if k <= s12 else s12 + 1) + 1):
+                if low >= i:  # v is the new prefix minimum; s12 stays
+                    child = (i - 1, s12 - 1, low - 1, i - 1)
+                    below[child] = get(child, 0) + count
+                elif i == k:  # v is the largest unused value: a right-to-left maximum
+                    child = (low, i - 1, m21 if m21 < i else i - 1, low)
+                    below[child] = get(child, 0) + count
+                elif m21 >= i:  # a mid-123 entry, and the new s12
+                    child_m21 = (s12 if i <= s12 < m21 else m21) - 1
+                    child = (low, i - 1, child_m21, i - 1 if width else low)
+                    below[child] = get(child, 0) + (count << width if last < i else count)
+        if start_small_only and k == n:
+            del below[(n - 1,) * 4]  # the root's child that places n; no other has it
+        level = below
+    total = sum(level.values())
+    if not keyed:
         return total
-
-    total = count(n, n, n, n, n)
-    if start_small_only and n >= 1:
-        # Those starting with n: the first step's branch i = k, whose child
-        # is the root of this walk for n - 1.
-        total -= count(n - 1, n - 1, n - 1, n - 1, n - 1)
-    return total
+    mask = (1 << width) - 1
+    return tuple(total >> (width * keys) & mask for keys in range(n + 1))
 
 
 def _count_123_avoiders(n: int, start_small_only: bool) -> int:

@@ -19,10 +19,11 @@ only the C^3 oracle streams its classes, which kept would take about 2 MB
 This module is the one place each theorem is checked: in particular the
 postconditions of ``bijection.decompose`` are written only in
 ``check_decomposition_typing``, and the library does not re-check them.
-That check judges each sigma1 by the run's own listing: one in the
-start-small class listed for its length is an avoider, and the generic
-matcher ``avoids`` judges only what the listing cannot, so a passing run
-never calls it.  The listing is not taken on trust:
+That check judges each sigma1 and sigma2 by the run's own listings: one
+in the start-small class listed for its length, the pair's or 123's,
+avoids that class's patterns, and the generic matchers ``avoids`` and
+``contains`` judge only what the listings cannot, so a passing run never
+calls them.  The listing is not taken on trust:
 ``check_enumeration_matches_series`` holds the enumerator to the series.
 """
 
@@ -272,18 +273,24 @@ def check_pair_roundtrip(max_total_len: int) -> CheckResult:
 
 
 def _typing_failures(max_n: int) -> Iterator[str]:
-    # Many inputs share a sigma1 or a sigma2: judge each one once, sigma1's
-    # pair avoidance and key count, sigma2's 123 containment.  A sigma1 in
-    # the start-small class of its length, listed for a shorter n, is an
-    # avoider; the matcher judges any other.
-    listed: dict[int, frozenset[Perm]] = {}
+    # Many inputs share a sigma1: judge each one once, its pair avoidance
+    # and key count.  A factor of length 1 .. max_n - 1 in the start-small
+    # class listed for its length (the pair's by this loop, which reaches
+    # each sigma1's length first; 123's by ``_once``) avoids that class's
+    # patterns; the matcher judges any other.
+    listed: dict[tuple, frozenset[Perm]] = {}  # by (patterns, length)
+
+    def in_listing(perm: Perm, patterns: tuple[Perm, ...]) -> bool:
+        key = patterns, len(perm)
+        if key not in listed and 1 <= len(perm) < max_n:
+            listed[key] = frozenset(_once(_start_small, len(perm), patterns))
+        return perm in listed.get(key, ())
 
     @functools.cache
     def judge(sigma1: Perm) -> tuple[bool, int]:
-        avoider = sigma1 in listed.get(len(sigma1), ()) or avoids(sigma1, AVOIDED_PAIR)
+        avoider = in_listing(sigma1, AVOIDED_PAIR) or avoids(sigma1, AVOIDED_PAIR)
         return avoider, len(key_mid123_entries(sigma1))
 
-    holds_123 = functools.cache(lambda sigma2: contains(sigma2, PATTERN_123))
     for n in range(1, max_n + 1):
         avoiders = _once(_start_small, n, AVOIDED_PAIR)
         for perm in avoiders:
@@ -297,13 +304,14 @@ def _typing_failures(max_n: int) -> Iterator[str]:
                 continue
             sigma1, sigma2 = step.pair
             avoider, keys = judge(sigma1)
+            avoids_123 = in_listing(sigma2, (PATTERN_123,)) or not contains(sigma2, PATTERN_123)
             postconditions = (
                 ("sigma1 length != j", len(sigma1) == step.j),
                 ("sigma2 length != n + 1 - j", len(sigma2) == n + 1 - step.j),
                 ("sigma1 not start-small", is_start_small(sigma1)),
                 ("sigma2 not start-small", is_start_small(sigma2)),
                 ("sigma1 not an avoider", avoider),
-                ("sigma2 contains 123", not holds_123(sigma2)),
+                ("sigma2 contains 123", avoids_123),
                 ("sigma1 key count != k - 1", keys == k - 1),
             )
             problems = [text for text, holds in postconditions if not holds]
@@ -313,7 +321,7 @@ def _typing_failures(max_n: int) -> Iterator[str]:
                     + "; ".join(problems)
                 )
         if n < max_n:  # a sigma1 is shorter than its input
-            listed[n] = frozenset(avoiders)
+            listed[AVOIDED_PAIR, n] = frozenset(avoiders)
 
 
 def check_decomposition_typing(max_n: int) -> CheckResult:

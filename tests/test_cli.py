@@ -91,8 +91,8 @@ def test_count_invalid_descriptor_exits_2(capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--start-small",), ("--start-small", "--k", "3")])
 def test_count_pair_past_walk_limit_exits_2(capsys, extra):
-    # The pair walk recurses once per position; past its limit it refuses
-    # up front instead of hitting Python's recursion limit (exit 3).
+    # The pair walk's cost grows about as n^4; past its limit it refuses
+    # up front, as a domain error, instead of running for days.
     code, out, err = run_cli(
         capsys, "count", "--n", "1000", "--patterns", "1243,2134", *extra
     )

@@ -1,12 +1,11 @@
 """Generation and counting of avoidance classes, against independent oracles."""
 
 import bisect
-import functools
 import inspect
 import itertools
 import math
 import random
-import types
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,6 @@ from avoiders.enumeration import (
     _pair_walk,
     _value_rules,
     count_class,
-    count_pair_avoiders,
     count_pair_avoiders_by_keys,
     enumerate_avoiders,
     enumerate_class,
@@ -590,18 +588,19 @@ def test_invalid_inputs():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pair_counter_matches_enumeration(n):
-    assert count_pair_avoiders(n) == sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))
+    counted = count_class(ClassDescriptor(n, AVOIDED_PAIR))
+    assert counted == sum(1 for _ in enumerate_avoiders(n, AVOIDED_PAIR))
 
 
 def test_pair_counter_matches_series():
     coeffs = list(gf_full(24).coeffs)
-    assert [count_pair_avoiders(n) for n in range(17)] == coeffs[:17]
-    assert count_pair_avoiders(24) == coeffs[24]
+    assert [_pair_walk(n, False, False) for n in range(17)] == coeffs[:17]
+    assert count_class(ClassDescriptor(24, AVOIDED_PAIR)) == coeffs[24]
 
 
 def test_pair_counter_rejects_negative_length():
     with pytest.raises(ValueError, match="length n must be >= 0"):
-        count_pair_avoiders(-1)
+        _pair_walk(-1, False, False)
 
 
 def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
@@ -819,7 +818,7 @@ def test_plain_pair_walk_sums_the_keyed_one():
     # With no key marker the walk stores fewer states; its counts are the
     # sums of the keyed walk's, plain and start-small.
     for n in range(31):
-        assert count_pair_avoiders(n) == sum(count_pair_avoiders_by_keys(n)), n
+        assert _pair_walk(n, False, False) == sum(count_pair_avoiders_by_keys(n)), n
         by_keys = count_pair_avoiders_by_keys(n, start_small_only=True)
         assert _pair_walk(n, True, False) == sum(by_keys), n
 
@@ -860,29 +859,53 @@ def test_key_walk_matches_lagrange_form():
             for k in range(n - 1)
         ) + (0, 0)  # k + 1 elements of length >= 2 need n + k >= 2k + 2
         assert walked == lagrange, n
-        assert sum(walked) == count_pair_avoiders(n) - count_pair_avoiders(n - 1)
+        plain = [count_class(ClassDescriptor(m, AVOIDED_PAIR)) for m in (n, n - 1)]
+        assert sum(walked) == plain[0] - plain[1]
 
 
-def test_key_walk_state_space(monkeypatch):
-    # The figures the docstring and README give: 682 memo states with k >= 2
-    # at n = 10 and 63,012 at n = 30.
-    import avoiders.enumeration as enumeration_module
+def test_key_walk_state_space():
+    # The figures the docstring and README give: the walk passes 682 states
+    # with k >= 2 at n = 10 and 63,012 at n = 30, at most 225 and 8,065 of
+    # them in one level.  A profile hook sees each level as the walk calls
+    # ``items`` on it, once per level, k = n down to 1.
+    levels = []
 
-    states = set()
+    def hook(frame, event, arg):
+        if (event == "c_call" and frame.f_code is _pair_walk.__code__
+                and getattr(arg, "__name__", None) == "items"):
+            levels.append(len(arg.__self__))
 
-    def cache(walk):
-        def spy(*state):
-            states.add(state)
-            return walk(*state)
+    for n, passed, widest in ((10, 682, 225), (30, 63012, 8065)):
+        levels.clear()
+        sys.setprofile(hook)
+        try:
+            count_pair_avoiders_by_keys(n)
+        finally:
+            sys.setprofile(None)
+        assert len(levels) == n, n
+        assert (sum(levels[:-1]), max(levels)) == (passed, widest), n
 
-        return functools.cache(spy)
 
-    spying = types.SimpleNamespace(cache=cache)
-    monkeypatch.setattr(enumeration_module, "functools", spying)
-    for n, size in ((10, 682), (30, 63012)):
-        states.clear()
-        count_pair_avoiders_by_keys(n)
-        assert sum(1 for state in states if state[0] >= 2) == size, n
+def test_pair_walks_need_no_stack():
+    # The walks go level by level, so 25 frames above the caller's are
+    # plenty: count_class and the walk take two, and the pattern checks of
+    # ClassDescriptor a few more.  A walk that recursed once per position
+    # would need 30 at n = 30 and raise RecursionError.
+    lagrange = tuple(
+        (3 * k + 3) * math.comb(59 + k, 28 - k) // (59 + k) for k in range(29)
+    ) + (0, 0)  # as in test_key_walk_matches_lagrange_form, at n = 30
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        plain = count_class(ClassDescriptor(30, AVOIDED_PAIR))
+        start_small = count_class(ClassDescriptor(30, AVOIDED_PAIR, start_small_only=True))
+        by_keys = count_pair_avoiders_by_keys(30, True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert plain == 342378241152493302  # F's coefficient
+    assert start_small == 261495087325800345  # G's coefficient
+    assert by_keys == lagrange
 
 
 def test_key_walk_small_lengths():
@@ -894,7 +917,7 @@ def test_key_walk_small_lengths():
     with pytest.raises(ValueError, match="length n must be <= 100"):
         count_pair_avoiders_by_keys(PAIR_WALK_MAX_N + 1)
     with pytest.raises(ValueError, match="length n must be <= 100"):
-        count_pair_avoiders(PAIR_WALK_MAX_N + 1)
+        count_class(ClassDescriptor(PAIR_WALK_MAX_N + 1, AVOIDED_PAIR))
 
 
 @pytest.mark.parametrize("n", range(1, 12))

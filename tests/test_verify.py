@@ -168,6 +168,32 @@ def test_typing_check_sends_an_unlisted_sigma1_to_the_matcher(monkeypatch):
     )
 
 
+def test_typing_check_judges_each_sigma2_by_its_listing(monkeypatch):
+    # Every sigma2 at n <= 8 is in the start-small 123 class listed for its
+    # length, so a passing run never calls the generic matcher (428 calls
+    # when each distinct sigma2 went to it).
+    matched = []
+    monkeypatch.setattr(verify_module, "contains", lambda *args: matched.append(args))
+    assert verify_module.check_decomposition_typing(8).passed
+    assert matched == []
+
+
+def test_typing_check_sends_an_unlisted_sigma2_to_the_matcher(monkeypatch):
+    # A start-small sigma2 of the right length that holds 123 is not in its
+    # length's listing, so the matcher judges it, and the check names it.
+    real = verify_module.decompose
+
+    def doctored(perm):
+        step = real(perm)
+        m = len(step.sigma2)
+        return step if m < 3 else dataclasses.replace(step, sigma2=tuple(range(1, m + 1)))
+
+    monkeypatch.setattr(verify_module, "decompose", doctored)
+    assert verify_module.check_decomposition_typing(6).detail == (
+        "decompose(1 3 4 2) broke its contract: sigma2 contains 123"
+    )
+
+
 def _bump_x3(build):
     def doctored(order):
         coeffs = list(build(order).coeffs)
