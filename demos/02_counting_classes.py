@@ -4,7 +4,7 @@
 # The generator builds permutations position by position and abandons any
 # prefix that already contains a forbidden pattern, so whole subtrees of the
 # search space disappear at once.  Every count here is exact.  Past the
-# reach of enumeration, the memoized counter walks the same prefix rules
+# reach of enumeration, the pair counter walks the same prefix rules
 # without listing anything and meets the generating function F; with one
 # more coordinate it also sorts what it counts by number of key entries.
 
@@ -51,7 +51,7 @@ for n in range(1, 9):
 
 # The number k of key mid-123 entries is what the bijection phi reduces
 # one at a time.  Listing the start-small avoiders of [8] and sorting them
-# by k gives the same table as the memoized walk, which lists nothing.
+# by k gives the same table as the pair walk, which lists nothing.
 print("\nstart-small avoiders of [8] by k, enumerated and walked:")
 enumerated = {}
 for perm in enumerate_class(ClassDescriptor(8, AVOIDED_PAIR, start_small_only=True)):

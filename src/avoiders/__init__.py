@@ -1,7 +1,7 @@
 """Exact enumeration of {1243, 2134}-avoiding permutations.
 
 The package has four layers: entry-level permutation predicates (``perms``),
-exhaustive class enumeration with prefix pruning, plus memoized counters
+exhaustive class enumeration with prefix pruning, plus level-by-level counters
 for the {1243, 2134} class by key mid-123 count and for the {123} class
 (``enumeration``), the length-reducing bijection onto lists of start-small
 123-avoiders (``bijection``), and exact integer power-series arithmetic for

@@ -154,7 +154,7 @@ def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int | tuple[int, 
         raise ValueError("length n must be >= 0")
     if n > PAIR_WALK_MAX_N:
         raise ValueError(
-            f"length n must be <= {PAIR_WALK_MAX_N} for the memoized pair walk, got {n}"
+            f"length n must be <= {PAIR_WALK_MAX_N} for the pair walk, got {n}"
         )
     # The statistics of ``_pair_children``, each recorded as a gap: with
     # k unused values u_1 < ... < u_k, gap g holds the placed values between

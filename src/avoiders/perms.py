@@ -19,11 +19,11 @@ whether a prefix leaves an unused value that would complete either pattern,
 and the scan refuses at the first prefix that does.  Its docstring states
 the two forbidding rules, the child rule they give, and the descent-top
 lemma that reads the new smallest descent top off two statistics; the pair
-enumerator and the memoized pair walk in ``enumeration`` cite it.  The
+enumerator and the pair walk in ``enumeration`` cite it.  The
 bijection's entry points validate with it; ``contains`` stays the
 independent oracle it is tested against.
 
-Loops that run once per entry or once per memo state (this scan, the
+Loops that run once per entry or once per walk state (this scan, the
 prefix minima of ``bijection._splits``, the pair walk in ``enumeration``)
 take the smaller of two values by comparison, ``a if a < b else b``, not by
 builtin ``min`` or ``max``: on CPython 3.11.7 the call costs about 0.13 µs

@@ -13,17 +13,18 @@ walks, the closed form) to its series.
 suite calls the individual functions with the bounds it wants.  Within one
 ``run_checks`` call each start-small class and each ``gf_full`` and
 ``gf_start_small`` series is built once and shared until the call returns;
-only the C^3 oracle streams its classes, which kept would take about 2 MB
-(the 16,794 start-small 123-avoiders of [3] .. [10]).
+a start-small class is one table from each member, in listing order, to its
+key mid-123 count.  Only the C^3 oracle streams its classes, which kept
+would take about 2 MB (the 16,794 start-small 123-avoiders of [3] .. [10]).
 
 This module is the one place each theorem is checked: in particular the
 postconditions of ``bijection.decompose`` are written only in
 ``check_decomposition_typing``, and the library does not re-check them.
-That check judges each sigma1 and sigma2 by the run's own listings: one
-in the start-small class listed for its length, the pair's or 123's,
-avoids that class's patterns, and the generic matchers ``avoids`` and
-``contains`` judge only what the listings cannot, so a passing run never
-calls them.  The listing is not taken on trust:
+That check judges each sigma1 and sigma2 by the run's own tables: one in
+the start-small table for its length, the pair's or 123's, avoids that
+class's patterns and has the key count stored there, and the generic
+matchers ``avoids`` and ``contains`` judge only what the tables cannot, so
+a passing run never calls them.  The listing is not taken on trust:
 ``check_enumeration_matches_series`` holds the enumerator to the series.
 """
 
@@ -124,7 +125,8 @@ def _routes(name: str, scope: str, *routes: tuple) -> CheckResult:
 
 #: What one ``run_checks`` call has built, by (builder, arguments); a module
 #: slot, since the public checks take only their bounds, and None outside a
-#: run.  Full classes are not kept: at ``--deep`` they would hold about 500k tuples.
+#: run.  Start-small classes are kept as keyed tables; full classes are not
+#: kept: at ``--deep`` they would hold about 500k tuples.
 _store: dict[tuple, object] | None = None
 
 
@@ -135,8 +137,14 @@ def _once(build, *args):
     return store[build, args]
 
 
-def _start_small(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    return tuple(enumerate_class(ClassDescriptor(n, patterns, start_small_only=True)))
+def _start_small(n: int, patterns: tuple[Perm, ...]) -> dict[Perm, int]:
+    # A repeat would merge silently into the table, so it is refused.
+    table: dict[Perm, int] = {}
+    for perm in enumerate_class(ClassDescriptor(n, patterns, start_small_only=True)):
+        if perm in table:
+            raise RuntimeError(f"the start-small listing of [{n}] repeats {format_perm(perm)}")
+        table[perm] = len(key_mid123_entries(perm))
+    return table
 
 
 def load_reference_sequence() -> list[int]:
@@ -273,28 +281,15 @@ def check_pair_roundtrip(max_total_len: int) -> CheckResult:
 
 
 def _typing_failures(max_n: int) -> Iterator[str]:
-    # Many inputs share a sigma1: judge each one once, its pair avoidance
-    # and key count.  A factor of length 1 .. max_n - 1 in the start-small
-    # class listed for its length (the pair's by this loop, which reaches
-    # each sigma1's length first; 123's by ``_once``) avoids that class's
-    # patterns; the matcher judges any other.
-    listed: dict[tuple, frozenset[Perm]] = {}  # by (patterns, length)
-
-    def in_listing(perm: Perm, patterns: tuple[Perm, ...]) -> bool:
-        key = patterns, len(perm)
-        if key not in listed and 1 <= len(perm) < max_n:
-            listed[key] = frozenset(_once(_start_small, len(perm), patterns))
-        return perm in listed.get(key, ())
-
-    @functools.cache
-    def judge(sigma1: Perm) -> tuple[bool, int]:
-        avoider = in_listing(sigma1, AVOIDED_PAIR) or avoids(sigma1, AVOIDED_PAIR)
-        return avoider, len(key_mid123_entries(sigma1))
+    # A factor shorter than its input and in the start-small table for its
+    # length, the pair's or 123's, avoids that class's patterns and has the
+    # key count the table holds; the matchers judge any other factor.
+    @functools.cache  # outside a run ``_once`` keeps nothing
+    def table(m: int, patterns: tuple[Perm, ...]) -> dict[Perm, int]:
+        return _once(_start_small, m, patterns)
 
     for n in range(1, max_n + 1):
-        avoiders = _once(_start_small, n, AVOIDED_PAIR)
-        for perm in avoiders:
-            k = len(key_mid123_entries(perm))
+        for perm, k in table(n, AVOIDED_PAIR).items():
             if not k:
                 continue
             try:
@@ -303,8 +298,13 @@ def _typing_failures(max_n: int) -> Iterator[str]:
                 yield str(exc)
                 continue
             sigma1, sigma2 = step.pair
-            avoider, keys = judge(sigma1)
-            avoids_123 = in_listing(sigma2, (PATTERN_123,)) or not contains(sigma2, PATTERN_123)
+            lefts = table(len(sigma1), AVOIDED_PAIR) if 0 < len(sigma1) < n else {}
+            if sigma1 in lefts:
+                avoider, keys = True, lefts[sigma1]
+            else:
+                avoider, keys = avoids(sigma1, AVOIDED_PAIR), len(key_mid123_entries(sigma1))
+            rights = table(len(sigma2), (PATTERN_123,)) if 0 < len(sigma2) < n else {}
+            avoids_123 = sigma2 in rights or not contains(sigma2, PATTERN_123)
             postconditions = (
                 ("sigma1 length != j", len(sigma1) == step.j),
                 ("sigma2 length != n + 1 - j", len(sigma2) == n + 1 - step.j),
@@ -320,8 +320,6 @@ def _typing_failures(max_n: int) -> Iterator[str]:
                     f"decompose({format_perm(perm)}) broke its contract: "
                     + "; ".join(problems)
                 )
-        if n < max_n:  # a sigma1 is shorter than its input
-            listed[AVOIDED_PAIR, n] = frozenset(avoiders)
 
 
 def check_decomposition_typing(max_n: int) -> CheckResult:
@@ -337,9 +335,9 @@ def _class_product_failures(max_n: int) -> Iterator[str]:
     count = functools.cache(count_class)
     for n in range(1, max_n + 1):
         cells = collections.Counter(
-            (len(keys), mid123_entries(perm)[-1])
-            for perm in _once(_start_small, n, AVOIDED_PAIR)
-            if (keys := key_mid123_entries(perm))
+            (k, mid123_entries(perm)[-1])
+            for perm, k in _once(_start_small, n, AVOIDED_PAIR).items()
+            if k
         )
         for k in range(1, n - 1):
             for j in range(k + 1, n):

@@ -97,7 +97,7 @@ def test_count_pair_past_walk_limit_exits_2(capsys, extra):
         capsys, "count", "--n", "1000", "--patterns", "1243,2134", *extra
     )
     assert (code, out) == (2, "")
-    assert err == "error: length n must be <= 100 for the memoized pair walk, got 1000\n"
+    assert err == "error: length n must be <= 100 for the pair walk, got 1000\n"
 
 
 def test_count_invalid_pattern_exits_2(capsys):

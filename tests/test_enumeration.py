@@ -583,7 +583,7 @@ def test_invalid_inputs():
 
 
 # ---------------------------------------------------------------------------
-# memoized pair counter
+# pair counter
 
 
 @pytest.mark.parametrize("n", range(1, 10))

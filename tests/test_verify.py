@@ -133,9 +133,10 @@ def test_broken_decomposition_fails_typing_check(monkeypatch):
 
 def test_typing_check_judges_each_sigma1_once(monkeypatch):
     # 4,626 decompositions at n <= 8 share 1,458 distinct sigma1.  Each is
-    # judged once, against the start-small class listed for its length, so
-    # on a passing run the generic matcher never runs; key entries are read
-    # off each of the 6,055 inputs and each distinct sigma1.
+    # judged by the start-small table for its length, which holds its key
+    # count, so on a passing run the generic matcher never runs; key entries
+    # are read off each of the 6,055 inputs, once by its table, and off each
+    # of the 428 members of the 123 tables of [2] .. [7].
     real = verify_module.key_mid123_entries
     matched, keyed = [], []
 
@@ -147,7 +148,56 @@ def test_typing_check_judges_each_sigma1_once(monkeypatch):
     monkeypatch.setattr(verify_module, "key_mid123_entries", spy)
     assert verify_module.check_decomposition_typing(8).passed
     assert matched == []
-    assert len(keyed) == 6055 + 1458
+    assert len(keyed) == 6055 + 428
+
+
+def test_run_checks_scans_each_table_member_once(monkeypatch):
+    # One default run reads the key entries of each start-small class member
+    # once, when its table is built, and the lemma sweep reads them off every
+    # permutation of [1] .. [8]; no check scans a listed member again.  The
+    # members of the 123 tables of [2] .. [7] are also pair-class members.
+    pair = [verify_module._start_small(n, AVOIDED_PAIR) for n in range(1, 9)]
+    only_123 = [verify_module._start_small(m, (PATTERN_123,)) for m in range(2, 8)]
+    in_123 = set().union(*only_123)
+    real = verify_module.key_mid123_entries
+    scanned = Counter()
+
+    def spy(perm):
+        scanned[perm] += 1
+        return real(perm)
+
+    monkeypatch.setattr(verify_module, "key_mid123_entries", spy)
+    assert all(r.passed for r in run_checks())
+    assert in_123 <= set().union(*pair)
+    assert all(scanned[perm] == 2 + (perm in in_123) for table in pair for perm in table)
+    assert sum(scanned.values()) == 52716
+
+
+@pytest.mark.parametrize(
+    "member",
+    [(5, 6, 4, 3, 2, 1), (1, 5, 4, 3, 2, 6)],  # no key entry; one
+)
+def test_repeated_listing_member_is_an_internal_error(monkeypatch, capsys, member):
+    # A table would merge a repeated member silently: the repeat of an
+    # unkeyed member would change no count, and that of a keyed one only a
+    # class-product cell.  Building the table refuses either, and verify
+    # exits 3 with one line.
+    real = verify_module.enumerate_class
+
+    def doctored(descriptor):  # the pair's start-small [6] lists member twice
+        listing = real(descriptor)
+        if (descriptor.n, descriptor.patterns) == (6, AVOIDED_PAIR):
+            return [*listing, member]
+        return listing
+
+    monkeypatch.setattr(verify_module, "enumerate_class", doctored)
+    shown = " ".join(map(str, member))
+    with pytest.raises(RuntimeError, match=rf"^the start-small listing of \[6\] repeats {shown}$"):
+        verify_module._start_small(6, AVOIDED_PAIR)
+    assert main(["verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: the start-small listing of [6] repeats {shown}\n"
 
 
 def test_typing_check_sends_an_unlisted_sigma1_to_the_matcher(monkeypatch):
