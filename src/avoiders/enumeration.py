@@ -57,7 +57,12 @@ key mid-123 entries without listing it: a walk over the pair rule's prefix
 statistics, each kept only as the gap it falls in between consecutive
 unused values, plus the gap of the previous entry.  It runs forward like
 the count by gap state, one level of live prefix states per number of
-unused values, so it holds two levels and needs no recursion.  It is a
+unused values, so it holds two levels and needs no recursion.  A state's
+children form two runs, new prefix minima and mid-123 entries, and at most
+two single children, and each run depends on the state only through the
+gaps (low, s12) or (low, min(s12, m21)); so each level sums its states'
+counts per run and writes each run's children once per sum, and the walk
+is O(n^4), in step with its number of states, not k times that.  It is a
 separate transcription of the pair rule, so that the enumerator stays an
 independent check on it; a step function shared by both also slows the
 walk.  The plain pair counts of ``count_class`` run the same walk with no
@@ -93,7 +98,9 @@ from .perms import (
 
 
 #: Largest n that the pair walk accepts, a bound on its cost, not on any
-#: stack: its states grow about as n^4 (see ``count_pair_avoiders_by_keys``).
+#: stack: its states and its time grow about as n^4 (see
+#: ``count_pair_avoiders_by_keys``), and n = 100 takes about 8 s plain, or
+#: 26 s keyed and start-small (2-vCPU host, Python 3.11.7).
 PAIR_WALK_MAX_N = 100
 
 #: Most unused values a prefix may have to take its completions from a block
@@ -135,9 +142,10 @@ def count_pair_avoiders_by_keys(
     ones count (the empty permutation is one, as in the series G).
 
     The walk goes level by level and holds two levels at a time.  Its
-    cost grows fast: n = 40 passes 202,652 states with k >= 2, at most
-    19,685 of them in one level, and their number grows about as n^4, so n
-    is limited to ``PAIR_WALK_MAX_N`` (100); a larger n raises ``ValueError``.
+    cost grows as its states: n = 40 passes 202,652 states with k >= 2, at
+    most 19,685 of them in one level, and their number and the walk's time
+    grow about as n^4, so n is limited to ``PAIR_WALK_MAX_N`` (100); a
+    larger n raises ``ValueError``.
 
     >>> count_pair_avoiders_by_keys(5)
     (42, 34, 10, 1, 0, 0)
@@ -185,23 +193,50 @@ def _pair_walk(n: int, start_small_only: bool, keyed: bool) -> int | tuple[int, 
     # Level k maps the state (low, s12, m21, last) of each live prefix with
     # k unused values to the count of those prefixes, starting at the root;
     # every member ends in the one state at k = 0.
+    #
+    # A state's live children are i = 1 .. min(k, s12 + 1), as low <= s12
+    # and low <= k, and they fall into two runs and at most two single
+    # children.  For i <= low, v is the new prefix minimum and s12 stays:
+    # the child (i - 1, s12 - 1, low - 1, i - 1) reads the state only
+    # through (low, s12).  For low < i <= min(x, k - 1), x = min(s12, m21),
+    # v is a mid-123 entry and the new s12: the child
+    # (low, i - 1, x - 1, i - 1 or low) reads it only through (low, x) and
+    # whether v is a key entry, which holds iff last == low, as s12 >= i.
+    # The singles are i = k for low < k <= s12 + 1, a right-to-left
+    # maximum, and i = s12 + 1 for low <= s12 < m21 and s12 + 1 < k, a key
+    # mid-123 entry as last <= s12.  So one pass sums each state's count,
+    # shifted if a key, into its two runs and writes its singles, and each
+    # run is written once per sum: a level costs its states plus k times
+    # its O(k^2) sums, so the walk is O(n^4), in step with its states.
     width = math.factorial(n).bit_length() if keyed else 0
     level = {(n, n, n, n): 1}
     for k in range(n, 0, -1):
         below: dict[tuple[int, int, int, int], int] = {}
-        get = below.get
+        minima: dict[tuple[int, int], int] = {}  # by (low, s12)
+        mids: dict[tuple[int, int], int] = {}  # by (low, x)
+        get, min_get, mid_get = below.get, minima.get, mids.get
         for (low, s12, m21, last), count in level.items():
-            for i in range(1, (k if k <= s12 else s12 + 1) + 1):
-                if low >= i:  # v is the new prefix minimum; s12 stays
-                    child = (i - 1, s12 - 1, low - 1, i - 1)
-                    below[child] = get(child, 0) + count
-                elif i == k:  # v is the largest unused value: a right-to-left maximum
-                    child = (low, i - 1, m21 if m21 < i else i - 1, low)
-                    below[child] = get(child, 0) + count
-                elif m21 >= i:  # a mid-123 entry, and the new s12
-                    child_m21 = (s12 if i <= s12 < m21 else m21) - 1
-                    child = (low, i - 1, child_m21, i - 1 if width else low)
-                    below[child] = get(child, 0) + (count << width if last < i else count)
+            if low:
+                run = (low, s12)
+                minima[run] = min_get(run, 0) + count
+            x = s12 if s12 < m21 else m21
+            if low < x and low < k - 1:
+                run = (low, x)
+                mids[run] = mid_get(run, 0) + (count << width if last == low else count)
+            if low < k <= s12 + 1:
+                child = (low, k - 1, m21 if m21 < k else k - 1, low)
+                below[child] = get(child, 0) + count
+            if low <= s12 < m21 and s12 < k - 1:
+                child = (low, s12, m21 - 1, s12 if width else low)
+                below[child] = get(child, 0) + (count << width)
+        for (low, s12), count in minima.items():
+            for g in range(low):  # g = i - 1, the gap v lands in
+                child = (g, s12 - 1, low - 1, g)
+                below[child] = get(child, 0) + count
+        for (low, x), count in mids.items():
+            for g in range(low, x if x < k else k - 1):
+                child = (low, g, x - 1, g if width else low)
+                below[child] = get(child, 0) + count
         if start_small_only and k == n:
             del below[(n - 1,) * 4]  # the root's child that places n; no other has it
         level = below

@@ -823,6 +823,45 @@ def test_plain_pair_walk_sums_the_keyed_one():
         assert _pair_walk(n, True, False) == sum(by_keys), n
 
 
+def _reference_pair_walk(n, start_small_only, keyed):
+    # The pair walk's level step taken child by child: each state steps its
+    # count to every live child i = 1 .. min(k, s12 + 1) on its own, so a
+    # level costs its states times k.  The walk sums runs of those children
+    # instead, and must give the same counts.
+    width = math.factorial(n).bit_length() if keyed else 0
+    level = {(n, n, n, n): 1}
+    for k in range(n, 0, -1):
+        below = {}
+        for (low, s12, m21, last), count in level.items():
+            for i in range(1, min(k, s12 + 1) + 1):
+                if low >= i:  # v is the new prefix minimum; s12 stays
+                    child = (i - 1, s12 - 1, low - 1, i - 1)
+                    below[child] = below.get(child, 0) + count
+                elif i == k:  # v is the largest unused value: a right-to-left maximum
+                    child = (low, i - 1, min(m21, i - 1), low)
+                    below[child] = below.get(child, 0) + count
+                elif m21 >= i:  # a mid-123 entry, the new s12, and a key one iff last < i
+                    child_m21 = (s12 if i <= s12 < m21 else m21) - 1
+                    child = (low, i - 1, child_m21, i - 1 if width else low)
+                    below[child] = below.get(child, 0) + (count << width if last < i else count)
+        if start_small_only and k == n:
+            del below[(n - 1,) * 4]
+        level = below
+    total = sum(level.values())
+    if not keyed:
+        return total
+    mask = (1 << width) - 1
+    return tuple(total >> (width * keys) & mask for keys in range(n + 1))
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+@pytest.mark.parametrize("start_small_only", [False, True])
+def test_pair_walk_matches_child_by_child_step(start_small_only, keyed):
+    for n in range(21):
+        expected = _reference_pair_walk(n, start_small_only, keyed)
+        assert _pair_walk(n, start_small_only, keyed) == expected, n
+
+
 def _pair_avoiders_by_keys(n):
     # Brute force: every avoider of [n] and the start-small ones, bucketed by
     # their number of key mid-123 entries.
@@ -867,12 +906,15 @@ def test_key_walk_state_space():
     # The figures the docstring and README give: the walk passes 682 states
     # with k >= 2 at n = 10 and 63,012 at n = 30, at most 225 and 8,065 of
     # them in one level.  A profile hook sees each level as the walk calls
-    # ``items`` on it, once per level, k = n down to 1.
+    # ``items`` on it, once per level, k = n down to 1; the walk's run sums
+    # also have ``items`` called, so the hook keeps only the call on the
+    # walk's ``level``.
     levels = []
 
     def hook(frame, event, arg):
         if (event == "c_call" and frame.f_code is _pair_walk.__code__
-                and getattr(arg, "__name__", None) == "items"):
+                and getattr(arg, "__name__", None) == "items"
+                and arg.__self__ is frame.f_locals["level"]):
             levels.append(len(arg.__self__))
 
     for n, passed, widest in ((10, 682, 225), (30, 63012, 8065)):
