@@ -33,16 +33,16 @@ for n in range(1, 9):
 # Where two routes to one number part, the demo says so and exits non-zero.
 differ = []
 
-print("\nmemoized counter next to the series F, n = 0..20:")
+print("\npair walk next to the series F, n = 0..20:")
 series = gf_full(20).coeffs
 for n in range(21):
     if n:
-        memo = count_class(ClassDescriptor(n, AVOIDED_PAIR))
+        walked = count_class(ClassDescriptor(n, AVOIDED_PAIR))
     else:  # the empty permutation is no class; the keyed walk counts it
-        memo = sum(count_pair_avoiders_by_keys(0))
-    if memo != series[n]:
-        differ.append(f"memo counter and F at n={n}")
-    print(f"  n={n}: {memo}  F: {series[n]}  {'ok' if memo == series[n] else 'DIFFER'}")
+        walked = sum(count_pair_avoiders_by_keys(0))
+    if walked != series[n]:
+        differ.append(f"pair walk and F at n={n}")
+    print(f"  n={n}: {walked}  F: {series[n]}  {'ok' if walked == series[n] else 'DIFFER'}")
 
 print("\nthe same, restricted to start-small permutations:")
 for n in range(1, 9):

@@ -184,7 +184,7 @@ def check_enumeration_matches_series(max_n: int) -> CheckResult:
     ))
 
 
-def check_memo_matches_series(max_n: int) -> CheckResult:
+def check_walk_matches_series(max_n: int) -> CheckResult:
     """``count_class``, the code behind ``avoiders count``, meets each walked
     class's series for 1 <= n <= max_n: pair F (G start-small), 123 C ((1-x)C
     start-small).  ``check_enumeration_matches_series`` ties F to brute force."""
@@ -194,8 +194,8 @@ def check_memo_matches_series(max_n: int) -> CheckResult:
     f, g = _once(gf_full, max_n).coeffs, _once(gf_start_small, max_n).coeffs
     c = catalan_series(max_n)
     return _routes(
-        "memo_matches_series", f"n<={max_n}",
-        (1, walk(AVOIDED_PAIR), f, "n={n}: memo counter gives {a}, series gives {b}"),
+        "walk_matches_series", f"n<={max_n}",
+        (1, walk(AVOIDED_PAIR), f, "n={n}: pair walk gives {a}, series gives {b}"),
         (1, walk(AVOIDED_PAIR, True), g, "n={n}: start-small walk gives {a}, G gives {b}"),
         (1, walk((PATTERN_123,)), c.coeffs, "n={n}: 123 walk gives {a}, C gives {b}"),
         (1, walk((PATTERN_123,), True), (c * poly(max_n, 1, -1)).coeffs,
@@ -438,7 +438,7 @@ def run_checks(max_n: int = 8, order: int = 100, deep: bool = False) -> list[Che
         return [
             check_reference_counts(order),
             check_enumeration_matches_series(oracle_n),
-            check_memo_matches_series(20 if deep else 12),
+            check_walk_matches_series(20 if deep else 12),
             check_no_key_implies_123_avoiding(max_n),
             check_unique_entry_above_last_mid123(max_n),
             check_phi_roundtrip(max_n),

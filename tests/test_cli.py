@@ -539,7 +539,7 @@ def test_verify_json(capsys):
 
 # sha256 of verify's stdout, recorded before the decomposition's
 # postconditions moved from the bijection module into the verify battery and
-# before the memo_matches_series check existed; the test takes that check's
+# before the walk_matches_series check existed; the test takes that check's
 # line (or JSON entry) out before hashing and checks it on its own.
 VERIFY_SHA256 = {
     ("--max-n", "5", "--order", "30"):
@@ -550,19 +550,19 @@ VERIFY_SHA256 = {
 }
 
 
-MEMO_CHECK = {"name": "memo_matches_series", "scope": "n<=12", "passed": True, "detail": ""}
+WALK_CHECK = {"name": "walk_matches_series", "scope": "n<=12", "passed": True, "detail": ""}
 
 
-def _split_memo_check(out, as_json):
-    # verify's output without the memo check, and what it said about it.
+def _split_walk_check(out, as_json):
+    # verify's output without the walk check, and what it said about it.
     if as_json:
         payload = json.loads(out)
-        memo = [c for c in payload["checks"] if c["name"] == MEMO_CHECK["name"]]
-        payload["checks"] = [c for c in payload["checks"] if c not in memo]
-        return json.dumps(payload, indent=2) + "\n", memo
+        walk = [c for c in payload["checks"] if c["name"] == WALK_CHECK["name"]]
+        payload["checks"] = [c for c in payload["checks"] if c not in walk]
+        return json.dumps(payload, indent=2) + "\n", walk
     lines = out.splitlines(keepends=True)
-    memo = [line for line in lines if line.startswith(MEMO_CHECK["name"] + " ")]
-    return "".join(line for line in lines if line not in memo), memo
+    walk = [line for line in lines if line.startswith(WALK_CHECK["name"] + " ")]
+    return "".join(line for line in lines if line not in walk), walk
 
 
 @pytest.mark.parametrize("flags", sorted(VERIFY_SHA256))
@@ -570,12 +570,12 @@ def test_verify_golden_digest(capsys, flags):
     code, out, _ = run_cli(capsys, "verify", *flags)
     assert code == 0
     as_json = "--json" in flags
-    rest, memo = _split_memo_check(out, as_json)
+    rest, walk = _split_walk_check(out, as_json)
     assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_SHA256[flags]
     if as_json:
-        assert memo == [MEMO_CHECK]
+        assert walk == [WALK_CHECK]
     else:
-        assert [line.split() for line in memo] == [["memo_matches_series", "n<=12", "pass"]]
+        assert [line.split() for line in walk] == [["walk_matches_series", "n<=12", "pass"]]
 
 
 @pytest.mark.parametrize("order", range(4))

@@ -50,7 +50,7 @@ def test_demo_runs_cleanly(demo):
     "name, shown, error",
     [
         ("02_counting_classes.py", "  n=5: 87  F: 88  DIFFER",
-         "routes differ: memo counter and F at n=5"),
+         "routes differ: pair walk and F at n=5"),
         ("04_generating_functions.py", "routes agree to order 20 -> False",
          "identities fail: G / (1-x) == F; routes agree to order 20; "
          "brute force n<=7: [1, 1, 2, 6, 22, 87, 354, 1459]"),

@@ -18,7 +18,7 @@ from avoiders.verify import (
     check_closed_form_match,
     check_enumeration_matches_series,
     check_golden_examples,
-    check_memo_matches_series,
+    check_walk_matches_series,
     check_reference_counts,
     check_series_identities,
     load_reference_sequence,
@@ -37,7 +37,7 @@ def test_reference_sequence_fixture():
 
 def test_individual_checks_pass():
     assert check_reference_counts().passed
-    assert check_memo_matches_series(20).passed
+    assert check_walk_matches_series(20).passed
     assert check_golden_examples().passed
     assert check_closed_form_match(50).passed
 
@@ -99,8 +99,8 @@ def test_series_mismatches_name_first_index(monkeypatch):
         == "n=4: enumeration counts 22, series gives 23"
     )
     assert (
-        check_memo_matches_series(6).detail
-        == "n=4: memo counter gives 22, series gives 23"
+        check_walk_matches_series(6).detail
+        == "n=4: pair walk gives 22, series gives 23"
     )
 
 
@@ -266,7 +266,7 @@ def _no_123_classes(real):
 
 
 def _swap_slices_0_and_1(real):
-    # Every sum over k stays, so the memo rows cannot see it.
+    # Every sum over k stays, so the walk rows cannot see it.
     def doctored(n, start_small_only=False):
         by_keys = real(n, start_small_only)
         return (by_keys[1], by_keys[0], *by_keys[2:])
@@ -280,8 +280,8 @@ def _guard_trips(real):
 
 
 #: Doctored counting paths behind ``avoiders count`` that only the rows of
-#: ``check_memo_matches_series`` see, with the detail each row gives.
-MEMO_DOCTORS = [
+#: ``check_walk_matches_series`` see, with the detail each row gives.
+WALK_DOCTORS = [
     ("enumeration._count_123_avoiders",
      lambda real: lambda n, start_small_only: real(n, start_small_only) + (n == 7),
      "n=7: 123 walk gives 430, C gives 429"),
@@ -341,8 +341,8 @@ def _doctor(monkeypatch, binding, doctor):
          "[x^1]C^3 = 3 but [3] has 4 start-small 123-avoiders"),
         ("gf_elements", _bump_x3,
          "check_series_identities", 10, "x*C^3 != gf_elements"),
-        *((binding, doctor, "check_memo_matches_series", 12, detail)
-          for binding, doctor, detail in MEMO_DOCTORS),
+        *((binding, doctor, "check_walk_matches_series", 12, detail)
+          for binding, doctor, detail in WALK_DOCTORS),
     ],
 )
 def test_doctored_binding_gives_exact_detail(monkeypatch, binding, doctor, check, bound, detail):
@@ -355,14 +355,14 @@ def test_doctored_binding_gives_exact_detail(monkeypatch, binding, doctor, check
     assert result.detail == detail
 
 
-@pytest.mark.parametrize("binding, doctor, detail", MEMO_DOCTORS)
+@pytest.mark.parametrize("binding, doctor, detail", WALK_DOCTORS)
 def test_doctored_count_path_fails_verify(monkeypatch, capsys, binding, doctor, detail):
     # The CLI's counting paths are part of the battery: a doctored one makes
     # ``avoiders verify`` exit 1, whatever bounds it is given.
     _doctor(monkeypatch, binding, doctor)
     assert main(["verify", "--max-n", "3", "--order", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].split(None, 3) == ["memo_matches_series", "n<=12", "FAIL", detail]
+    assert lines[2].split(None, 3) == ["walk_matches_series", "n<=12", "FAIL", detail]
     assert lines[-1] == "overall: FAIL"
 
 
