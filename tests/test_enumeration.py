@@ -906,9 +906,8 @@ def test_key_walk_state_space():
     # The figures the docstring and README give: the walk passes 682 states
     # with k >= 2 at n = 10 and 63,012 at n = 30, at most 225 and 8,065 of
     # them in one level.  A profile hook sees each level as the walk calls
-    # ``items`` on it, once per level, k = n down to 1; the walk's run sums
-    # also have ``items`` called, so the hook keeps only the call on the
-    # walk's ``level``.
+    # ``items`` on it, once per level, k = n down to 1; the walk also calls
+    # ``items`` on its run sums, so the hook keeps only the call on ``level``.
     levels = []
 
     def hook(frame, event, arg):
