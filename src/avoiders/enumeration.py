@@ -23,34 +23,38 @@ are ordered as it is against the newest entry.  The naive filter over all
 n! permutations with ``contains`` is kept as an independent debug oracle.
 
 A live prefix's completions depend only on its gap state: the number k of
-unused values, and the gap each statistic of the rule's state falls in
-among the sorted unused values.  A child rule reads values only by
-comparing them, and takes minima or maxima of statistics, so it acts alike
-on any two prefixes with one gap state and on their canonical
-order-isomorphic instance: unused values 2, 4, ..., 2k, and a statistic in
-gap g as 2g + 1 (a falling rule's 0 for none is in gap 0).  So each rule
-answers once per call per gap state of its own, on that instance, and the
-generator carries gap states: a node takes its children's from the answer,
-and only the root's is worked out from values.  Composed rules keep the
-children every rule keeps, by index, and a composed gap state holds one
-per rule, so {1243, 2134, 4321} at n = 8 asks the pair rule 253 times and
-the 4321 rule 92 times, though the two meet in 509 gap states.  For a
-class with no patterns left to test (as the pair, {123} or
-{1243, 2134, 4321}) a prefix with 2 to ``_BLOCK_K`` = 4 unused values
-opens no node: its completions are its gap state's *block*, built once per
-call as getters of positions in the sorted unused values.  The generator
-yields chunks, a prefix and its block's tails, each tails tuple made once
-per unused values and gap state.  A pair block holds at most f(4) = 22
+unused values u_0 < ... < u_(k-1), and the gap each statistic of the rule's
+state falls in among them, gap g when g unused values lie below it (none
+yet is gap k, or gap 0 for a falling rule's).  A child rule reads values
+only by comparing them, and takes minima or maxima of statistics, so each
+rule is stated on gap states: placing u_i moves every statistic in gap g to
+g - (g > i), and u_i itself lands in gap i.  Each rule answers once per
+call per gap state of its own, and the generator carries gap states: a
+node takes its children's from the answer, and only the root's is worked
+out from values.  Composed rules keep the children every rule keeps, by
+index, and a composed gap state holds one per rule, so
+{1243, 2134, 4321} at n = 8 asks the pair rule 253 times and the 4321 rule
+92 times, though the two meet in 509 gap states.  For a class with no
+patterns left to test (as the pair, {123} or {1243, 2134, 4321}) a prefix
+of a member of [n] with 2 to K = min(6, max(4, n - 4)) unused values opens
+no node: its completions are its gap state's *block*, built once per call
+as getters of positions in the sorted unused values.  The generator yields
+chunks, a prefix and its block's tails, each tails tuple made once per
+unused values and gap state.  A pair block holds at most f(6) = 354
 completions.  Building costs the same at any n, so larger blocks pay off
-only at larger n: for the pair, 4 is the fastest bound at n = 8 and 6 at
-n = 10.  The blocks run the value-level rule itself, not the pair walk's
-translation of it into gaps, so the enumerator stays an independent check
-on that walk.  Counting runs forward over the same answers: the number of
-live prefixes in each gap state, level by level from the root, summed at
-the last level, the counting side of Zeilberger's enumeration schemes
-("Enumeration schemes and, more importantly, their automatic generation",
-1998); with it ``count_class`` counts {4321} at n = 20, 1.6e14 members, in
-about 0.02 s.
+only at larger n: listing the pair, 4 is the fastest bound at n = 8, 5 at
+n = 9 and 6 from n = 10 to 11, and 7 saves little at n = 12 for about half
+again the memory.  The enumerator's pair rule lists a state's children one
+at a time and shares no code with the pair walk, which sums runs of them,
+so the enumerator stays an independent check on that walk; it is held in
+turn to the naive filter, and to the series by verify's
+enumeration_matches_series, and the tests hold each gap rule to its
+value-level form on a canonical instance.  Counting runs forward over the
+same answers: the number of live prefixes in each gap state, level by
+level from the root, summed at the last level, the counting side of
+Zeilberger's enumeration schemes ("Enumeration schemes and, more
+importantly, their automatic generation", 1998); with it ``count_class``
+counts {4321} at n = 20, 1.6e14 members, in about 0.01 s.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a walk over the pair rule's prefix
@@ -70,14 +74,13 @@ key marker, which stores every previous entry's gap as the prefix
 minimum's, so fewer states differ (253 against 273 at n = 8).  A loop of
 prefix sums over the states of a smaller walk counts the {123} class in
 O(n^2) time.  Both walks beat the count by gap state, which asks the
-value-level rules.  ``count_class`` documents which count it runs.  The
-rules' answers, blocks, tails and counts, and the walks' levels, live for
-one call.
+rules one state at a time.  ``count_class`` documents which count it
+runs.  The rules' answers, blocks, tails and counts, and the walks'
+levels, live for one call.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -103,9 +106,11 @@ from .perms import (
 #: 26 s keyed and start-small (2-vCPU host, Python 3.11.7).
 PAIR_WALK_MAX_N = 100
 
-#: Most unused values a prefix may have to take its completions from a block
-#: (see the module docstring).
-_BLOCK_K = 4
+
+def _block_k(n: int) -> int:
+    # Most unused values a prefix of a member of [n] may have to take its
+    # completions from a block (see the module docstring).
+    return min(6, max(4, n - 4))
 
 
 def enumerate_avoiders(
@@ -264,7 +269,7 @@ def _count_123_avoiders(n: int, start_small_only: bool) -> int:
     return row[-1] - last if start_small_only else row[-1]
 
 
-def _value_rules(n: int, patterns: tuple) -> tuple[list[tuple], list[tuple]]:
+def _gap_rules(n: int, patterns: tuple) -> tuple[list[tuple], list[tuple]]:
     # A normalized set's child rules, each with the gaps of its root's
     # statistics, and the patterns left for the matcher.  At the root each
     # statistic is none yet: gap n, or 0 for a falling rule's.
@@ -285,14 +290,11 @@ def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
     # A normalized set's children on gap states, its root gap state and the
     # patterns left for the matcher.  ``children(key)`` maps the index of
     # each live child of gap state ``key``, by increasing value, to the
-    # child's gap state.  Each rule answers once per gap state of its own
-    # for the caller's call; rules compose two at a time, on pairs of gap
-    # states, keeping the indices both keep.
-    rules, others = _value_rules(n, patterns)
-    parts = [
-        (functools.cache(functools.partial(_child_keys, rule)), (n, *root))
-        for rule, root in rules
-    ]
+    # child's gap state.  Each rule is cached for the caller's call, so it
+    # answers once per gap state of its own; rules compose two at a time,
+    # on pairs of gap states, keeping the indices both keep.
+    rules, others = _gap_rules(n, patterns)
+    parts = [(functools.cache(rule), (n, *root)) for rule, root in rules]
     children, key = parts[0]
     for answer, root in parts[1:]:
         children, key = functools.partial(_composed_keys, children, answer), (key, root)
@@ -308,10 +310,11 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
     # ``prefix[:d]`` and ``key`` the gap state of the newest one.  A live
     # prefix with one unused value u is the chunk of one tail (u,): the rule
     # keeps u from completing its own patterns, and the check against
-    # ``patterns`` the rest.  The run heads, the pinned letters, the blocks
-    # and their tails are as in the module docstring; ``blocks`` and
-    # ``made`` hold them for this call only.
+    # ``patterns`` the rest.  The run heads, the pinned letters, the blocks,
+    # their bound ``most`` (K of the module docstring) and their tails are
+    # as there; ``blocks`` and ``made`` hold them for this call only.
     children, key, patterns = _class_rule(n, patterns)
+    most = _block_k(n)
     sides = {
         rises: [q for q in patterns if len(q) >= 2 and (q[-2] < q[-1]) == rises]
         for rises in (False, True)
@@ -335,7 +338,7 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
                 below = v
         if live and len(unused) == 1:
             yield tuple(prefix), ((unused[0],),)
-        elif live and not patterns and len(unused) <= _BLOCK_K:
+        elif live and not patterns and len(unused) <= most:
             here = (tuple(unused), key)
             tails = made.get(here)
             if tails is None:
@@ -356,19 +359,6 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
             stack.pop()
         else:
             return
-
-
-def _child_keys(children: Callable, key: tuple[int, ...]) -> dict[int, tuple]:
-    # The live children of gap state ``key`` under the value-level rule
-    # ``children``, by increasing value: each one's index to its gap state,
-    # from the canonical instance.  After placing v = 2i + 2, a child
-    # statistic x has gap (x - 1) // 2 - (x > v).  A range stands in for the
-    # unused list.
-    k, state = key[0], tuple([2 * g + 1 for g in key[1:]])
-    return {
-        i: (k - 1, *[(x - 1) // 2 - (x > 2 * i + 2) for x in child])
-        for i, child in children(state, range(2, 2 * k + 1, 2))
-    }
 
 
 def _composed_keys(first: Callable, second: Callable, key: tuple) -> dict[int, tuple]:
@@ -414,61 +404,67 @@ def _count_by_gap_state(
     return sum(level.values())
 
 
-def _pair_children(
-    state: tuple[int, int, int], unused: list[int]
-) -> list[tuple[int, tuple[int, int, int]]]:
+def _pair_children(key: tuple[int, int, int, int]) -> dict[int, tuple]:
     # The pair's child rule, as the ``perms.avoids_pair`` docstring states
-    # it, on three of that scan's statistics, with n + 1 for "none yet":
-    # prefix_min (its ``lowest``), s12 and m21.  The prefix is live, so a
-    # child is live iff placing v forbids nothing: v > s12 only as the
-    # smallest unused value above s12, and v > m21 only as the largest
-    # unused value.  The new m21 is the same docstring's descent-top lemma:
-    # the smallest of m21 and the least statistic above v.
-    prefix_min, s12, m21 = state
-    top = unused[-1]
-    live = []
-    for i, v in enumerate(unused):
-        if v < m21 or v == top:
-            if v < prefix_min:
-                live.append((i, (v, s12, prefix_min if prefix_min < m21 else m21)))
-            elif v < s12:
-                live.append((i, (prefix_min, v, s12 if s12 < m21 else m21)))
-            else:
-                live.append((i, state))
-        if v > s12:  # the smallest unused value above s12 was the last one
-            break
+    # it, on the gaps of three of that scan's statistics: prefix_min (its
+    # ``lowest``), s12 and m21, each gap k for none yet.  The prefix is
+    # live, so a child is live iff placing u_i forbids nothing: past s12
+    # only as the smallest unused value above s12, and past m21 only as the
+    # largest unused value.  The new m21 is the same docstring's descent-top
+    # lemma: the smallest of m21 and the least statistic above u_i, taken
+    # before the shift.  A descent top exceeds the value after it, so
+    # low <= m21, and low <= s12.
+    k, low, s12, m21 = key
+    live = {}
+    for i in range(s12 + 1 if s12 < k else k):
+        if i < m21 or i == k - 1:
+            if i < low:  # the new prefix minimum
+                live[i] = (k - 1, i, s12 - 1, low - 1)
+            elif i < s12:  # the new s12
+                x = s12 if s12 < m21 else m21
+                live[i] = (k - 1, low, i, x - (x > i))
+            else:  # i == s12
+                live[i] = (k - 1, low, s12, m21 - (m21 > i))
     return live
 
 
-def _monotone_children(rising: bool, state: tuple, unused: list[int]) -> list[tuple]:
-    # The rule of 12...m (``rising``) or m...1, m >= 2, on the prefix's first
-    # m - 2 patience-pile tops: the smallest (rising) or largest last value of
-    # a monotone run of each length, n + 1 or 0 for none.  v tops the first
-    # pile whose top it undercuts.  The prefix is live, so no unused value
-    # lands past pile m - 1, and v keeps it so iff v lands on one of the first
-    # m - 2 piles or is the largest (rising) or smallest unused value.
+def _monotone_children(rising: bool, key: tuple[int, ...]) -> dict[int, tuple]:
+    # The rule of 12...m (``rising``) or m...1, m >= 2, on the gaps of the
+    # prefix's first m - 2 patience-pile tops: the smallest (rising) or
+    # largest last value of a monotone run of each length, gap k or 0 for
+    # none.  u_i tops the first pile whose top it undercuts, so pile j takes
+    # the indices between the gaps of its neighbouring tops.  The prefix is
+    # live, so no unused value lands past pile m - 1, and u_i keeps it so iff
+    # it lands on one of the first m - 2 piles or is the largest (rising) or
+    # smallest unused value, which takes pile m - 1.  The tops on one side
+    # of u_i keep their gaps, those on the other lose one.
+    k, *tops = key
+    live = {}
     if rising:
-        live, hi = [], 0
-        for j, top in enumerate(state):
-            lo, hi = hi, bisect.bisect_left(unused, top, hi)
-            head, tail = state[:j], state[j + 1 :]
-            live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
-        if hi < len(unused):  # the largest lands on pile m - 1
-            live.append((len(unused) - 1, state))
+        lo = 0
+        for j, hi in enumerate(tops):
+            head, tail = tops[:j], [g - 1 for g in tops[j + 1 :]]
+            for i in range(lo, hi):
+                live[i] = (k - 1, *head, i, *tail)
+            lo = hi
+        if lo < k:  # the largest lands on pile m - 1
+            live[k - 1] = (k - 1, *tops)
         return live
-    k = len(unused)
-    hi = bisect.bisect_left(unused, state[-1]) if state else k
-    live = [(0, state)] if hi else []  # the smallest lands on pile m - 1
-    for j in reversed(range(len(state))):  # the values between tops j and j - 1
-        lo, hi = hi, bisect.bisect_left(unused, state[j - 1], hi) if j else k
-        head, tail = state[:j], state[j + 1 :]
-        live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
+    hi = tops[-1] if tops else k
+    if hi:  # the smallest lands on pile m - 1
+        live[0] = (k - 1, *[g - 1 for g in tops])
+    for j in reversed(range(len(tops))):  # the indices between tops j and j - 1
+        lo, hi = hi, tops[j - 1] if j else k
+        head, tail = [g - 1 for g in tops[:j]], tops[j + 1 :]
+        for i in range(lo, hi):
+            live[i] = (k - 1, *head, i, *tail)
     return live
 
 
-def _all_children(state: tuple[()], unused: list[int]) -> list[tuple[int, tuple[()]]]:
+def _all_children(key: tuple[int]) -> dict[int, tuple[int]]:
     # No rule: every unused value is entered.
-    return [(i, ()) for i in range(len(unused))]
+    k = key[0]
+    return dict.fromkeys(range(k), (k - 1,))
 
 
 @dataclass(frozen=True)

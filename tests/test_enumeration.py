@@ -1,6 +1,7 @@
 """Generation and counting of avoidance classes, against independent oracles."""
 
 import bisect
+import functools
 import inspect
 import itertools
 import math
@@ -12,13 +13,13 @@ import pytest
 
 from avoiders.enumeration import (
     PAIR_WALK_MAX_N,
-    _BLOCK_K,
     ClassDescriptor,
     _block,
+    _block_k,
     _class_rule,
     _count_by_gap_state,
+    _gap_rules,
     _pair_walk,
-    _value_rules,
     count_class,
     count_pair_avoiders_by_keys,
     enumerate_avoiders,
@@ -303,11 +304,6 @@ def _gap_state(state, unused):
     return (len(unused), *[bisect.bisect_left(unused, s) for s in state])
 
 
-def _child_gap_states(kids, unused):
-    # Each child of a rule's answer as its index and its gap state.
-    return [(i, _gap_state(child, unused[:i] + unused[i + 1 :])) for i, child in kids]
-
-
 def _pair_statistics(prefix, n):
     # The pair rule's state by its definition: the prefix minimum and the
     # smallest tops of a rise and of a descent, n + 1 for none.
@@ -341,19 +337,19 @@ def _pair_and_4321_statistics(prefix, n):
 
 
 def _rule_asks(n, patterns, statistics):
-    # Brute force: every live prefix with more than ``_BLOCK_K`` unused
+    # Brute force: every live prefix with more than ``_block_k(n)`` unused
     # values, and one per gap state of the live prefixes with 2 to
-    # ``_BLOCK_K``; without ``statistics`` (no blocks) every live prefix with
-    # at least two unused values.
+    # ``_block_k(n)``; without ``statistics`` (no blocks) every live prefix
+    # with at least two unused values.
     live = list(_live_prefixes(n, patterns, n - 2))
     if statistics is None:
         return len(live)
     states = set()
     for prefix in live:
         unused = [v for v in range(1, n + 1) if v not in prefix]
-        if len(unused) <= _BLOCK_K:
+        if len(unused) <= _block_k(n):
             states.add(_gap_state(statistics(prefix, n), unused))
-    return sum(1 for prefix in live if n - len(prefix) > _BLOCK_K) + len(states)
+    return sum(1 for prefix in live if n - len(prefix) > _block_k(n)) + len(states)
 
 
 @pytest.mark.parametrize(
@@ -375,9 +371,10 @@ def test_generator_enters_exactly_the_live_prefixes(monkeypatch, patterns, stati
     # is emitted without asking.  With matcher patterns that makes the count
     # the number of live prefixes shorter than n (3,087) less the size of
     # the class at n = 7 (1,459).  With none, a live prefix with 2 to
-    # ``_BLOCK_K`` unused values opens no node, and the children are asked
+    # ``_block_k(n)`` unused values opens no node, and the children are asked
     # once per gap state among them, to build its block; a composed class's
-    # gap state is that of all its rules' statistics.
+    # gap state is that of all its rules' statistics.  At n = 7 that bound
+    # is 4.
     import avoiders.enumeration as enumeration_module
 
     real_class_rule = enumeration_module._class_rule
@@ -432,25 +429,29 @@ BLOCK_RULE_IDS = ["pair", "123", "1234", "321", "4321", "pair+4321"]
     "patterns, statistics", [row[:2] for row in BLOCK_RULES], ids=BLOCK_RULE_IDS
 )
 def test_blocks_list_the_brute_force_completions(patterns, statistics):
-    # For every live prefix with 2 to ``_BLOCK_K`` unused values, its gap
+    # For every live prefix with 2 to ``_block_k(n)`` unused values, its gap
     # state's block, taken from one cache shared by all lengths, lists its
-    # completions in order; and each value-level rule's children on the
-    # real values map through the order isomorphism onto those on the
-    # canonical instance.
+    # completions in order; and each gap rule, on that prefix's gap state of
+    # its own, keeps exactly the indices whose value leaves the prefix live
+    # for the rule's patterns by ``contains``, each with the gap state of
+    # the child prefix's real statistics.
     children, _, others = _class_rule(2, patterns)
-    rules = _value_rules(2, patterns)[0]
-    assert others == []
+    rules = _gap_rules(2, patterns)[0]
+    covered = [AVOIDED_PAIR] if set(AVOIDED_PAIR) <= set(patterns) else []
+    covered += [(q,) for q in patterns if q in MONOTONE]  # in ``_gap_rules`` order
+    assert others == [] and len(covered) == len(rules)
     blocks = {}
     for n in range(2, 9):
+        most = _block_k(n)
         live = list(_live_prefixes(n, patterns, n - 1))
         completions = {}
         for prefix in (p for p in live if len(p) == n - 1):
             (last,) = set(range(1, n + 1)) - set(prefix)
-            for length in range(max(0, n - _BLOCK_K), n - 1):
+            for length in range(max(0, n - most), n - 1):
                 completions.setdefault(prefix[:length], []).append(prefix + (last,))
         for prefix in live:
             unused = [v for v in range(1, n + 1) if v not in prefix]
-            if not 2 <= len(unused) <= _BLOCK_K:
+            if not 2 <= len(unused) <= most:
                 continue
             states = _rule_states(rules, statistics(prefix, n))
             key = _class_key([_gap_state(state, unused) for state in states])
@@ -458,13 +459,101 @@ def test_blocks_list_the_brute_force_completions(patterns, statistics):
             assert [prefix + tail(unused) for tail in block] == completions.get(
                 prefix, []
             ), prefix
-            k = len(unused)
-            canonical = list(range(2, 2 * k + 1, 2))
-            for (rule, _), state in zip(rules, states):
-                canonical_state = tuple(2 * g + 1 for g in _gap_state(state, unused)[1:])
-                assert _child_gap_states(rule(state, unused), unused) == (
-                    _child_gap_states(rule(canonical_state, canonical), canonical)
+            for part, ((rule, _), state, qs) in enumerate(zip(rules, states, covered)):
+                kept = {}
+                for i, u in enumerate(unused):
+                    child, rest = prefix + (u,), unused[:i] + unused[i + 1 :]
+                    if not any(contains(child + (w,), q) for w in rest for q in qs):
+                        child_state = _rule_states(rules, statistics(child, n))[part]
+                        kept[i] = _gap_state(child_state, rest)
+                assert list(rule(_gap_state(state, unused)).items()) == (
+                    list(kept.items())
                 ), prefix
+
+
+def _value_pair_children(state, unused):
+    # The pair's child rule on values: prefix_min, s12 and m21, n + 1 for
+    # none yet; a child is live iff it is below m21 or the largest unused
+    # value, and the scan stops past the smallest unused value above s12.
+    # The new m21 is the smaller of m21 and the least statistic above v.
+    prefix_min, s12, m21 = state
+    top = unused[-1]
+    live = []
+    for i, v in enumerate(unused):
+        if v < m21 or v == top:
+            if v < prefix_min:
+                live.append((i, (v, s12, prefix_min if prefix_min < m21 else m21)))
+            elif v < s12:
+                live.append((i, (prefix_min, v, s12 if s12 < m21 else m21)))
+            else:
+                live.append((i, state))
+        if v > s12:
+            break
+    return live
+
+
+def _value_monotone_children(rising, state, unused):
+    # The patience-pile rule on values: the first m - 2 pile tops, n + 1
+    # (rising) or 0 for none; v tops the first pile whose top it undercuts.
+    if rising:
+        live, hi = [], 0
+        for j, top in enumerate(state):
+            lo, hi = hi, bisect.bisect_left(unused, top, hi)
+            head, tail = state[:j], state[j + 1 :]
+            live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
+        if hi < len(unused):
+            live.append((len(unused) - 1, state))
+        return live
+    k = len(unused)
+    hi = bisect.bisect_left(unused, state[-1]) if state else k
+    live = [(0, state)] if hi else []
+    for j in reversed(range(len(state))):
+        lo, hi = hi, bisect.bisect_left(unused, state[j - 1], hi) if j else k
+        head, tail = state[:j], state[j + 1 :]
+        live += [(i, head + (unused[i],) + tail) for i in range(lo, hi)]
+    return live
+
+
+def _oracle_children(value_rule, key):
+    # A value-level rule's answer on gap state ``key``, through its
+    # canonical order-isomorphic instance: unused values 2, 4, ..., 2k and a
+    # statistic in gap g as 2g + 1.  After placing v = 2i + 2 a statistic x
+    # lies in gap (x - 1) // 2 - (x > v).
+    k, state = key[0], tuple(2 * g + 1 for g in key[1:])
+    return {
+        i: (k - 1, *[(x - 1) // 2 - (x > 2 * i + 2) for x in child])
+        for i, child in value_rule(state, range(2, 2 * k + 1, 2))
+    }
+
+
+@pytest.mark.parametrize(
+    "patterns, value_rule",
+    [
+        (AVOIDED_PAIR, _value_pair_children),
+        *(
+            ((q,), functools.partial(_value_monotone_children, q[0] < q[-1]))
+            for q in ((1, 2, 3), (1, 2, 3, 4), (3, 2, 1), (4, 3, 2, 1),
+                      (1, 2, 3, 4, 5), (5, 4, 3, 2, 1))
+        ),
+    ],
+    ids=["pair", "123", "1234", "321", "4321", "12345", "54321"],
+)
+def test_gap_rules_match_the_value_rules(patterns, value_rule):
+    # Every gap state with an unused value reachable from the root for
+    # n <= 10, walked by the value-level rule's own answers: the gap rule
+    # gives the same children with the same gap states, in the same order.
+    for n in range(1, 11):
+        ((rule, root),) = _gap_rules(n, patterns)[0]
+        seen, level = set(), {(n, *root)}
+        while level:
+            seen |= level
+            below = set()
+            for key in level:
+                expected = _oracle_children(value_rule, key)
+                assert list(rule(key).items()) == list(expected.items()), key
+                below |= set(expected.values())
+            level = {key for key in below - seen if key[0]}  # none asks at k = 0
+        assert len(seen) >= n  # every level from k = n down to 1 was reached
 
 
 @pytest.mark.parametrize(
