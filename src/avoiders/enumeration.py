@@ -75,8 +75,9 @@ minimum's, so fewer states differ (253 against 273 at n = 8).  A loop of
 prefix sums over the states of a smaller walk counts the {123} class in
 O(n^2) time.  Both walks beat the count by gap state, which asks the
 rules one state at a time.  ``count_class`` documents which count it
-runs.  The rules' answers, blocks, tails and counts, and the walks'
-levels, live for one call.
+runs.  The enumerator's rule answers, blocks and tails live for one call;
+the count by gap state keeps one level's rule answers and two levels'
+counts, and the walks two levels.
 """
 
 from __future__ import annotations
@@ -286,19 +287,20 @@ def _gap_rules(n: int, patterns: tuple) -> tuple[list[tuple], list[tuple]]:
     return rules or [(_all_children, ())], others
 
 
-def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple]]:
-    # A normalized set's children on gap states, its root gap state and the
-    # patterns left for the matcher.  ``children(key)`` maps the index of
-    # each live child of gap state ``key``, by increasing value, to the
-    # child's gap state.  Each rule is cached for the caller's call, so it
-    # answers once per gap state of its own; rules compose two at a time,
-    # on pairs of gap states, keeping the indices both keep.
+def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple], list]:
+    # A normalized set's children on gap states, its root gap state, the
+    # patterns left for the matcher and its rules' caches.  ``children(key)``
+    # maps the index of each live child of gap state ``key``, by increasing
+    # value, to the child's gap state.  Each rule is cached, so it answers
+    # once per gap state of its own, and the caller may clear the caches of
+    # answers it will not ask again; rules compose two at a time, on pairs of
+    # gap states, keeping the indices both keep.
     rules, others = _gap_rules(n, patterns)
     parts = [(functools.cache(rule), (n, *root)) for rule, root in rules]
     children, key = parts[0]
     for answer, root in parts[1:]:
         children, key = functools.partial(_composed_keys, children, answer), (key, root)
-    return children, key, others
+    return children, key, others, [answer for answer, _ in parts]
 
 
 def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
@@ -313,7 +315,7 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
     # ``patterns`` the rest.  The run heads, the pinned letters, the blocks,
     # their bound ``most`` (K of the module docstring) and their tails are
     # as there; ``blocks`` and ``made`` hold them for this call only.
-    children, key, patterns = _class_rule(n, patterns)
+    children, key, patterns, _ = _class_rule(n, patterns)
     most = _block_k(n)
     sides = {
         rises: [q for q in patterns if len(q) >= 2 and (q[-2] < q[-1]) == rises]
@@ -387,12 +389,14 @@ def _block(children: Callable, key: tuple, k: int, blocks: dict) -> list[Callabl
 
 
 def _count_by_gap_state(
-    n: int, children: Callable, root: tuple, start_small_only: bool
+    n: int, children: Callable, root: tuple, answers: list, start_small_only: bool
 ) -> int:
     # The size of a class whose rules cover all its patterns: the number of
     # live prefixes in each gap state, level by level down from the root to
     # the members, which have no unused value.  No recursion bounds n.
-    # Start-small skips the root's child that places n.
+    # Start-small skips the root's child that places n.  Every gap state
+    # holds its number of unused values, so no rule answer serves two
+    # levels, and each level's are cleared from the rules' ``answers``.
     level = {root: 1}
     for depth in range(n):
         below: dict[tuple, int] = {}
@@ -401,6 +405,8 @@ def _count_by_gap_state(
                 if depth or i < n - 1 or not start_small_only:
                     below[child] = below.get(child, 0) + count
         level = below
+        for answer in answers:
+            answer.cache_clear()
     return sum(level.values())
 
 
@@ -557,8 +563,8 @@ def count_class(descriptor: ClassDescriptor) -> int:
         return by_keys[k] if k < len(by_keys) else 0
     if patterns == (PATTERN_123,) and not k:  # a descriptor with j has k >= 1
         return _count_123_avoiders(n, descriptor.start_small_only)
-    children, root, others = _class_rule(n, patterns)
+    children, root, others, answers = _class_rule(n, patterns)
     if k is None and not others:  # a descriptor with j has k
-        return _count_by_gap_state(n, children, root, descriptor.start_small_only)
+        return _count_by_gap_state(n, children, root, answers, descriptor.start_small_only)
     return sum(1 for _ in enumerate_class(descriptor))
 

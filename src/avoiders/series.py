@@ -6,15 +6,14 @@ and every division in this module is exact or raises.  So ``a / d`` and
 ``reciprocal`` require a divisor whose constant term is +1 or -1, and raise
 ``ValueError`` otherwise.
 
-Trailing zero coefficients cost nothing: a product of order n costs
-O(n * m), with m the length of the shorter factor's polynomial part (up to
-its last nonzero coefficient), and a quotient costs O(n * m) with m that of
-the divisor.  So multiplying or dividing by a short polynomial such as
-1 - x is linear in n, and only dense-by-dense products are quadratic.  The
-builders below go further and write their sparse factors out: a factor x
-is a shift, 1/(1 - x) is a running sum and x(1 - x) a shifted difference,
-so none of them calls ``*``.  The one quadratic step left on the transform
-route is the dense division 1/(1 - A) in ``invert_transform``.
+A product or a quotient of order n costs O(n^2), whatever the factors:
+``*`` is the plain truncated convolution and ``/`` plain long division, so
+multiplying or dividing by a short polynomial such as 1 - x costs as much
+as by a dense series.  The builders below therefore write their sparse
+factors out: a factor x is a shift, 1/(1 - x) is a running sum, x(1 - x) a
+shifted difference and the closed form's cubic denominator a three-term
+recurrence, so none of them calls ``*``.  The one quadratic step left is
+the transform route's dense division 1/(1 - A) in ``invert_transform``.
 
 The specific series of interest:
 
@@ -32,10 +31,12 @@ The specific series of interest:
 - ``kotesovec_series``: the closed form
   (3x^2 - 9x + 2 + x(1-x)*sqrt(1-4x)) / (2(x-1)(x^2+4x-1))
   attached to A164651, expanded exactly with no product: x(1-x)*sqrt(1-4x)
-  is a shifted difference, and the cubic denominator is written out.
+  is a shifted difference, and the division by the cubic a recurrence.
 
-``gf_full`` and ``kotesovec_series`` are computed along entirely different
-routes, so their coefficient-by-coefficient agreement is a real check.
+``gf_full`` and ``kotesovec_series`` share no arithmetic: the only code both
+run is ``poly``, its order check and the ``PowerSeries`` container, as the
+test suite's call ledger asserts.  So their coefficient-by-coefficient
+agreement is a real check.
 """
 
 from __future__ import annotations
@@ -69,13 +70,11 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        # a is the factor with the shorter polynomial part, of m terms.
-        a, b = sorted((self.coeffs[: n + 1], other.coeffs[: n + 1]), key=_poly_length)
-        m = _poly_length(a)
-        b_reversed = b[::-1]
-        # [x^k] = sum a[i] * b[k - i] for i < m; b[k - i] is b_reversed[n - k + i].
+        b_reversed = other.coeffs[n::-1]
+        # [x^k] = sum a[i] * b[k - i] for i <= k, with a = self and b = other;
+        # b[k - i] is b_reversed[n - k + i], and map stops after i = k.
         return PowerSeries(
-            tuple(sum(map(mul, a, b_reversed[n - k : n - k + m])) for k in range(n + 1))
+            tuple(sum(map(mul, self.coeffs, b_reversed[n - k :])) for k in range(n + 1))
         )
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
@@ -83,8 +82,7 @@ class PowerSeries:
         divisor's constant term must be +1 or -1 for Q to have integer
         coefficients."""
         n = min(self.order, other.order)
-        d = other.coeffs[: n + 1]
-        d0, *tail = d[: _poly_length(d)]
+        d0, *tail = other.coeffs[: n + 1]
         if d0 not in (1, -1):
             raise ValueError(f"series with constant term {d0} has no integer reciprocal")
         q: list[int] = []
@@ -97,14 +95,6 @@ class PowerSeries:
         """The series R with self * R = 1 up to the truncation order; the
         constant term must be +1 or -1 for R to have integer coefficients."""
         return poly(self.order, 1) / self
-
-
-def _poly_length(coeffs: tuple[int, ...]) -> int:
-    """The number of coefficients up to the last nonzero one, at least 1."""
-    m = len(coeffs)
-    while m > 1 and not coeffs[m - 1]:
-        m -= 1
-    return m
 
 
 def _require_order(order: int) -> None:
@@ -221,10 +211,6 @@ def gf_full(order: int) -> PowerSeries:
     return PowerSeries(tuple(accumulate(gf_start_small(order).coeffs)))
 
 
-#: The closed form's cubic (x-1)(x^2+4x-1), expanded: 1 - 5x + 3x^2 + x^3.
-_CUBIC = (1, -5, 3, 1)
-
-
 def _times_x_one_minus_x(s: PowerSeries) -> PowerSeries:
     """x(1-x)*s with no product: its [x^k] is s_{k-1} - s_{k-2}."""
     padded = (0, 0, *s.coeffs)
@@ -238,13 +224,17 @@ def kotesovec_series(order: int) -> PowerSeries:
 
     With S = sqrt(1-4x), the term x(1-x)*S has coefficients
     S_{k-1} - S_{k-2}, a shifted difference.  The numerator is halved
-    coefficient by coefficient, then divided exactly by the cubic
-    (x-1)(x^2+4x-1), written out as ``_CUBIC``, whose constant term is +1.
-    Every step costs O(order), and none is a product.
+    coefficient by coefficient, each h_k exact, and divided by the cubic
+    (x-1)(x^2+4x-1) = 1 - 5x + 3x^2 + x^3 through its own recurrence,
+    q_k = h_k + 5q_{k-1} - 3q_{k-2} - q_{k-3} from three zeros, which is
+    exact since the cubic's constant term is +1.  Every step costs
+    O(order), and none is a product or a ``PowerSeries`` division.
     """
     numerator = poly(order, 2, -9, 3) + _times_x_one_minus_x(sqrt_one_minus_4x(order))
     odd = [k for k, c in enumerate(numerator.coeffs) if c % 2]
     if odd:
         raise RuntimeError(f"closed form: numerator coefficient of x^{odd[0]} is odd")
-    halved = PowerSeries(tuple(c // 2 for c in numerator.coeffs))
-    return halved / poly(order, *_CUBIC)
+    q = [0, 0, 0]
+    for c in numerator.coeffs:
+        q.append(c // 2 + 5 * q[-1] - 3 * q[-2] - q[-3])
+    return PowerSeries(tuple(q[3:]))

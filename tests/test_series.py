@@ -17,7 +17,6 @@ from avoiders.enumeration import (
 )
 from avoiders.perms import AVOIDED_PAIR, PATTERN_123
 from avoiders.series import (
-    _CUBIC,
     PowerSeries,
     _times_x_one_minus_x,
     catalan_series,
@@ -344,9 +343,14 @@ ORACLE_ORDERS = [0, 1, 2, 3, 50, 302]
 
 
 @pytest.mark.parametrize("order", ORACLE_ORDERS)
-def test_closed_form_cubic_is_expanded_product(order):
-    x = poly(order, 0, 1)
-    assert poly(order, *_CUBIC) == (x - poly(order, 1)) * poly(order, -1, 4, 1)
+def test_closed_form_recurrence_is_division_by_the_cubic(order):
+    # The closed form's quotient, times the cubic (x - 1)(x^2 + 4x - 1) as a
+    # product, gives back the halved numerator, itself formed by products.
+    one, x = poly(order, 1), poly(order, 0, 1)
+    numerator = poly(order, 2, -9, 3) + x * (one - x) * sqrt_one_minus_4x(order)
+    halved = PowerSeries(tuple(c // 2 for c in numerator.coeffs))
+    cubic = (x - one) * poly(order, -1, 4, 1)
+    assert kotesovec_series(order) * cubic == halved
 
 
 @pytest.mark.parametrize("order", ORACLE_ORDERS)

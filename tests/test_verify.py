@@ -3,16 +3,19 @@
 import dataclasses
 import importlib
 import inspect
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import avoiders
 import avoiders.enumeration as enumeration_module
 import avoiders.verify as verify_module
 from avoiders.cli import main
-from avoiders.enumeration import ClassDescriptor
+from avoiders.enumeration import ClassDescriptor, count_class, enumerate_avoiders
 from avoiders.perms import AVOIDED_PAIR, PATTERN_123
-from avoiders.series import PowerSeries, gf_full, kotesovec_series
+from avoiders.series import PowerSeries, catalan_series, gf_full, kotesovec_series
 from avoiders.verify import (
     CheckResult,
     check_closed_form_match,
@@ -401,6 +404,88 @@ def test_brute_force_routes_list_not_walk(monkeypatch):
     expected = [(n, AVOIDED_PAIR) for n in range(1, 9)]
     expected += [(m, (PATTERN_123,)) for m in range(3, 11)]
     assert entered == expected
+
+
+#: The routes that ``verify._routes`` holds to one another, each with one
+#: function it must reach and a call of it at a small size.
+LEDGER_ROUTES = {
+    "enumerator": ("enumeration._live_avoiders",
+                   lambda: sum(1 for _ in enumerate_avoiders(8, AVOIDED_PAIR))),
+    "pair walk": ("enumeration._pair_walk",
+                  lambda: count_class(ClassDescriptor(12, AVOIDED_PAIR))),
+    "start-small pair walk": ("enumeration._pair_walk",
+                              lambda: count_class(ClassDescriptor(12, AVOIDED_PAIR, True))),
+    "123 walk": ("enumeration._count_123_avoiders",
+                 lambda: count_class(ClassDescriptor(12, (PATTERN_123,)))),
+    "transform route": ("series.invert_transform", lambda: gf_full(30)),
+    "closed form": ("series.kotesovec_series", lambda: kotesovec_series(30)),
+    "catalan_series": ("series.catalan_series", lambda: catalan_series(30)),
+}
+
+#: Input validation, and the series container with its one constructor.
+VALIDATION = {"enumeration.__post_init__", "perms.is_permutation"}
+CONTAINER = {"series.__post_init__", "series._require_order", "series.poly"}
+
+#: (route, route, what the two may share), for each pair that verify
+#: compares, directly or through the series both meet.
+SHARED_AT_MOST = [
+    ("transform route", "closed form", CONTAINER),
+    *(("enumerator", walk, VALIDATION)
+      for walk in ("pair walk", "start-small pair walk", "123 walk")),
+    ("enumerator", "transform route", set()),
+    ("pair walk", "transform route", set()),
+    ("start-small pair walk", "transform route", set()),
+    ("123 walk", "catalan_series", set()),
+]
+
+PACKAGE = str(Path(avoiders.__file__).parent)
+
+
+def _ledger(route):
+    # The package functions that ``route()`` calls, as module.name.  A
+    # comprehension, generator expression or lambda counts as part of the
+    # function that holds it, which is in the ledger already: its code is
+    # named ``<genexpr>`` and the like whatever holds it, so two would look
+    # shared.  Names are ``co_name``: ``co_qualname`` needs Python 3.11, and
+    # the package supports 3.10.
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(PACKAGE)
+                and not code.co_name.startswith("<")):
+            module = frame.f_globals["__name__"].rpartition(".")[2]
+            called.add(f"{module}.{code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route()
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_compared_routes_share_only_validation_and_the_container():
+    """
+    Each pair of routes that verify compares runs no common package code
+    beyond input validation and the ``PowerSeries`` container with ``poly``:
+    the two series routes share no arithmetic, and neither the enumerator
+    nor a walk shares any code with a series.  So a fault in one function
+    reaches at most one side of a comparison, and the comparison sees it.
+
+    A ledger shows shared code, not shared assumptions: the walk and the
+    enumerator share no function, yet both read the pair rule, so a
+    misreading of it common to both would pass here and in verify alike.
+    Each new route (ROADMAP items 2, 9, 14 and 15) adds its row to
+    ``LEDGER_ROUTES`` and ``SHARED_AT_MOST``, with what it shares.
+    """
+    ledgers = {name: _ledger(route) for name, (_, route) in LEDGER_ROUTES.items()}
+    for name, (reached, _) in LEDGER_ROUTES.items():
+        assert reached in ledgers[name], name  # the ledger sees the route
+    for first, second, allowed in SHARED_AT_MOST:
+        shared = ledgers[first] & ledgers[second]
+        assert shared <= allowed, (first, second, sorted(shared - allowed))
 
 
 def test_every_result_name_is_a_check_function():
