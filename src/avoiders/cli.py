@@ -114,18 +114,23 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     # Each member printed as ``json.dumps``/``format_perm`` would, by chunk
-    # (``enumeration._class_chunks``): the head once per chunk, each distinct
-    # tails tuple once per call, and one write per chunk.
+    # (``enumeration._class_chunks``): the head once per chunk, each head
+    # length's format and each distinct tails tuple once per call, and one
+    # write per chunk.
     chunks = _class_chunks(_descriptor(args))
     sep, start, end = (", ", "[", "]\n") if args.json else (" ", "", "\n")
-    heads = [start + ("%d" + sep) * size for size in range(args.n + 1)]
+    heads: dict[int, str] = {}  # formats by head length
     formatted: dict[tuple, list[str]] = {}
     for head, tails in chunks:
         lines = formatted.get(tails)
         if lines is None:
             line = sep.join(["%d"] * len(tails[0])) + end
             lines = formatted[tails] = [line % tail for tail in tails]
-        lead = heads[len(head)] % head
+        size = len(head)
+        form = heads.get(size)
+        if form is None:
+            form = heads[size] = start + ("%d" + sep) * size
+        lead = form % head
         sys.stdout.write(lead + lead.join(lines))
     return 0
 

@@ -54,7 +54,11 @@ same answers: the number of live prefixes in each gap state, level by
 level from the root, summed at the last level, the counting side of
 Zeilberger's enumeration schemes ("Enumeration schemes and, more
 importantly, their automatic generation", 1998); with it ``count_class``
-counts {4321} at n = 20, 1.6e14 members, in about 0.01 s.
+counts {4321} at n = 20, 1.6e14 members, in about 0.01 s.  The counter
+intersects a composed class's last rule in its own loop: a state's child
+is kept where the last rule's answer for the state's last part keeps the
+index the other rules keep, so with two rules it builds no composed dict,
+while the enumerator and its blocks read the dicts of ``_composed_keys``.
 
 ``count_pair_avoiders_by_keys`` counts the {1243, 2134} class by number of
 key mid-123 entries without listing it: a walk over the pair rule's prefix
@@ -75,9 +79,10 @@ minimum's, so fewer states differ (253 against 273 at n = 8).  A loop of
 prefix sums over the states of a smaller walk counts the {123} class in
 O(n^2) time.  Both walks beat the count by gap state, which asks the
 rules one state at a time.  ``count_class`` documents which count it
-runs.  The enumerator's rule answers, blocks and tails live for one call;
-the count by gap state keeps one level's rule answers and two levels'
-counts, and the walks two levels.
+runs.  The enumerator's rule answers, composed dicts, blocks and tails
+live for one call; the count by gap state keeps one level's rule answers
+and two levels' counts, and no composed dict outlives the state it serves;
+the walks keep two levels.
 """
 
 from __future__ import annotations
@@ -287,20 +292,25 @@ def _gap_rules(n: int, patterns: tuple) -> tuple[list[tuple], list[tuple]]:
     return rules or [(_all_children, ())], others
 
 
-def _class_rule(n: int, patterns: tuple) -> tuple[Callable, tuple, list[tuple], list]:
-    # A normalized set's children on gap states, its root gap state, the
-    # patterns left for the matcher and its rules' caches.  ``children(key)``
-    # maps the index of each live child of gap state ``key``, by increasing
-    # value, to the child's gap state.  Each rule is cached, so it answers
-    # once per gap state of its own, and the caller may clear the caches of
-    # answers it will not ask again; rules compose two at a time, on pairs of
-    # gap states, keeping the indices both keep.
+def _class_rule(
+    n: int, patterns: tuple
+) -> tuple[Callable, Callable | None, tuple, list[tuple], list]:
+    # A normalized set's children on gap states, the composition of every
+    # rule but the last (None for one rule), its root gap state, the patterns
+    # left for the matcher and its rules' caches, the last rule's last.
+    # ``children(key)`` maps the index of each live child of gap state
+    # ``key``, by increasing value, to the child's gap state.  Each rule is
+    # cached, so it answers once per gap state of its own, and the caller may
+    # clear the caches of answers it will not ask again; rules compose two at
+    # a time, on pairs of gap states, keeping the indices both keep.
     rules, others = _gap_rules(n, patterns)
     parts = [(functools.cache(rule), (n, *root)) for rule, root in rules]
     children, key = parts[0]
+    head = None
     for answer, root in parts[1:]:
-        children, key = functools.partial(_composed_keys, children, answer), (key, root)
-    return children, key, others, [answer for answer, _ in parts]
+        head = children
+        children, key = functools.partial(_composed_keys, head, answer), (key, root)
+    return children, head, key, others, [answer for answer, _ in parts]
 
 
 def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
@@ -315,7 +325,7 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
     # ``patterns`` the rest.  The run heads, the pinned letters, the blocks,
     # their bound ``most`` (K of the module docstring) and their tails are
     # as there; ``blocks`` and ``made`` hold them for this call only.
-    children, key, patterns, _ = _class_rule(n, patterns)
+    children, _, key, patterns, _ = _class_rule(n, patterns)
     most = _block_k(n)
     sides = {
         rises: [q for q in patterns if len(q) >= 2 and (q[-2] < q[-1]) == rises]
@@ -389,21 +399,38 @@ def _block(children: Callable, key: tuple, k: int, blocks: dict) -> list[Callabl
 
 
 def _count_by_gap_state(
-    n: int, children: Callable, root: tuple, answers: list, start_small_only: bool
+    n: int, head: Callable | None, root: tuple, answers: list, start_small_only: bool
 ) -> int:
     # The size of a class whose rules cover all its patterns: the number of
     # live prefixes in each gap state, level by level down from the root to
-    # the members, which have no unused value.  No recursion bounds n.
-    # Start-small skips the root's child that places n.  Every gap state
-    # holds its number of unused values, so no rule answer serves two
-    # levels, and each level's are cleared from the rules' ``answers``.
+    # the members, which have no unused value.  No recursion bounds n.  With
+    # one rule a state's children are its answer's; with more, a state is
+    # (top, part), and a child is kept where the last rule's answer for part
+    # keeps the index ``head`` keeps for top, so the last rule composes into
+    # no dict.
+    # Start-small drops the root's child that places n: its index n - 1
+    # leaves the last rule's answer for the root's part, which serves the
+    # root's level alone.  Every gap state holds its number of unused values,
+    # so no rule answer serves two levels, and each level's are cleared from
+    # the rules' ``answers``.
+    last = answers[-1]
+    if start_small_only:
+        last(root if head is None else root[1]).pop(n - 1, None)
     level = {root: 1}
-    for depth in range(n):
+    for _ in range(n):
         below: dict[tuple, int] = {}
-        for key, count in level.items():
-            for i, child in children(key).items():
-                if depth or i < n - 1 or not start_small_only:
-                    below[child] = below.get(child, 0) + count
+        get = below.get
+        if head is None:
+            for key, count in level.items():
+                for child in last(key).values():
+                    below[child] = get(child, 0) + count
+        else:
+            for (top, part), count in level.items():
+                kept = last(part)
+                for i, child in head(top).items():
+                    if i in kept:
+                        child = (child, kept[i])
+                        below[child] = get(child, 0) + count
         level = below
         for answer in answers:
             answer.cache_clear()
@@ -551,7 +578,9 @@ def count_class(descriptor: ClassDescriptor) -> int:
     ``count_pair_avoiders_by_keys``, without it with no key marker), and
     {123} with any filter but ``k`` >= 1, by the 123 walk.  Every other set
     that the enumerator's rules cover whole is counted by gap state when
-    there is no ``k``, each rule answering once per gap state of its own.
+    there is no ``k``, each rule answering once per gap state of its own
+    and a composed class's answers intersected by index in the counter's
+    own loop.
     The rest is counted by streaming ``enumerate_class``, which ends a keyed
     class with a pattern inside 123 at once.
     """
@@ -563,8 +592,8 @@ def count_class(descriptor: ClassDescriptor) -> int:
         return by_keys[k] if k < len(by_keys) else 0
     if patterns == (PATTERN_123,) and not k:  # a descriptor with j has k >= 1
         return _count_123_avoiders(n, descriptor.start_small_only)
-    children, root, others, answers = _class_rule(n, patterns)
+    _, head, root, others, answers = _class_rule(n, patterns)
     if k is None and not others:  # a descriptor with j has k
-        return _count_by_gap_state(n, children, root, answers, descriptor.start_small_only)
+        return _count_by_gap_state(n, head, root, answers, descriptor.start_small_only)
     return sum(1 for _ in enumerate_class(descriptor))
 

@@ -153,8 +153,11 @@ ORACLE_PATTERN_SETS = [
     *_random_pattern_sets(40, seed=20131),
     *_sets_with_length_5_pattern(10, seed=5),
 ]
+#: The pair, 4321 and 123456 rules composed, the one row with three rules.
+THREE_RULES = AVOIDED_PAIR + ((4, 3, 2, 1), (1, 2, 3, 4, 5, 6))
 # 12...m and m...1 alone, beside the pair and beside 123, {123, 321} (empty
-# from n = 5) and {1234, 4321}; rows already above are not repeated.
+# from n = 5), {1234, 4321} and the three rules; rows already above are not
+# repeated.
 ORACLE_PATTERN_SETS += [
     s for s in (
         *((q,) for q in MONOTONE),
@@ -162,6 +165,7 @@ ORACLE_PATTERN_SETS += [
         *((PATTERN_123, q) for q in MONOTONE if q != PATTERN_123),
         (PATTERN_123, (3, 2, 1)),
         ((1, 2, 3, 4), (4, 3, 2, 1)),
+        THREE_RULES,
     )
     if s not in ORACLE_PATTERN_SETS
 ]
@@ -382,14 +386,14 @@ def test_generator_enters_exactly_the_live_prefixes(monkeypatch, patterns, stati
     calls = 0
 
     def class_rule_spy(n, patterns):
-        children, root, others, answers = real_class_rule(n, patterns)
+        children, head, root, others, answers = real_class_rule(n, patterns)
 
         def children_spy(key):
             nonlocal calls
             calls += 1
             return children(key)
 
-        return children_spy, root, others, answers
+        return children_spy, head, root, others, answers
 
     monkeypatch.setattr(enumeration_module, "_class_rule", class_rule_spy)
     assert list(enumerate_avoiders(7, patterns)) == list(naive_avoiders(7, patterns))
@@ -436,7 +440,7 @@ def test_blocks_list_the_brute_force_completions(patterns, statistics):
     # its own, keeps exactly the indices whose value leaves the prefix live
     # for the rule's patterns by ``contains``, each with the gap state of
     # the child prefix's real statistics.
-    children, _, others, _ = _class_rule(2, patterns)
+    children, _, _, others, _ = _class_rule(2, patterns)
     rules = _gap_rules(2, patterns)[0]
     covered = [AVOIDED_PAIR] if set(AVOIDED_PAIR) <= set(patterns) else []
     covered += [(q,) for q in patterns if q in MONOTONE]  # in ``_gap_rules`` order
@@ -717,9 +721,9 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
 
     real_counter = enumeration_module._count_by_gap_state
 
-    def counter(n, children, root, answers, start_small_only):
+    def counter(n, head, root, answers, start_small_only):
         counted.append((n, start_small_only))
-        return real_counter(n, children, root, answers, start_small_only)
+        return real_counter(n, head, root, answers, start_small_only)
 
     monkeypatch.setattr(enumeration_module, "_pair_walk", pair_walk)
     monkeypatch.setattr(enumeration_module, "_count_by_gap_state", counter)
@@ -788,14 +792,14 @@ def test_count_class_walks_exactly_the_pair_and_123_classes(monkeypatch):
 
 
 def _counted_by_gap_state(n, patterns, start_small_only=False):
-    children, root, others, answers = _class_rule(n, ClassDescriptor(n, patterns).patterns)
+    _, head, root, others, answers = _class_rule(n, ClassDescriptor(n, patterns).patterns)
     assert others == []
-    return _count_by_gap_state(n, children, root, answers, start_small_only)
+    return _count_by_gap_state(n, head, root, answers, start_small_only)
 
 
 #: The rows of ``ORACLE_PATTERN_SETS`` that the rules cover whole.
 RULE_COVERED_SETS = [
-    s for s in ORACLE_PATTERN_SETS if not _class_rule(1, ClassDescriptor(1, s).patterns)[2]
+    s for s in ORACLE_PATTERN_SETS if not _class_rule(1, ClassDescriptor(1, s).patterns)[3]
 ]
 
 
@@ -807,6 +811,41 @@ def test_counter_matches_naive_filter(patterns):
         assert _counted_by_gap_state(n, patterns) == len(members), n
         start_small = sum(1 for perm in members if perm[0] != n)
         assert _counted_by_gap_state(n, patterns, True) == start_small, n
+
+
+def test_three_rule_count_matches_its_listing():
+    # The nested side of the composition, ((pair, 123456), 4321), counted by
+    # gap state against the enumerator's listing past the naive filter's
+    # reach, plain and start-small.
+    assert len(_gap_rules(1, ClassDescriptor(1, THREE_RULES).patterns)[0]) == 3
+    counted = {}
+    for n in range(1, 13):
+        members = list(enumerate_avoiders(n, THREE_RULES))
+        start_small = sum(1 for perm in members if perm[0] != n)
+        counted[n] = tuple(_counted_by_gap_state(n, THREE_RULES, s) for s in (False, True))
+        assert counted[n] == (len(members), start_small), n
+    assert (counted[10], counted[12]) == ((566, 556), (305, 305))
+
+
+def test_counting_builds_no_composed_dict(monkeypatch):
+    # The counter intersects the two rules' answers in its own loop, while
+    # listing the same class composes them through ``_composed_keys``.
+    import avoiders.enumeration as enumeration_module
+
+    calls = 0
+    real_composed_keys = enumeration_module._composed_keys
+
+    def composed_keys_spy(*args):
+        nonlocal calls
+        calls += 1
+        return real_composed_keys(*args)
+
+    monkeypatch.setattr(enumeration_module, "_composed_keys", composed_keys_spy)
+    descriptor = ClassDescriptor(8, AVOIDED_PAIR + ((4, 3, 2, 1),))
+    assert count_class(descriptor) == 538
+    assert calls == 0
+    assert sum(1 for _ in enumerate_class(descriptor)) == 538
+    assert calls == 584
 
 
 def _gessel_1234(n):
