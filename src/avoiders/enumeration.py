@@ -79,10 +79,10 @@ minimum's, so fewer states differ (253 against 273 at n = 8).  A loop of
 prefix sums over the states of a smaller walk counts the {123} class in
 O(n^2) time.  Both walks beat the count by gap state, which asks the
 rules one state at a time.  ``count_class`` documents which count it
-runs.  The enumerator's rule answers, composed dicts, blocks and tails
-live for one call; the count by gap state keeps one level's rule answers
-and two levels' counts, and no composed dict outlives the state it serves;
-the walks keep two levels.
+runs.  The enumerator keeps one list of unused values, and its rule
+answers, composed dicts, blocks and tails live for one call; the count by
+gap state keeps one level's rule answers and two levels' counts, and no
+composed dict outlives the state it serves; the walks keep two levels.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ import functools
 import itertools
 import math
 import operator
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -317,14 +318,14 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
     # The one loop behind ``enumerate_class``, over a normalized set: the
     # members in order, as chunks (head, tails), each standing for head +
     # tail for every tail.  ``children`` is the class's rule on gap states,
-    # from ``_class_rule``.  ``stack`` holds each open prefix's unused values
-    # and an iterator over its children; the prefix at depth d is
-    # ``prefix[:d]`` and ``key`` the gap state of the newest one.  A live
-    # prefix with one unused value u is the chunk of one tail (u,): the rule
-    # keeps u from completing its own patterns, and the check against
-    # ``patterns`` the rest.  The run heads, the pinned letters, the blocks,
-    # their bound ``most`` (K of the module docstring) and their tails are
-    # as there; ``blocks`` and ``made`` hold them for this call only.
+    # from ``_class_rule``.  ``stack[d]`` runs over the children of
+    # ``prefix[:d]``, one placed iff ``prefix`` is longer than d; it goes back
+    # into ``unused``, one sorted list, before the next.  ``key`` is the gap
+    # state of the newest prefix.  A live prefix with one unused value u is
+    # the chunk of one tail (u,): the rule keeps u from completing its own
+    # patterns, and the check against ``patterns`` the rest.  The run heads,
+    # pinned letters, blocks, their bound ``most`` (K of the module docstring)
+    # and tails are as there; ``blocks`` and ``made`` hold them for one call.
     children, _, key, patterns, _ = _class_rule(n, patterns)
     most = _block_k(n)
     sides = {
@@ -359,14 +360,14 @@ def _live_avoiders(n: int, patterns: tuple) -> Iterator[tuple[tuple, tuple]]:
             if tails:
                 yield tuple(prefix), tails
         elif live:
-            stack.append((unused, iter(children(key).items())))
+            stack.append(iter(children(key).items()))
         while stack:
-            parent, kids = stack[-1]
-            child = next(kids, None)
+            if len(prefix) == len(stack):  # the top frame's last child goes back
+                insort(unused, prefix.pop())
+            child = next(stack[-1], None)
             if child is not None:
                 i, key = child
-                unused = parent.copy()
-                prefix[len(stack) - 1 :] = [unused.pop(i)]
+                prefix.append(unused.pop(i))
                 break
             stack.pop()
         else:

@@ -337,9 +337,8 @@ def test_enumerate_streams_into_a_broken_pipe(monkeypatch):
 def test_enumerate_formats_only_the_head_lengths_it_prints(capsys):
     # {12} has one member, n ... 1, printed as one chunk, so one head format
     # is made, not one for every length up to n (about 3n^2/2 characters).
-    # At n = 3000 the traced peak is about 36.6 MiB that way, mostly the
-    # enumerator's copies of the unused values by depth, and 49.7 MiB with
-    # a format for every length (Python 3.11).
+    # At n = 3000 the traced peak is about 36.6 MiB that way, and 49.7 MiB
+    # with a format for every length (Python 3.11).
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:

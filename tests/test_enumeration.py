@@ -949,6 +949,41 @@ def test_counter_memory_does_not_grow_with_every_level():
     assert peak < 3 * 2**20
 
 
+def test_listing_memory_along_a_path_is_linear():
+    # {12} has one member, n ... 1, reached through a path of n open
+    # prefixes.  The enumerator keeps one list of unused values, so its
+    # traced peak grows as n: about 0.55 MiB at n = 1000 and 1.6 MiB at
+    # n = 3000, 2.9 times as much.  With a copy of the unused values per
+    # depth it grew as n^2: 4.5 and 36.3 MiB, 8.1 times (Python 3.11).
+    peaks = []
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for n in (1000, 3000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            members = list(enumerate_class(ClassDescriptor(n, ((1, 2),))))
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            assert members == [tuple(range(n, 0, -1))]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * 2**20
+    assert peaks[1] < 4 * peaks[0]
+
+
+@pytest.mark.parametrize("n, size", [(8, 6056), (9, 25252)])
+def test_matcher_lists_a_deep_class_in_order(n, size):
+    # No rule covers {1342, 3124}, so it lists with no blocks: every prefix
+    # is a node, and every value goes back through the one list of unused
+    # values.  The sizes are A164651(8) and A164651(9), the {1243, 2134}
+    # counts; that the two classes agree is observed here, not proved.
+    members = list(enumerate_class(ClassDescriptor(n, ((1, 3, 4, 2), (3, 1, 2, 4)))))
+    assert all(a < b for a, b in zip(members, members[1:]))
+    assert all(sorted(p) == list(range(1, n + 1)) for p in members)
+    assert len(members) == size
+
+
 @pytest.mark.parametrize("n, size, asks", [(7, 1459, 143), (8, 6056, 248)])
 def test_enumerator_asks_the_pair_rule_once_per_gap_state(monkeypatch, n, size, asks):
     # The enumerator carries gap states, so listing the pair asks its rule
